@@ -52,6 +52,14 @@ from common import (
 )
 
 CONNECTIONS = 2
+#: One analysis worker thread.  With two, the server races: the intern
+#: pool's check-then-insert (``repro.util.intern.intern``) can hand a
+#: thread a non-canonical node, which fails the pointer-identity warm-start
+#: gate, and ``FixpointCache.latest_for`` iterates the index without the
+#: cache lock while the other worker's ``put`` grows it.  Either turns a
+#: scheduled answer into a wrong tier or an error.  Under the GIL a second
+#: worker buys little beyond overlapping socket I/O.
+WORKERS = 1
 TRANSITIONS = ("generic", "fused")
 HOT_ENTRIES = 64
 HOT_CELLS = 4
@@ -178,7 +186,7 @@ class Server:
                 "--hot-entries",
                 str(HOT_ENTRIES),
                 "--workers",
-                str(CONNECTIONS),
+                str(WORKERS),
             ],
             env=child_env(seed),
             stdout=subprocess.PIPE,
