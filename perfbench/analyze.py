@@ -5,16 +5,29 @@ Each op takes one cell from source text to ``request_config`` ->
 admitted cell once, in an order drawn from the seed; the caller loops
 over whole passes (closed loop, one caller) for the measured time.  The
 fixpoint does most of the work here; startup, wire and cache do none.
+
+Each cell's latency is the median of its passes' times, each scaled to
+the reference core (:mod:`pace`): ``latency_p50_ms``/``latency_p90_ms``
+are percentiles of those, and ``ops_per_s`` is cells per second of a
+pass taken at them.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from statistics import fmean
 
 import cells
 import check
-from common import SETUP_REPS, latency_metrics, median, self_peak_rss_mb
+from common import (
+    MIN_REPEATS,
+    SETUP_REPS,
+    latency_metrics,
+    median,
+    self_peak_rss_mb,
+)
+from pace import HostPace, kernel_row, op_medians, scaled_call
 
 
 def build_ops(expected: dict) -> list[dict]:
@@ -52,68 +65,82 @@ def verify(op: dict, summary: dict, result) -> bool:
     )
 
 
-def run_op(op: dict) -> tuple[float, bool]:
-    """Time one op; return ``(seconds, ok)`` -- the check is not timed."""
+def run_op(op: dict, pace: HostPace | None = None) -> tuple[float, bool]:
+    """Time one op; return ``(seconds, ok)`` -- the check is not timed.
+
+    With ``pace`` the seconds are scaled to the reference core
+    (:mod:`pace`).
+    """
     started = time.perf_counter()
     try:
         summary, result, _stats = execute(op)
     except Exception:  # any raise is a failed op, counted below
-        return time.perf_counter() - started, False
+        summary = result = None
     seconds = time.perf_counter() - started
-    return seconds, verify(op, summary, result)
+    if pace is not None:
+        seconds = pace.scale(seconds)
+    return seconds, summary is not None and verify(op, summary, result)
 
 
-def timed_loop(ops: list[dict], rng: random.Random, seconds: float):
-    """Closed-loop whole passes until ``seconds`` have passed.
+def timed_loop(ops: list[dict], rng: random.Random, seconds: float, pace: HostPace):
+    """Closed-loop whole passes until ``seconds`` have passed (at least
+    :data:`common.MIN_REPEATS`).
 
     Whole passes, so every run measures the same cell mix (a partial
     last pass would weight a random subset).  Returns ``(latencies,
-    failed, busy_s)``.
+    attempted, failed)``: each sample's latency is its cell's median
+    scaled time over the passes (:func:`pace.op_medians`).
     """
-    latencies: list[float] = []
-    failed = 0
+    samples: list[tuple[str, float]] = []
+    failed = passes = 0
     deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
+    while passes < MIN_REPEATS or time.perf_counter() < deadline:
         order = ops[:]
         rng.shuffle(order)
         for op in order:
-            elapsed, ok = run_op(op)
-            latencies.append(elapsed)
+            elapsed, ok = run_op(op, pace)
+            samples.append((op["id"], elapsed))
             failed += not ok
-    return latencies, failed, sum(latencies)
+        passes += 1
+    return op_medians(samples), len(samples), failed
 
 
-def run(seed: int, seconds: float, trace: bool) -> dict:
-    started = time.perf_counter()
+def import_layers() -> None:
     import repro.analysis.report  # noqa: F401  (imports are part of setup)
     import repro.config  # noqa: F401
 
-    import_s = time.perf_counter() - started
+
+def prepare(expected: dict) -> tuple[list[dict], int]:
+    """One set-up: the ops with their witnesses, then an untimed pass."""
+    ops = build_ops(expected)
+    return ops, sum(not run_op(op)[1] for op in ops)
+
+
+def run(seed: int, seconds: float, trace: bool) -> dict:
+    _none, import_s = scaled_call(import_layers)
     expected = check.load_expected()
     rng = random.Random(seed)
-    setup_failures = 0
-    reps = []
-    intern_rows: dict = {}
     if trace:
         from layers import intern_delta
 
         # the intern rows count what one pass's parsing and runs intern
+        intern_rows: dict = {}
         with intern_delta(intern_rows):
-            ops = build_ops(expected)
-            setup_failures += sum(not run_op(op)[1] for op in ops)
+            ops, setup_failures = prepare(expected)
         return traced(ops, seed, seconds, intern_rows, setup_failures)
+    setup_failures = 0
+    reps = []
     for _rep in range(SETUP_REPS):
-        rep_started = time.perf_counter()
-        ops = build_ops(expected)
-        setup_failures += sum(not run_op(op)[1] for op in ops)
-        reps.append(time.perf_counter() - rep_started)
-    latencies, failed, busy = timed_loop(ops, rng, seconds)
+        (ops, failures), rep_s = scaled_call(lambda: prepare(expected))
+        setup_failures += failures
+        reps.append(rep_s)
+    latencies, attempted, failed = timed_loop(ops, rng, seconds, HostPace())
     metrics = {"setup_s": (import_s + median(reps), "s")}
-    metrics.update(latency_metrics(latencies, busy))
+    metrics.update(latency_metrics(latencies, sum(latencies)))
     metrics["peak_rss_mb"] = (self_peak_rss_mb(), "MB")
     return {
         "correct": failed == 0 and setup_failures == 0,
-        "attempted": len(latencies),
+        "attempted": attempted,
         "failed": failed,
         "metrics": metrics,
     }
@@ -128,11 +155,11 @@ def traced(ops, seed, seconds, intern_rows, setup_failures) -> dict:
     from repro.config import assemble, request_config
 
     rng = random.Random(seed)
-    untraced, failed, busy = timed_loop(ops, rng, seconds / 2)
+    pace = HostPace()
+    plain, untraced, failed = timed_loop(ops, rng, seconds / 2, pace)
     spans = Spans()
     counts = CoreCounts()
-    traced_ops = 0
-    traced_busy = 0.0
+    traced_samples: list[tuple[str, float]] = []
     deadline = time.perf_counter() + seconds / 2
     first_pass = True
     while first_pass or time.perf_counter() < deadline:
@@ -152,13 +179,11 @@ def traced(ops, seed, seconds, intern_rows, setup_failures) -> dict:
                 with spans.layer("report.summary"):
                     summary = result_summary(result)
                     render_json(summary)
-            traced_busy += time.perf_counter() - op_started
-            traced_ops += 1
+            elapsed = pace.scale(time.perf_counter() - op_started)
+            traced_samples.append((op["id"], elapsed))
             failed += not verify(op, summary, result)
             if first_pass:
                 counts.add(analysis.last_stats, summary)
-            if not first_pass and time.perf_counter() >= deadline:
-                break
         first_pass = False
     rows, _n, reconciled = spans.reconcile()
     valid = spans.write_and_validate(_trace_path("analyze"))
@@ -166,13 +191,15 @@ def traced(ops, seed, seconds, intern_rows, setup_failures) -> dict:
     metrics.update(rows)
     metrics.update(counts.rows())
     metrics.update(intern_rows)
+    metrics.update(kernel_row(pace.kernel))
+    # both sides as scaled per-cell medians, like ``ops_per_s``
     metrics["trace.overhead_ratio"] = (
-        (len(untraced) / busy) / (traced_ops / traced_busy),
+        fmean(op_medians(traced_samples)) / fmean(plain),
         "ratio",
     )
     return {
         "correct": failed == 0 and setup_failures == 0 and reconciled and valid,
-        "attempted": len(untraced) + traced_ops,
+        "attempted": untraced + len(traced_samples),
         "failed": failed,
         "metrics": metrics,
     }

@@ -3,8 +3,11 @@
 Sequential closed loop, one process at a time, on small corpus cells.
 Three in five ops run against a pre-populated ``--cache-dir`` (answered
 from the disk tier), the others against a fresh directory (a cold run
-and a cache write); each op's cell is drawn from the seed.  Interpreter start and ``import repro.cli``
-dominate each op, so lazy-import work shows here and nowhere else.
+and a cache write); each op's cell is drawn from the seed.  Interpreter
+start and ``import repro.cli`` dominate each op, so lazy-import work
+shows here and nowhere else.  Each op's latency is the median of the
+run's ops on the same cell and tier, each scaled to the reference core
+(:mod:`pace`).
 
 Every op is checked: exit status 0, the ``states``/``store``/``mean
 flow`` line equal to ``expected.json``, and the ``cache:`` line naming
@@ -30,6 +33,7 @@ from common import (
     make_tmp,
     median,
 )
+from pace import BLOCK_RUNS, HostPace, kernel_row, kernel_seconds, op_medians, scaled_call
 
 #: CLI cells are the catalogue's cheapest (an evaluation count): process
 #: start-up, not the fixpoint, is what this workload measures.
@@ -37,8 +41,13 @@ CLI_EVAL_LIMIT = 60
 #: Variants the CLI can express as flags on top of ``--preset 1cfa``.
 FLAGS = {"1cfa": [], "gc": ["--gc"], "count": ["--counting"]}
 SUFFIX = {"cps": "cps", "lam": "lam", "fj": "fj", "imp": "imp"}
-#: Cells in the pre-populated cache (every disk op draws from these).
+#: Cells in the pre-populated cache (every disk op draws from these),
+#: then the cells cold ops run in fresh directories.  Few enough that
+#: each repeats several times a run (its median is steady, see
+#: :func:`pace.op_medians`); six cold cells put the 90th percentile in
+#: the middle of one of them, not on the edge between two.
 DISK_CELLS = 8
+COLD_CELLS = 6
 WARMUP_OPS = 2
 MIN_OPS = 100
 
@@ -73,15 +82,21 @@ def plan(cell_list: list[dict], seed: int, count: int) -> list[tuple[dict, str]]
     so with equal shares the median would sit in the gap between the
     two bands and flip between them with the parity of the op count.
     At 3:2 the median lies inside the disk band and the 90th percentile
-    inside the cold band.
+    inside the cold band.  Each tier walks its cells in rounds, every
+    round in a seeded order, so every cell of a tier runs equally often.
     """
     rng = random.Random(seed)
+    rounds = {
+        "disk": cell_list[:DISK_CELLS],
+        "cold": cell_list[DISK_CELLS : DISK_CELLS + COLD_CELLS],
+    }
+    queues: dict = {"disk": [], "cold": []}
     ops = []
     for index in range(count):
-        if index % 5 in (0, 2, 4):
-            ops.append((cell_list[rng.randrange(DISK_CELLS)], "disk"))
-        else:
-            ops.append((cell_list[rng.randrange(len(cell_list))], "cold"))
+        tier = "disk" if index % 5 in (0, 2, 4) else "cold"
+        if not queues[tier]:
+            queues[tier] = rng.sample(rounds[tier], len(rounds[tier]))
+        ops.append((queues[tier].pop(), tier))
     return ops
 
 
@@ -116,12 +131,17 @@ def verify(cell: dict, tier: str, completed: subprocess.CompletedProcess) -> boo
     )
 
 
-def run_op(cell: dict, tier: str, cache_dir: str, env: dict) -> tuple[float, bool]:
+def run_op(
+    cell: dict, tier: str, cache_dir: str, env: dict, pace: HostPace | None = None
+) -> tuple[float, bool]:
+    """One process, timed (scaled by ``pace`` if given) and checked."""
     started = time.perf_counter()
     completed = subprocess.run(
         command(cell, cache_dir), env=env, capture_output=True, text=True, timeout=120
     )
     elapsed = time.perf_counter() - started
+    if pace is not None:
+        elapsed = pace.scale(elapsed)
     return elapsed, verify(cell, tier, completed)
 
 
@@ -146,20 +166,21 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     reps = []
     setup_failures = 0
     for _rep in range(SETUP_REPS):
-        started = time.perf_counter()
-        shared, failures = setup(cell_list, env)
-        reps.append(time.perf_counter() - started)
+        (shared, failures), rep_s = scaled_call(lambda: setup(cell_list, env))
+        reps.append(rep_s)
         setup_failures += failures
-    latencies: list[float] = []
+    samples: list[tuple[tuple[str, str], float]] = []
     failed = 0
+    pace = HostPace()
     deadline = time.perf_counter() + seconds
     for cell, tier in plan(cell_list, seed, 100_000):
-        if time.perf_counter() >= deadline and len(latencies) >= MIN_OPS:
+        if time.perf_counter() >= deadline and len(samples) >= MIN_OPS:
             break
         cache_dir = shared if tier == "disk" else make_tmp("cli-fresh-")
-        elapsed, ok = run_op(cell, tier, cache_dir, env)
-        latencies.append(elapsed)
+        elapsed, ok = run_op(cell, tier, cache_dir, env, pace)
+        samples.append(((cell["id"], tier), elapsed))
         failed += not ok
+    latencies = op_medians(samples)
     metrics = {"setup_s": (median(reps), "s")}
     metrics.update(latency_metrics(latencies, sum(latencies)))
     metrics["peak_rss_mb"] = (children_peak_rss_mb(), "MB")
@@ -247,6 +268,7 @@ def traced(seed: int, cell_list: list[dict], env: dict) -> dict:
     layer_rows, _ops, reconciled = spans.reconcile()
     valid = spans.write_and_validate(os.path.join(make_tmp("trace-"), "cli.json"))
     metrics = probe_rows(env)
+    metrics.update(kernel_row([kernel_seconds(BLOCK_RUNS)]))
     metrics.update(startup_layer(env, reps=9))
     metrics.update(layer_rows)
     metrics.update(counts.rows())

@@ -23,6 +23,9 @@ TMP_ROOT = ".perfbench_tmp"
 #: How many times ``setup_s`` is measured per run (the median is reported).
 SETUP_REPS = 3
 
+#: Each repeated op is timed at least this many times per run.
+MIN_REPEATS = 3
+
 
 class BenchError(Exception):
     """The benchmark cannot produce a trustworthy result."""

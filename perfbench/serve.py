@@ -1,10 +1,13 @@
 """The ``serve`` workload: the resident server over two connections.
 
 The benchmark starts ``python3 -m repro serve --cache-dir <tmp>`` as a
-child process and drives it over :data:`CONNECTIONS` connections, each
-a closed loop (next request after the previous reply).  Every request
-is checked: its tier must be the one the schedule predicts and its row
-must match ``expected.json``.
+child process and drives it over :data:`CONNECTIONS` connections from
+one closed loop that takes them in turn (next request after the
+previous reply; see :func:`drive`).  Every request is checked: its tier
+must be the one the schedule predicts and its row must match
+``expected.json``.  Each request's latency is the median of the same
+request's repeats in the run, each scaled to the reference core
+(:mod:`pace`); a cold or warm request runs once and keeps its own.
 
 Each connection owns a disjoint key space -- connection 0 asks for the
 ``generic`` transition, connection 1 for ``fused`` (identical fixed
@@ -36,7 +39,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import time
 
 import cells
@@ -49,6 +51,14 @@ from common import (
     make_tmp,
     median,
     proc_peak_rss_mb,
+)
+from pace import (
+    BLOCK_RUNS,
+    HostPace,
+    kernel_row,
+    kernel_seconds,
+    op_medians,
+    scaled_call,
 )
 
 CONNECTIONS = 2
@@ -69,10 +79,17 @@ DISK_CELLS = 72
 SERVE_EVAL_LIMIT = 400
 COLD_EVAL_LIMIT = 150
 #: Request mix (weights per schedule slot; a warm slot is two requests).
-MIX = (("hot", 55), ("disk", 36), ("cold", 3), ("warm", 2), ("stats", 2))
+#: The median lies in the hot band and the 90th percentile well inside
+#: the disk band.  Cold and warm requests run once each, so no median of
+#: repeats steadies them (:func:`pace.op_medians`); they are kept to a
+#: few per cent of the requests.
+MIX = (("hot", 60), ("disk", 36), ("cold", 2), ("warm", 1), ("stats", 1))
 #: Untimed warm-up requests per connection, then at most this many more.
 WARMUP_OPS = 100
 MAX_OPS = 20_000
+#: Timed requests per connection at the least, so every disk cell comes
+#: round about ``MIN_REPEATS`` times whatever the host's speed.
+MIN_OPS = 600
 
 
 def pools(expected: dict) -> dict:
@@ -96,6 +113,7 @@ def request(cell: dict, transition: str, method: str = "analyse", **extra) -> di
     overrides = dict(cell["overrides"], transition=transition, **extra)
     return {
         "method": method,
+        "cell": cell["id"],
         "params": {
             "language": cell["language"],
             "source": cell["source"],
@@ -143,7 +161,9 @@ def schedule(pool: dict, connection: int, seed: int) -> list[dict]:
             out.append(dict(request(base, transition), tier="cold"))
             out.append(dict(request(edited, transition, "reanalyse"), tier="warm"))
         else:
-            out.append({"method": "stats", "params": {}, "tier": None})
+            out.append({"method": "stats", "params": {}, "tier": None, "cell": None})
+    for op in out:
+        op["key"] = (connection, op["method"], op["cell"], op["tier"])
     return out
 
 
@@ -223,36 +243,42 @@ class Server:
             self.proc.stdout.close()
 
 
-def drive(server: Server, connection: int, ops: list[dict], deadline: float, out: list):
-    """Closed loop over ``ops`` until ``deadline``.
+def drive(
+    server: Server,
+    per_connection: list[list[dict]],
+    deadline: float,
+    min_ops: int = 0,
+    pace: HostPace | None = None,
+) -> list[list]:
+    """One closed loop over the connections in turn, until ``deadline``
+    and at least ``min_ops`` requests per connection.
 
-    Appends ``(seconds, ok, op, finished_at)`` per request to ``out``.
+    Request ``i`` of connection 0, then request ``i`` of connection 1,
+    each sent when the previous reply is in: a request never queues
+    behind the other connection's (with one server worker it would wait
+    out the other's service time, a share that depends on how the two
+    loops happen to align), and the order the server sees -- so every
+    predicted tier -- is the same on every run.  Returns, per
+    connection, ``(seconds, ok, op, finished_at)`` per request, the
+    seconds scaled by ``pace`` if given.
     """
-    for op in ops:
-        started = time.perf_counter()
-        try:
-            row = server.call(connection, op)
-            elapsed = time.perf_counter() - started
-            ok = verify(op, row)
-        except Exception:  # a typed error or a dead connection: a failed op
-            elapsed, ok = time.perf_counter() - started, False
-        out.append((elapsed, ok, op, time.perf_counter()))
-        if time.perf_counter() >= deadline:
-            return
-
-
-def concurrently(server: Server, per_connection: list[list[dict]], deadline: float):
     results: list[list] = [[] for _ in per_connection]
-    threads = [
-        threading.Thread(target=drive, args=(server, c, ops, deadline, results[c]))
-        for c, ops in enumerate(per_connection)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=170)
-        if thread.is_alive():
-            raise BenchError("a serve connection did not finish")
+    for index in range(min(len(ops) for ops in per_connection)):
+        for connection, ops in enumerate(per_connection):
+            op = ops[index]
+            started = time.perf_counter()
+            try:
+                row = server.call(connection, op)
+            except Exception:  # a typed error or a dead connection: a failed op
+                row = None
+            elapsed = time.perf_counter() - started
+            finished = time.perf_counter()
+            if pace is not None:
+                elapsed = pace.scale(elapsed)
+            ok = row is not None and verify(op, row)
+            results[connection].append((elapsed, ok, op, finished))
+        if index + 1 >= min_ops and time.perf_counter() >= deadline:
+            break
     return results
 
 
@@ -260,12 +286,12 @@ def setup(seed: int, pool: dict, schedules: list[list[dict]]):
     """Start a server, fill its disk tier, run the warm-up requests."""
     server = Server(seed)
     try:
-        primed = concurrently(
+        primed = drive(
             server,
             [priming(pool, c) for c in range(CONNECTIONS)],
             float("inf"),
         )
-        warmup = concurrently(
+        warmup = drive(
             server, [ops[:WARMUP_OPS] for ops in schedules], float("inf")
         )
     except BaseException:
@@ -275,11 +301,12 @@ def setup(seed: int, pool: dict, schedules: list[list[dict]]):
     return server, failures
 
 
-def run(seed: int, seconds: float, trace: bool) -> dict:
-    started = time.perf_counter()
+def import_client() -> None:
     import repro.serve.client  # noqa: F401  (imports are part of setup)
 
-    import_s = time.perf_counter() - started
+
+def run(seed: int, seconds: float, trace: bool) -> dict:
+    _none, import_s = scaled_call(import_client)
     expected = check.load_expected()
     pool = pools(expected)
     schedules = [schedule(pool, c, seed) for c in range(CONNECTIONS)]
@@ -289,27 +316,29 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     setup_failures = 0
     server = None
     for rep in range(SETUP_REPS):
-        rep_started = time.perf_counter()
-        server, failures = setup(seed, pool, schedules)
-        reps.append(time.perf_counter() - rep_started)
+        (server, failures), rep_s = scaled_call(lambda: setup(seed, pool, schedules))
+        reps.append(rep_s)
         setup_failures += failures
         if rep < SETUP_REPS - 1:
             server.close()
     try:
         phase_started = time.perf_counter()
-        results = concurrently(
+        results = drive(
             server,
             [ops[WARMUP_OPS:] for ops in schedules],
             phase_started + seconds,
+            MIN_OPS,
+            HostPace(),
         )
-        wall = time.perf_counter() - phase_started
         peak = server.peak_rss_mb()
     finally:
         server.close()
-    samples = [elapsed for batch in results for elapsed, _ok, _op, _t in batch]
+    samples = op_medians(
+        [(op["key"], elapsed) for batch in results for elapsed, _ok, op, _t in batch]
+    )
     failed = sum(not ok for batch in results for _s, ok, _op, _t in batch)
     metrics = {"setup_s": (import_s + median(reps), "s")}
-    metrics.update(latency_metrics(samples, wall))
+    metrics.update(latency_metrics(samples, sum(samples)))
     metrics["peak_rss_mb"] = (peak, "MB")
     return {
         "correct": failed == 0 and setup_failures == 0,
@@ -410,10 +439,11 @@ def traced(seed: int, seconds: float, pool: dict, schedules: list) -> dict:
     from probe import probe_rows
     from repro.obs.metrics import Histogram
 
+    kernel = [kernel_seconds(BLOCK_RUNS)]
     server, failed = setup(seed, pool, schedules)
     try:
         started = time.perf_counter()
-        results = concurrently(
+        results = drive(
             server, [ops[WARMUP_OPS:] for ops in schedules], started + seconds / 2
         )
         stats = server.call(0, {"method": "stats", "params": {}})
@@ -448,6 +478,8 @@ def traced(seed: int, seconds: float, pool: dict, schedules: list) -> dict:
     metrics.update(counts.rows())
     metrics.update(count_rows)
     metrics.update(intern_rows)
+    kernel.append(kernel_seconds(BLOCK_RUNS))
+    metrics.update(kernel_row(kernel))
     metrics["serve.roundtrip_ms"] = (roundtrip, "ms")
     metrics["serve.server_ms"] = (server_ms, "ms")
     metrics["serve.wire_ms"] = (roundtrip - server_ms, "ms")
