@@ -1,10 +1,10 @@
 """E10 -- the global-store worklist engine across all three languages.
 
-Claims regenerated: (1) the kleene / worklist / depgraph engines compute
+Claims regenerated: (1) the kleene and depgraph engines compute
 identical widened fixed points for CPS, direct-style lambda and FJ --
 the strategy is the third degree of freedom, independent of both the
 semantics and the monad; (2) dependency-tracked re-evaluation is the
-cheapest of the three on every workload, because a store change
+cheaper of the two on every workload, because a store change
 re-evaluates only the configurations that actually read a changed
 address.
 """
@@ -60,10 +60,9 @@ def test_e10_cps_engines_agree(benchmark):
 
     results = run_once(benchmark, run)
     _print_rows("CPS id_chain(8), k=1", results)
-    kleene = results["kleene"][0]
-    for engine in ("worklist", "depgraph"):
-        assert results[engine][0].flows_to() == kleene.flows_to(), engine
-        assert results[engine][0].configs() == kleene.configs(), engine
+    kleene, depgraph = results["kleene"][0], results["depgraph"][0]
+    assert depgraph.flows_to() == kleene.flows_to()
+    assert depgraph.configs() == kleene.configs()
 
 
 def test_e10_cesk_engines_agree(benchmark):
@@ -78,10 +77,9 @@ def test_e10_cesk_engines_agree(benchmark):
 
     results = run_once(benchmark, run)
     _print_rows("lam church-two-two, k=1", results)
-    kleene = results["kleene"][0]
-    for engine in ("worklist", "depgraph"):
-        assert results[engine][0].flows_to() == kleene.flows_to(), engine
-        assert results[engine][0].configs() == kleene.configs(), engine
+    kleene, depgraph = results["kleene"][0], results["depgraph"][0]
+    assert depgraph.flows_to() == kleene.flows_to()
+    assert depgraph.configs() == kleene.configs()
 
 
 def test_e10_fj_engines_agree(benchmark):
@@ -96,10 +94,9 @@ def test_e10_fj_engines_agree(benchmark):
 
     results = run_once(benchmark, run)
     _print_rows("FJ visitor, k=1", results)
-    kleene = results["kleene"][0]
-    for engine in ("worklist", "depgraph"):
-        assert results[engine][0].class_flows() == kleene.class_flows(), engine
-        assert results[engine][0].configs() == kleene.configs(), engine
+    kleene, depgraph = results["kleene"][0], results["depgraph"][0]
+    assert depgraph.class_flows() == kleene.class_flows()
+    assert depgraph.configs() == kleene.configs()
 
 
 def test_e10_depgraph_does_least_work_everywhere(benchmark):
@@ -129,12 +126,11 @@ def test_e10_depgraph_does_least_work_everywhere(benchmark):
     def run():
         out = {}
         for lang, runner in workloads:
-            stats_w: dict = {}
+            stats_k: dict = {}
             stats_d: dict = {}
-            _result_k, t_kleene = runner("kleene", {})
-            _result_w, _t_w = runner("worklist", stats_w)
+            _result_k, t_kleene = runner("kleene", stats_k)
             _result_d, t_depgraph = runner("depgraph", stats_d)
-            out[lang] = (t_kleene, t_depgraph, stats_w, stats_d)
+            out[lang] = (t_kleene, t_depgraph, stats_k, stats_d)
         return out
 
     results = run_once(benchmark, run)
@@ -143,20 +139,20 @@ def test_e10_depgraph_does_least_work_everywhere(benchmark):
             lang,
             f"{tk:.3f}s",
             f"{td:.3f}s",
-            stats_w["evaluations"],
+            stats_k["evaluations"],
             stats_d["evaluations"],
         )
-        for lang, (tk, td, stats_w, stats_d) in results.items()
+        for lang, (tk, td, stats_k, stats_d) in results.items()
     ]
     print()
     print(
         fmt_table(
-            ["language", "kleene time", "depgraph time", "blind evals", "depgraph evals"],
+            ["language", "kleene time", "depgraph time", "kleene evals", "depgraph evals"],
             rows,
         )
     )
-    for lang, (_tk, _td, stats_w, stats_d) in results.items():
-        assert stats_d["evaluations"] <= stats_w["evaluations"], lang
+    for lang, (_tk, _td, stats_k, stats_d) in results.items():
+        assert stats_d["evaluations"] <= stats_k["evaluations"], lang
         # every configuration is evaluated at least once, and the only
         # extra work is the retriggered re-evaluations
         assert stats_d["evaluations"] == stats_d["configurations"] + stats_d["retriggers"], lang

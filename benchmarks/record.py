@@ -3,7 +3,7 @@
 Runs every fixed-point engine / store-impl combination over one workload
 per language -- plus the abstract-GC workloads, a counting workload, the
 generic-vs-fused transition rows, and the service-layer workloads
-(sharded batch pool, fixpoint-cache hits, warm-start re-analysis, and
+(adaptive batch pool, fixpoint-cache hits, warm-start re-analysis, and
 the resident-server hot-request latency against a cold CLI run) -- and
 writes a machine-readable baseline, so each PR leaves a ``BENCH_*.json``
 behind and regressions are visible as a series rather than one-off
@@ -27,7 +27,7 @@ the same code the ``repro batch`` CLI runs.
 The JSON shape (see PERFORMANCE.md for how to read it)::
 
     {
-      "schema": "engine-suite/7",
+      "schema": "engine-suite/8",
       "workloads": {
         "<workload>": {
           "<engine>/<store_impl>": {            # generic transition
@@ -41,7 +41,6 @@ The JSON shape (see PERFORMANCE.md for how to read it)::
       },
       "schedule": {
         "<workload>": {                         # fifo vs priority drain
-          "engine": "worklist" | "depgraph", "gated": bool,
           "fifo":     {"seconds", "evaluations", "dedup_hits", "max_rank"},
           "priority": {"seconds", "evaluations", "dedup_hits", "max_rank"},
           "eval_reduction": float               # fifo evals / priority evals
@@ -57,9 +56,6 @@ The JSON shape (see PERFORMANCE.md for how to read it)::
         "batch-pool":  {"serial_seconds", "pool_seconds", "workers",
                         "pool_workers", "inline_fallbacks", "jobs",
                         "speedup", "cpu_count"},
-        "parallel-fixpoint": {"sequential_seconds", "sharded_seconds",
-                              "speedup", "shards", "cpu_count",
-                              "gil_enabled", "rounds", "peak_frontier"},
         "cache":       {"cold_seconds", "hit_seconds", "speedup"},
         "warm-chain":  {"cold_seconds", "warm_seconds", "speedup",
                         "cold_evaluations", "warm_evaluations"},
@@ -87,25 +83,17 @@ tolerance) at **any** core count -- the adaptive runner degrades to the
 inline path when a pool cannot pay, so a loss is a bug, not a hardware
 limitation -- (d) the pool actually engaged on enough cores but beat
 serial by less than ``--min-engaged-pool-speedup`` (default 2.0), (e)
-the sharded fixpoint is less than ``--min-sharded-speedup`` (default
-1.5) times faster than the sequential engine -- gated only on >= 4
-cores with the GIL disabled, since worker threads over pure-Python
-evaluations cannot overlap under a GIL; skipped with a notice
-otherwise (the fixed-point *equality* is asserted unconditionally) --
-(f) warm-starting the one-edit chain workload is less than
+warm-starting the one-edit chain workload is less than
 ``--min-warm-speedup`` (default 5.0) times faster than re-analysing it
-cold, (g) a repeat request through the resident server's hot tier is
+cold, (f) a repeat request through the resident server's hot tier is
 less than ``--min-serve-speedup`` (default 20.0) times faster than a
 cold ``repro analyze`` CLI invocation of the same cell -- the whole
 point of keeping an engine resident is amortizing interpreter start-up,
 imports, and the analysis itself, so this gate holds on any hardware --
-or (h) the priority schedule fails its evaluation-count contract: on
-the gated chain/loop cells of the dependency-blind engine it must
-evaluate at least ``--min-eval-reduction`` (default 1.5) times fewer
-configurations than FIFO, and on *every* schedule cell it must never
-evaluate more than :data:`_SCHEDULE_NEVER_WORSE` times FIFO's count.
+or (g) the priority schedule evaluates more than
+:data:`_SCHEDULE_NEVER_WORSE` times FIFO's count on any schedule cell.
 Evaluation counts, unlike seconds, are hardware-independent, so this
-gate never needs a skip condition.  Finally (i) tracing must stay
+gate never needs a skip condition.  Finally (h) tracing must stay
 cheap: on the cps id-chain-200 depgraph/versioned cell a live tracer
 may cost at most ``--min-trace-overhead-ratio`` (default 1.10) times
 the plain run, and the always-on no-op instrumentation path at most
@@ -130,8 +118,6 @@ from repro.util.workloads import resolve_workload
 #: mutable-store variant, and the fused row rides the fast configuration.
 COMBINATIONS = (
     ("kleene", "persistent", "generic"),
-    ("worklist", "persistent", "generic"),
-    ("worklist", "versioned", "generic"),
     ("depgraph", "persistent", "generic"),
     ("depgraph", "versioned", "generic"),
     ("depgraph", "versioned", "fused"),
@@ -210,7 +196,7 @@ def _workloads() -> dict:
         "fj-visitor-k1": (_runner("fj", visitor), COMBINATIONS),
         # the scaling workload behind the headline speedup: the store
         # grows linearly with the chain, so the persistent path goes
-        # quadratic; kleene and the blind worklist are far too slow here
+        # quadratic; kleene is far too slow here
         "cps-id-chain-200-k1": (
             _runner("cps", chain200),
             (
@@ -220,8 +206,8 @@ def _workloads() -> dict:
             ),
         ),
         # abstract GC at worklist speed vs the Kleene+GC baseline (the
-        # per-evaluation reachability sweep is the same; the worklist
-        # engines win by re-evaluating far fewer configurations)
+        # per-evaluation reachability sweep is the same; the depgraph
+        # engine wins by re-evaluating far fewer configurations)
         "cps-id-chain-30-k1-gc": (_runner("cps", chain30, gc=True), GC_COMBINATIONS),
         "lam-church-two-two-k1-gc": (_runner("lam", church, gc=True), GC_COMBINATIONS),
         "fj-visitor-k1-gc": (_runner("fj", visitor, gc=True), GC_COMBINATIONS),
@@ -245,48 +231,40 @@ _SCHEDULE_NEVER_WORSE = 1.05
 
 
 def _schedule_workloads() -> tuple:
-    """The fifo-vs-priority comparison cells.
-
-    The ``gated`` cells run the dependency-*blind* worklist engine on
-    chain- and loop-shaped workloads -- the shape the rank order exists
-    for, where FIFO re-evaluates once per growth wave and priority once
-    per stable input -- and must clear ``--min-eval-reduction``.  The
-    depgraph cells are ungated on the reduction (the dependency map
+    """The fifo-vs-priority comparison cells: chain- and loop-shaped
+    workloads, the shape the rank order exists for.  The dependency map
     already suppresses most wasted work, so priority is only neutral to
-    modestly better there) but still bound by the never-worse check.
+    modestly better here; every cell is bound by the never-worse check.
     """
     chain30 = resolve_workload("cps", "id-chain-30")
     chain200 = resolve_workload("cps", "id-chain-200")
     church = resolve_workload("lam", "church-two-two")
     visitor = resolve_workload("fj", "visitor")
     return (
-        # (label, language, program, engine, gated)
-        ("cps-id-chain-30-k1", "cps", chain30, "worklist", True),
-        ("cps-id-chain-200-k1", "cps", chain200, "worklist", True),
-        ("lam-church-two-two-k1", "lam", church, "worklist", True),
-        ("fj-visitor-k1", "fj", visitor, "worklist", True),
-        ("cps-id-chain-200-k1-depgraph", "cps", chain200, "depgraph", False),
-        ("lam-church-two-two-k1-depgraph", "lam", church, "depgraph", False),
+        # (label, language, program)
+        ("cps-id-chain-30-k1", "cps", chain30),
+        ("cps-id-chain-200-k1", "cps", chain200),
+        ("lam-church-two-two-k1", "lam", church),
+        ("fj-visitor-k1", "fj", visitor),
     )
 
 
 def run_schedule_suite() -> dict:
     """Time fifo vs priority drains, asserting bit-identical fixed points.
 
-    Every cell runs the fused transition over the versioned store --
-    only the engine (blind vs dependency-tracked) and the ``schedule``
-    axis vary, so ``eval_reduction`` isolates exactly what the drain
-    order buys.
+    Every cell runs the fused depgraph transition over the versioned
+    store -- only the ``schedule`` axis varies, so ``eval_reduction``
+    isolates exactly what the drain order buys.
     """
     suite: dict = {}
-    for label, language, program, engine, gated in _schedule_workloads():
+    for label, language, program in _schedule_workloads():
         cells: dict = {}
         fps: dict = {}
         for schedule in ("fifo", "priority"):
             config = AnalysisConfig(
                 language=language,
                 k=1,
-                engine=engine,
+                engine="depgraph",
                 store_impl="versioned",
                 transition="fused",
                 schedule=schedule,
@@ -319,16 +297,14 @@ def run_schedule_suite() -> dict:
         assert fps["priority"] == fps["fifo"], f"schedule fp mismatch on {label}"
         reduction = cells["fifo"]["evaluations"] / cells["priority"]["evaluations"]
         suite[label] = {
-            "engine": engine,
-            "gated": gated,
             "fifo": cells["fifo"],
             "priority": cells["priority"],
             "eval_reduction": round(reduction, 2),
         }
         print(
-            f"{label:28s} {engine:>8s} schedule fifo {cells['fifo']['evaluations']:6d} "
+            f"{label:28s} schedule fifo {cells['fifo']['evaluations']:6d} "
             f"-> priority {cells['priority']['evaluations']:6d} evals "
-            f"({reduction:5.2f}x fewer{', gated' if gated else ''})",
+            f"({reduction:5.2f}x fewer)",
             file=sys.stderr,
         )
     return suite
@@ -340,17 +316,9 @@ WARM_CHAIN_LENGTH = 400
 #: Worker count for the pool-speedup row (and its gate).
 POOL_WORKERS = 4
 
-#: Shard count for the parallel-fixpoint row (and its gate).
-SHARDS = 4
-
 #: Identical serial/adaptive-inline runs land on either side of exactly
 #: 1.0x by scheduler noise; the never-lose pool gate subtracts this.
 _POOL_JITTER_TOLERANCE = 0.05
-
-
-def _gil_enabled() -> bool:
-    """Whether this interpreter serializes threads (no free-threading)."""
-    return getattr(sys, "_is_gil_enabled", lambda: True)()
 
 
 def _pool_jobs() -> list:
@@ -365,7 +333,6 @@ def _pool_jobs() -> list:
     church = [
         ("1cfa", {}),
         ("1cfa", {"store_impl": "persistent"}),
-        ("1cfa", {"engine": "worklist"}),
         ("1cfa-gc", {}),
         ("1cfa-gc-fused", {}),
         ("kcfa-counting-fast", {}),
@@ -398,48 +365,6 @@ def _pool_jobs() -> list:
         )
     )
     return jobs
-
-
-def run_parallel_fixpoint_row() -> dict:
-    """Sequential vs sharded worklist on one substantial workload.
-
-    Both cells run the fused depgraph/versioned configuration; the
-    sharded cell adds ``parallelism="sharded"`` with :data:`SHARDS`
-    worker threads.  The fixed points are asserted bit-identical every
-    time -- the speedup is hardware-dependent (and gated only on >= 4
-    GIL-free cores; see :func:`check`), the equality never is.
-    """
-    program = resolve_workload("lam", "church-two-two")
-    sequential = preset_config("1cfa-fused", "lam")
-    sharded = preset_config("1cfa-sharded", "lam").replace(shards=SHARDS).validated()
-
-    seq_seconds = shard_seconds = None
-    shard_stats: dict = {}
-    for _ in range(3):  # best-of-3: both cells are well under a second
-        analysis = assemble(sequential, program=program)
-        start = time.perf_counter()
-        seq_result = analysis.run(program)
-        elapsed = time.perf_counter() - start
-        seq_seconds = elapsed if seq_seconds is None else min(seq_seconds, elapsed)
-
-        analysis = assemble(sharded, program=program)
-        start = time.perf_counter()
-        shard_result = analysis.run(program)
-        elapsed = time.perf_counter() - start
-        if shard_seconds is None or elapsed < shard_seconds:
-            shard_seconds, shard_stats = elapsed, dict(analysis.last_stats)
-        assert shard_result.fp == seq_result.fp, "sharded/sequential fp mismatch"
-    return {
-        "workload": "lam-church-two-two-k1",
-        "shards": SHARDS,
-        "cpu_count": os.cpu_count(),
-        "gil_enabled": _gil_enabled(),
-        "sequential_seconds": round(seq_seconds, 6),
-        "sharded_seconds": round(shard_seconds, 6),
-        "speedup": round(seq_seconds / shard_seconds, 2),
-        "rounds": shard_stats.get("rounds"),
-        "peak_frontier": shard_stats.get("peak_frontier"),
-    }
 
 
 #: The serve-latency cell: one corpus program, one preset.
@@ -605,7 +530,7 @@ def run_trace_overhead_row() -> dict:
 
 
 def run_service_suite() -> dict:
-    """Time the service layer: pool sharding, cache hits, warm starts."""
+    """Time the service layer: the batch pool, cache hits, warm starts."""
     import tempfile
 
     from repro.service.batch import run_batch
@@ -637,15 +562,6 @@ def run_service_suite() -> dict:
         f"{'service-batch-pool':28s} serial {serial_seconds:7.3f}s  "
         f"pool({POOL_WORKERS}->{pooled.pool_workers}) {pool_seconds:7.3f}s  "
         f"{service['batch-pool']['speedup']:.2f}x",
-        file=sys.stderr,
-    )
-
-    service["parallel-fixpoint"] = run_parallel_fixpoint_row()
-    row = service["parallel-fixpoint"]
-    print(
-        f"{'service-parallel-fixpoint':28s} seq    {row['sequential_seconds']:7.3f}s  "
-        f"sharded({row['shards']}) {row['sharded_seconds']:7.3f}s  "
-        f"{row['speedup']:.2f}x (gil={'on' if row['gil_enabled'] else 'off'})",
         file=sys.stderr,
     )
 
@@ -724,7 +640,7 @@ def run_service_suite() -> dict:
 
 def run_suite() -> dict:
     record: dict = {
-        "schema": "engine-suite/7",
+        "schema": "engine-suite/8",
         "python": sys.version.split()[0],
         "workloads": {},
         "speedups": {},
@@ -782,16 +698,14 @@ def check(
     min_pool_speedup: float = 1.0,
     min_warm_speedup: float = 5.0,
     min_engaged_pool_speedup: float = 2.0,
-    min_sharded_speedup: float = 1.5,
     min_serve_speedup: float = 20.0,
-    min_eval_reduction: float = 1.5,
     min_trace_overhead_ratio: float = 1.10,
 ) -> list[str]:
     """The CI gates.
 
     * depgraph/versioned must beat kleene by ``min_speedup`` on every
       workload that ran both (the ``*-gc`` rows included, so a
-      regression in the worklist GC path fails the build too);
+      regression in the depgraph GC path fails the build too);
     * the fused transition must beat the generic one by
       ``min_fused_speedup`` on the :data:`FUSED_GATED` workloads;
     * the adaptive batch pool must never lose to the serial sweep:
@@ -803,24 +717,16 @@ def check(
       machine with at least :data:`POOL_WORKERS` cores, it must beat
       serial by ``min_engaged_pool_speedup``; skipped with a notice
       otherwise;
-    * the sharded fixpoint must beat the sequential engine by
-      ``min_sharded_speedup`` -- gated only on >= 4 cores with the GIL
-      disabled (worker threads over pure-Python evaluations cannot
-      overlap under a GIL); skipped with a notice otherwise.  The
-      fixed-point equality was already asserted when the row was
-      recorded, on every machine;
     * the one-edit warm start must beat the cold re-analysis by
       ``min_warm_speedup``;
     * a hot repeat request through the resident server must beat a cold
       ``repro analyze`` subprocess by ``min_serve_speedup`` -- no skip
       condition: the hot tier is a dictionary lookup and the cold cell
       pays interpreter start-up, so the margin is enormous everywhere;
-    * the priority schedule must reduce evaluation counts by
-      ``min_eval_reduction`` on every *gated* schedule cell (the
-      blind-engine chain/loop workloads), and must never exceed
-      :data:`_SCHEDULE_NEVER_WORSE` times FIFO's count on *any*
-      schedule cell -- counts are hardware-independent, so neither
-      bound ever needs a skip condition;
+    * the priority schedule must never exceed
+      :data:`_SCHEDULE_NEVER_WORSE` times FIFO's count on any schedule
+      cell -- counts are hardware-independent, so the bound never needs
+      a skip condition;
     * tracing must stay cheap: on the trace-overhead row an actively
       recording tracer may cost at most ``min_trace_overhead_ratio``
       times the plain run, and the no-op path (instrumentation with the
@@ -869,23 +775,6 @@ def check(
                 f"with {pool['pool_workers']} engaged workers "
                 f"(need >= {min_engaged_pool_speedup:.1f}x)"
             )
-    sharded = service.get("parallel-fixpoint")
-    if sharded is not None:
-        cores = sharded.get("cpu_count") or 0
-        if cores < 4 or sharded.get("gil_enabled", True):
-            print(
-                f"sharded gate skipped: {cores} core(s), "
-                f"gil={'on' if sharded.get('gil_enabled', True) else 'off'} "
-                "(need >= 4 cores and a GIL-free interpreter; equality was "
-                "still asserted)",
-                file=sys.stderr,
-            )
-        elif sharded["speedup"] < min_sharded_speedup:
-            failures.append(
-                f"service-parallel-fixpoint: only {sharded['speedup']:.2f}x over "
-                f"sequential with {sharded['shards']} shards "
-                f"(need >= {min_sharded_speedup:.1f}x)"
-            )
     warm = service.get("warm-chain")
     if warm is not None and warm["speedup"] < min_warm_speedup:
         failures.append(
@@ -900,11 +789,6 @@ def check(
         )
     for label, cell in record.get("schedule", {}).items():
         reduction = cell["eval_reduction"]
-        if cell.get("gated") and reduction < min_eval_reduction:
-            failures.append(
-                f"schedule-{label}: priority only {reduction:.2f}x fewer "
-                f"evaluations than fifo (need >= {min_eval_reduction:.1f}x)"
-            )
         if reduction * _SCHEDULE_NEVER_WORSE < 1.0:
             failures.append(
                 f"schedule-{label}: priority evaluated MORE than fifo "
@@ -984,22 +868,18 @@ def main(argv: list[str] | None = None) -> int:
         "over kleene, fused below --min-fused-speedup over generic, the batch "
         "pool below --min-pool-speedup over serial at any core count (or below "
         "--min-engaged-pool-speedup when it engaged on enough cores), the "
-        "sharded fixpoint below --min-sharded-speedup on >= 4 GIL-free cores, "
-        "the warm start below --min-warm-speedup over cold, the resident "
-        "server's hot tier below --min-serve-speedup over a cold CLI run, or "
-        "the priority schedule below --min-eval-reduction on the gated "
-        "chain/loop cells (it must also never beat fifo's evaluation count "
-        "by less than 1/1.05x anywhere), or tracing overhead above "
+        "warm start below --min-warm-speedup over cold, the resident "
+        "server's hot tier below --min-serve-speedup over a cold CLI run, "
+        "the priority schedule above 1.05x fifo's evaluation count on any "
+        "schedule cell, or tracing overhead above "
         "--min-trace-overhead-ratio (live) / 1.03x (no-op path)",
     )
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-fused-speedup", type=float, default=2.0)
     parser.add_argument("--min-pool-speedup", type=float, default=1.0)
     parser.add_argument("--min-engaged-pool-speedup", type=float, default=2.0)
-    parser.add_argument("--min-sharded-speedup", type=float, default=1.5)
     parser.add_argument("--min-warm-speedup", type=float, default=5.0)
     parser.add_argument("--min-serve-speedup", type=float, default=20.0)
-    parser.add_argument("--min-eval-reduction", type=float, default=1.5)
     parser.add_argument(
         "--min-trace-overhead-ratio",
         type=float,
@@ -1027,9 +907,7 @@ def main(argv: list[str] | None = None) -> int:
             args.min_pool_speedup,
             args.min_warm_speedup,
             min_engaged_pool_speedup=args.min_engaged_pool_speedup,
-            min_sharded_speedup=args.min_sharded_speedup,
             min_serve_speedup=args.min_serve_speedup,
-            min_eval_reduction=args.min_eval_reduction,
             min_trace_overhead_ratio=args.min_trace_overhead_ratio,
         )
         for failure in failures:

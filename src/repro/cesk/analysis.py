@@ -143,8 +143,6 @@ class CESKAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    parallelism: str = "none"
-    shards: int = 1
     schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
@@ -304,8 +302,6 @@ def assemble_cesk(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        parallelism=config.parallelism,
-        shards=config.shards,
         schedule=config.schedule,
     )
 

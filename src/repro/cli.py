@@ -31,28 +31,22 @@ flag (``--k``, ``--engine``, ``--store-impl``, ``--gc``, ``--counting``,
 
 The fine-grained flags remain, one per degree of freedom:
 
-* ``--engine`` -- the fixed-point strategy over the global-store domain:
-  ``kleene`` (whole-domain rounds), ``worklist`` (frontier-driven,
-  dependency-blind) or ``depgraph`` (frontier-driven, re-evaluating only
-  configurations whose store dependencies changed).  All three compute
+* ``--engine`` -- the fixed-point strategy over the global-store domain,
+  one of two: ``kleene`` (whole-domain rounds, the paper-literal
+  oracle) or ``depgraph`` (frontier-driven, re-evaluating only
+  configurations whose store dependencies changed).  Both compute
   identical results; ``depgraph`` is the fast one.
-* ``--store-impl`` -- the store representation behind the worklist
-  engines: ``persistent`` (immutable PMap snapshots) or ``versioned``
+* ``--store-impl`` -- the store representation behind the depgraph
+  engine: ``persistent`` (immutable PMap snapshots) or ``versioned``
   (one mutable store with per-address change versions -- O(delta) per
   evaluation, the fastest configuration; see PERFORMANCE.md).
 * ``--gc`` / ``--counting`` -- abstract garbage collection and counting;
-  both now compose with every engine (the worklist engines sweep
-  reachability per evaluation and saturate counts on convergence).
+  both compose with either engine (depgraph sweeps reachability per
+  evaluation and saturates counts on convergence).
 * ``--transition`` -- how the transition function executes: ``generic``
   runs the monadic normal form through the ``StorePassing`` stack,
   ``fused`` runs the staged first-order step compiled from it
   (identical fixed points; see PERFORMANCE.md, "The fused transition").
-* ``--parallelism`` / ``--shards`` -- how the fixed-point worklist is
-  evaluated: ``none`` is the sequential loop, ``sharded`` evaluates
-  each round's pending configurations on ``--shards`` worker threads
-  against private write overlays, barrier-merged through the versioned
-  store (identical fixed points; needs ``--engine depgraph
-  --store-impl versioned``; see PERFORMANCE.md, "Parallel fixpoints").
 * ``--schedule`` -- the worklist drain order: ``fifo`` (historical) or
   ``priority`` (dependency-rank waves -- retriggered configurations
   re-run once per wave of store growth instead of once per bump;
@@ -207,8 +201,6 @@ def _resolve_config(args: argparse.Namespace, lang: str):
                 engine=args.engine,
                 store_impl=args.store_impl,
                 transition=args.transition,
-                parallelism=args.parallelism,
-                shards=args.shards,
                 schedule=args.schedule,
             )
         )
@@ -232,8 +224,6 @@ def _resolve_config(args: argparse.Namespace, lang: str):
         gc=args.gc,
         counting=args.counting,
         transition=args.transition or "generic",
-        parallelism=args.parallelism or "none",
-        shards=1 if args.shards is None else args.shards,
         schedule=args.schedule or "fifo",
         label=args.preset or "",
     )
@@ -625,19 +615,19 @@ def build_parser() -> argparse.ArgumentParser:
     an_p.add_argument("--k", type=int, default=None, help="k-CFA context depth")
     an_p.add_argument(
         "--engine",
-        choices=("kleene", "worklist", "depgraph"),
+        choices=("kleene", "depgraph"),
         default=None,
         help="fixed-point strategy over the global store "
-        "(kleene = whole-domain rounds, worklist = dependency-blind frontier, "
+        "(kleene = whole-domain rounds, "
         "depgraph = dependency-tracked re-evaluation)",
     )
     an_p.add_argument(
         "--store-impl",
         choices=("persistent", "versioned"),
         default=None,
-        help="store representation behind the worklist engines "
+        help="store representation behind the depgraph engine "
         "(persistent = immutable snapshots, versioned = mutable store "
-        "with per-address change versions; needs --engine worklist|depgraph)",
+        "with per-address change versions; needs --engine depgraph)",
     )
     an_p.add_argument(
         "--transition",
@@ -648,21 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         "points, no per-bind monad dispatch (see PERFORMANCE.md)",
     )
     an_p.add_argument(
-        "--parallelism",
-        choices=("none", "sharded"),
-        default=None,
-        help="worklist evaluation mode: the sequential loop, or rounds "
-        "sharded across --shards worker threads with private write "
-        "overlays barrier-merged through the versioned store -- identical "
-        "fixed points (needs --engine depgraph --store-impl versioned)",
-    )
-    an_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker count for --parallelism sharded",
-    )
-    an_p.add_argument(
         "--schedule",
         choices=("fifo", "priority"),
         default=None,
@@ -670,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dependency-rank waves that re-run a retriggered configuration "
         "once per wave of store growth instead of once per bump -- "
         "identical fixed points, fewer evaluations on chain/loop shapes "
-        "(needs --engine worklist|depgraph)",
+        "(needs --engine depgraph)",
     )
     an_p.add_argument("--shared", action="store_true", help="single-threaded store")
     an_p.add_argument("--gc", action="store_true", help="abstract garbage collection")

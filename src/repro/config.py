@@ -31,8 +31,8 @@ Compatibility rules enforced by :meth:`AnalysisConfig.validated`:
 ==========================  =============================================
 rule                        reason
 ==========================  =============================================
-``versioned`` needs a       the store *implementation* only exists inside
-worklist engine             the global-store engines' loop
+``versioned`` needs the     the store *implementation* only exists inside
+depgraph engine             the global-store engine's loop
 ``kleene`` rejects          kleene re-applies the functional to immutable
 ``versioned``               whole-domain snapshots; a mutable store has
                             identity, not history
@@ -82,14 +82,6 @@ WIDENINGS = ("none", "store")
 #: no per-bind monad dispatch on the hot path).
 TRANSITIONS = ("generic", "fused")
 
-#: How the fixed-point worklist is evaluated: ``none`` is the sequential
-#: loop; ``sharded`` partitions each round's pending configurations into
-#: ``shards`` disjoint slices evaluated concurrently against private
-#: write overlays and barrier-merged through the versioned store's
-#: grow-only ``bind`` (:mod:`repro.parallel` -- identical fixed points,
-#: chaotic iteration of a monotone functional is order-insensitive).
-PARALLELISMS = ("none", "sharded")
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -111,8 +103,6 @@ class AnalysisConfig:
     gc: bool = False
     counting: bool = False
     transition: str = "generic"
-    parallelism: str = "none"
-    shards: int = 1
     schedule: str = "fifo"
     label: str = ""
 
@@ -166,12 +156,12 @@ class AnalysisConfig:
         if config.store_impl != "persistent" and config.engine is None:
             raise ValueError(
                 "store_impl selects a global-store engine representation; "
-                "pass engine='worklist' or engine='depgraph' with it"
+                "pass engine='depgraph' with it"
             )
         if config.engine == "kleene" and config.store_impl == "versioned":
             raise ValueError(
                 "the kleene engine iterates immutable whole-domain snapshots; "
-                "the versioned (mutable) store pairs with the worklist engines"
+                "the versioned (mutable) store pairs with the depgraph engine"
             )
         if config.addressing == "concrete" and (
             config.engine is not None or config.widening != "none"
@@ -180,45 +170,16 @@ class AnalysisConfig:
                 "concrete addressing is the per-state reference semantics; "
                 "it takes neither an engine nor the store widening"
             )
-        if config.parallelism not in PARALLELISMS:
-            raise ValueError(
-                f"unknown parallelism {config.parallelism!r}; "
-                f"choose one of {PARALLELISMS}"
-            )
-        if config.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if config.parallelism == "none" and config.shards != 1:
-            raise ValueError(
-                "shards only parameterizes the sharded worklist; "
-                "pass parallelism='sharded' with shards > 1"
-            )
-        if config.parallelism == "sharded":
-            if config.engine != "depgraph" or config.store_impl != "versioned":
-                raise ValueError(
-                    "the sharded worklist merges private write overlays "
-                    "through the versioned store's changelog and retriggers "
-                    "through the dependency map; it needs engine='depgraph' "
-                    "with store_impl='versioned'"
-                )
-            if config.gc or config.counting:
-                raise ValueError(
-                    "the sharded worklist does not compose with abstract GC "
-                    "or counting: the per-evaluation sweep and the "
-                    "count-saturation pass are sequential engine effects"
-                )
         if config.schedule not in SCHEDULES:
             raise ValueError(
                 f"unknown schedule {config.schedule!r}; "
                 f"choose one of {SCHEDULES}"
             )
-        if config.schedule != "fifo" and config.engine not in (
-            "worklist",
-            "depgraph",
-        ):
+        if config.schedule != "fifo" and config.engine != "depgraph":
             raise ValueError(
                 "schedule orders the worklist drain; schedule='priority' "
-                "needs engine='worklist' or engine='depgraph' (kleene and "
-                "per-state runs have no worklist to order)"
+                "needs engine='depgraph' (kleene and per-state runs have no "
+                "worklist to order)"
             )
         return config
 
@@ -228,15 +189,13 @@ class AnalysisConfig:
         Every semantics-bearing field appears as ``name=value`` in sorted
         field order; ``label`` is excluded -- it is presentation only, and
         a preset must share cache entries with the identical hand-built
-        configuration.  ``parallelism``/``shards``/``schedule`` are
-        excluded for the same reason: the sharded worklist and the
-        priority drain order compute the bit-identical fixed point
-        (pinned corpus-wide by ``tests/test_parallel.py`` and
-        ``tests/test_schedule.py``), so those runs must share cache
-        entries with the sequential fifo configuration they equal.  The fixpoint cache
-        (:mod:`repro.service.cache`) keys entries by this string joined
-        with the program's structural digest, so the key must change
-        exactly when the fixed point may.
+        configuration.  ``schedule`` is excluded for the same reason: the
+        priority drain order computes the bit-identical fixed point
+        (pinned corpus-wide by ``tests/test_schedule.py``), so those runs
+        must share cache entries with the fifo configuration they equal.
+        The fixpoint cache (:mod:`repro.service.cache`) keys entries by
+        this string joined with the program's structural digest, so the
+        key must change exactly when the fixed point may.
         """
         fields = {
             "language": self.language,
@@ -263,8 +222,6 @@ class AnalysisConfig:
             parts.append("counting")
         if self.transition != "generic":
             parts.append(self.transition)
-        if self.parallelism != "none":
-            parts.append(f"{self.parallelism}({self.shards})")
         if self.schedule != "fifo":
             parts.append(self.schedule)
         return " ".join(parts)
@@ -289,9 +246,12 @@ def _preset(name: str, description: str, **fields: Any) -> Preset:
 
 #: The named-configuration registry (CLI ``--preset`` / ``--list-presets``).
 #: ``*-fast`` and the plain ``0cfa``/``1cfa``/``2cfa`` presets run on the
-#: dependency-tracked engine over the versioned store -- the fastest
-#: configuration -- and are corpus-equal to their Kleene counterparts
-#: (tests/test_config.py).
+#: dependency-tracked engine over the versioned store with the generic
+#: transition, and are corpus-equal to their Kleene counterparts
+#: (tests/test_config.py).  They are not the fastest configuration:
+#: ``1cfa-priority`` adds the fused transition and the priority drain
+#: order (0.087 s against 0.60 s for ``1cfa`` on church-two-two, one
+#: 2-core host, CPython 3.11).
 PRESETS: dict[str, Preset] = {
     preset.name: preset
     for preset in (
@@ -323,21 +283,11 @@ PRESETS: dict[str, Preset] = {
         ),
         _preset(
             "1cfa-fused",
-            "1-CFA on the staged (monad-free) transition -- the fastest path",
+            "1-CFA on the staged (monad-free) transition, fifo drain order",
             k=1,
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
-        ),
-        _preset(
-            "1cfa-sharded",
-            "1-CFA with the round-sharded parallel worklist (4 shards)",
-            k=1,
-            engine="depgraph",
-            store_impl="versioned",
-            transition="fused",
-            parallelism="sharded",
-            shards=4,
         ),
         _preset(
             "1cfa-priority",
@@ -346,17 +296,6 @@ PRESETS: dict[str, Preset] = {
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
-            schedule="priority",
-        ),
-        _preset(
-            "1cfa-sharded-priority",
-            "1-CFA sharded worklist with rank-ordered shard slices (4 shards)",
-            k=1,
-            engine="depgraph",
-            store_impl="versioned",
-            transition="fused",
-            parallelism="sharded",
-            shards=4,
             schedule="priority",
         ),
         _preset(
@@ -521,8 +460,6 @@ def build_config(
     engine: str | None = None,
     store_impl: str | None = None,
     transition: str | None = None,
-    parallelism: str | None = None,
-    shards: int | None = None,
     schedule: str | None = None,
     label: str = "",
 ) -> AnalysisConfig:
@@ -531,10 +468,8 @@ def build_config(
     ``None`` means "not passed" for every override.  With ``preset`` the
     named configuration is the starting point and only passed keywords
     override it: ``analyse(preset="1cfa-gc")`` is exactly the preset,
-    ``analyse(preset="1cfa-gc", engine="worklist")`` swaps the engine,
-    and ``analyse(preset="1cfa", engine="kleene",
-    store_impl="persistent")`` pairs a versioned preset back with the
-    kleene engine.  Objects passed for ``addressing``/``store_like`` are
+    ``analyse(preset="1cfa", engine="kleene", store_impl="persistent")``
+    pairs a versioned preset back with the kleene engine.  Objects passed for ``addressing``/``store_like`` are
     classified into the record; :func:`assemble` will use the objects
     themselves.  This is the single home of the preset-override
     semantics -- the CLI routes through it too.
@@ -556,10 +491,6 @@ def build_config(
             config = config.replace(store_impl=store_impl)
         if transition is not None:
             config = config.replace(transition=transition)
-        if parallelism is not None:
-            config = config.replace(parallelism=parallelism)
-        if shards is not None:
-            config = config.replace(shards=shards)
         if schedule is not None:
             config = config.replace(schedule=schedule)
         if label:
@@ -578,8 +509,6 @@ def build_config(
         gc=bool(gc),
         counting=isinstance(store_like, ACounter),
         transition=transition or "generic",
-        parallelism=parallelism or "none",
-        shards=1 if shards is None else shards,
         schedule=schedule or "fifo",
         label=label,
     ).validated()

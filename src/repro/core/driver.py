@@ -73,7 +73,7 @@ def prepare_engine_store(
     """Validate an engine selection and ready its store (all three languages).
 
     ``store_impl`` picks the store representation behind the worklist
-    engines (:data:`~repro.core.fixpoint.STORE_IMPLS`): ``persistent``
+    engine (:data:`~repro.core.fixpoint.STORE_IMPLS`): ``persistent``
     keeps the given PMap-backed store; ``versioned`` swaps in a
     :class:`~repro.core.store.VersionedStore` (or
     :class:`~repro.core.store.VersionedCountingStore` when the given
@@ -82,13 +82,11 @@ def prepare_engine_store(
     evaluation.  The kleene engine iterates over immutable whole-domain
     snapshots, so it pairs only with ``persistent``.
 
-    The store is wrapped in a :class:`~repro.core.store.RecordingStore`
-    whenever the fixed-point loop consumes the evaluation's read/write
-    footprint: for the ``depgraph`` engine (dependency tracking,
-    including the GC sweep's reads) and for counting stores (the write
-    log decides which counts to saturate on convergence).  The blind
-    ``worklist`` engine never reads the log, so plain and GC'd worklist
-    runs skip the wrapper and its per-operation overhead.
+    The ``depgraph`` engine's store is wrapped in a
+    :class:`~repro.core.store.RecordingStore`: the loop consumes every
+    evaluation's read/write footprint (dependency tracking, including
+    the GC sweep's reads, and for counting stores the write log that
+    decides which counts to saturate on convergence).
 
     Policy questions -- *which* engine/GC/counting combinations make a
     sensible analysis -- live in
@@ -106,13 +104,13 @@ def prepare_engine_store(
         if engine == "kleene":
             raise ValueError(
                 "the kleene engine iterates immutable whole-domain snapshots; "
-                "the versioned (mutable) store pairs with the worklist engines"
+                "the versioned (mutable) store pairs with the depgraph engine"
             )
         if counting:
             store_like = VersionedCountingStore(store_like.value_lattice)
         else:
             store_like = VersionedStore(store_like.value_lattice)
-    if engine == "depgraph" or (engine != "kleene" and counting):
+    if engine == "depgraph":
         return RecordingStore(store_like)
     return store_like
 
@@ -132,13 +130,11 @@ def run_engine_analysis(
     is refreshed with the run's evaluation counts.  ``warm_start`` and
     ``capture`` pass straight through to
     :func:`~repro.core.fixpoint.global_store_explore` (incremental
-    re-analysis; see :mod:`repro.service.incremental`).  Analyses
-    assembled with ``parallelism="sharded"`` route the versioned
-    depgraph path through :mod:`repro.parallel` instead of the
-    sequential loop (identical fixed point); ``schedule="priority"``
-    drains the worklist in dependency-rank order (same fixed point,
-    fewer evaluations on chain/loop shapes).  ``trace`` collects the
-    sequential evaluation order (see ``global_store_explore``).
+    re-analysis; see :mod:`repro.service.incremental`).
+    ``schedule="priority"`` drains the worklist in dependency-rank order
+    (same fixed point, fewer evaluations on chain/loop shapes).
+    ``trace`` collects the evaluation order (see
+    ``global_store_explore``).
 
     Observability sits here, *around* the engines, never inside them:
     one ``fixpoint`` span per analysis, and the run's ``last_stats``
@@ -158,8 +154,6 @@ def run_engine_analysis(
             stats=analysis.last_stats,
             warm_start=warm_start,
             capture=capture,
-            parallelism=getattr(analysis, "parallelism", "none"),
-            shards=getattr(analysis, "shards", 1),
             schedule=getattr(analysis, "schedule", "fifo"),
             trace=trace,
         )
@@ -191,25 +185,22 @@ def run_with_engine(
     stats: dict | None = None,
     warm_start: Any = None,
     capture: Any = None,
-    parallelism: str = "none",
-    shards: int = 1,
     schedule: str = "fifo",
     trace: list | None = None,
 ) -> tuple:
     """Compute the store-widened collecting semantics under a named engine.
 
-    The three :data:`~repro.core.fixpoint.ENGINES` are interchangeable
+    The two :data:`~repro.core.fixpoint.ENGINES` are interchangeable
     evaluation strategies over the same global-store domain:
 
     * ``kleene``    -- whole-domain Kleene rounds (``exploreFP``);
-    * ``worklist``  -- frontier worklist, dependency-blind re-evaluation;
     * ``depgraph``  -- frontier worklist, dependency-tracked re-evaluation.
 
-    All return the fixed point in the shared shape ``(configs, store)``.
+    Both return the fixed point in the shared shape ``(configs, store)``.
     ``stats`` is filled with ``evaluations`` (single-configuration step
-    applications, the unit of work all three engines share) plus the
-    worklist engines' retrigger/dependency counters.  ``warm_start`` and
-    ``capture`` (worklist engines only -- kleene has no per-configuration
+    applications, the unit of work both engines share) plus the
+    worklist engine's retrigger/dependency counters.  ``warm_start`` and
+    ``capture`` (depgraph only -- kleene has no per-configuration
     evaluations to record or replay) are documented on
     :func:`~repro.core.fixpoint.global_store_explore`.
     """
@@ -220,12 +211,7 @@ def run_with_engine(
             raise ValueError(
                 "the kleene engine re-applies the functional to whole-domain "
                 "snapshots; warm starts and evaluation capture need the "
-                "per-configuration worklist engines"
-            )
-        if parallelism != "none":
-            raise ValueError(
-                "the sharded worklist partitions a pending-configuration "
-                "frontier; the kleene engine has none"
+                "per-configuration depgraph engine"
             )
         if schedule != "fifo":
             raise ValueError(
@@ -263,13 +249,10 @@ def run_with_engine(
         collecting,
         step,
         initial_state,
-        track_deps=(engine == "depgraph"),
         max_evals=max_steps,
         stats=stats,
         warm_start=warm_start,
         capture=capture,
-        parallelism=parallelism,
-        shards=shards,
         schedule=schedule,
         trace=trace,
     )

@@ -20,21 +20,20 @@ interface and the monad.  This module provides
   configuration once (experiment E9 checks they agree);
 * :func:`global_store_explore` -- the global-store worklist engine: the
   store-widened domain ``P(PSigma x guts) x Store`` evaluated by a
-  worklist instead of whole-domain Kleene rounds, optionally with
-  per-configuration dependency tracking so that a store change only
-  re-evaluates the configurations that actually read a changed address.
-  Against a :class:`~repro.core.store.VersionedStore` (or
+  worklist instead of whole-domain Kleene rounds, with per-configuration
+  dependency tracking so that a store change only re-evaluates the
+  configurations that actually read a changed address.  Against a
+  :class:`~repro.core.store.VersionedStore` (or
   :class:`~repro.core.store.VersionedCountingStore`) the same engine
   runs its O(delta) loop: one mutable store, growth read off a
   changelog, no persistent-map joins on the hot path.
 
-The three interchangeable strategies over the widened domain are named
-by :data:`ENGINES`: ``kleene`` (whole-domain rounds), ``worklist``
-(frontier-driven, dependency-blind re-evaluation) and ``depgraph``
-(frontier-driven, dependency-tracked re-evaluation).  All three compute
-the same least fixed point -- chaotic iteration of a monotone functional
-is order-insensitive -- which the engine-equivalence test suite checks
-across all three languages.
+The two interchangeable strategies over the widened domain are named by
+:data:`ENGINES`: ``kleene`` (whole-domain rounds, the paper-literal
+oracle) and ``depgraph`` (frontier-driven, dependency-tracked
+re-evaluation).  Both compute the same least fixed point -- chaotic
+iteration of a monotone functional is order-insensitive -- which the
+engine-equivalence test suite checks across all three languages.
 
 Every engine is *transition-agnostic*: the ``step`` it receives may be
 the generic monadic step (run through ``monad.run`` by the collecting
@@ -48,7 +47,7 @@ is identical because a fused step routes every store operation through
 the same (possibly recording) ``store_like``.
 
 Two precision refinements that used to be Kleene-only run on the
-worklist engines as well:
+worklist engine as well:
 
 * **abstract GC** (6.4): on the persistent path each branch's result
   store arrives already swept (the collector is woven into the monadic
@@ -88,8 +87,8 @@ rejected at assembly time (see
 
 ## The read/write-log bracketing protocol
 
-The dependency-tracked paths wrap the store in a
-:class:`~repro.core.store.RecordingStore` and bracket each evaluation
+The worklist engine requires the store to be wrapped in a
+:class:`~repro.core.store.RecordingStore` and brackets each evaluation
 with ``begin_log``/``end_log``.  Everything that must influence
 re-triggering has to happen inside the bracket: the monadic step, the
 woven-in GC sweep (persistent path) and the engine-side GC sweep
@@ -120,37 +119,14 @@ from repro.core.store import (
 )
 
 #: The interchangeable fixed-point strategies over the global-store domain.
-ENGINES = ("kleene", "worklist", "depgraph")
+ENGINES = ("kleene", "depgraph")
 
-#: The store representations the worklist engines can run against:
+#: The store representations the worklist engine can run against:
 #: ``persistent`` threads immutable PMap stores and compares growth
 #: through the store lattice; ``versioned`` threads one mutable
 #: :class:`~repro.core.store.MutableStore` and reads growth off its
 #: changelog in O(delta).
 STORE_IMPLS = ("persistent", "versioned")
-
-
-def check_engine_support(
-    store_like: Any, gc: bool = False, counting: bool = False
-) -> None:
-    """Mechanical requirements of the raw global-store engine.
-
-    Policy-level compatibility (which engine/store/GC/counting
-    combinations an *analysis* may be assembled from) lives in
-    :meth:`repro.config.AnalysisConfig.validated`; this check only
-    guards direct engine use against setups the loop cannot execute:
-    counting needs the write log, because it decides which counts to
-    saturate on convergence.  (GC does not: the persistent path weaves
-    the collector into the step, and the versioned path's engine-side
-    sweep only needs the recorder when dependency tracking is on --
-    which the ``track_deps`` guard already enforces.)
-    """
-    recorder = store_like if isinstance(store_like, RecordingStore) else None
-    if counting and recorder is None:
-        raise TypeError(
-            "counting on the global-store engines needs a RecordingStore-"
-            "wrapped store: the write log decides which counts to saturate"
-        )
 
 
 class FixpointDiverged(Exception):
@@ -392,13 +368,10 @@ def global_store_explore(
     collecting: Any,
     step: Callable[[Any], Any],
     initial_state: Any,
-    track_deps: bool = True,
     max_evals: int = 1_000_000,
     stats: dict | None = None,
     warm_start: WarmStart | None = None,
     capture: FixpointCapture | None = None,
-    parallelism: str = "none",
-    shards: int = 1,
     schedule: str = "fifo",
     trace: list | None = None,
 ) -> tuple:
@@ -408,25 +381,24 @@ def global_store_explore(
     :class:`~repro.core.collecting.SharedStoreCollecting` or subclass):
     its ``inject`` seeds the configuration set and the global store, and
     its ``inner`` per-state domain runs one configuration against a
-    given store.  The engine then maintains
+    given store, which must be a
+    :class:`~repro.core.store.RecordingStore`.  The engine then maintains
 
     * one *global store*, the join of every store any evaluation produced
       (the standard AAM global-store widening);
     * a *seen* set of configurations and a worklist of configurations
       still to (re-)evaluate;
-    * with ``track_deps``, a dependency map ``addr -> readers`` recording
-      which configurations fetched which addresses during their last
-      evaluation (via a :class:`~repro.core.store.RecordingStore`).
+    * a dependency map ``addr -> readers`` recording which configurations
+      fetched which addresses during their last evaluation (read off the
+      recording store's log).
 
     When an evaluation grows the global store, Kleene iteration would
-    re-step *every* configuration next round.  The blind worklist
-    (``track_deps=False``) re-enqueues every seen configuration, but only
-    when the store actually grew; the dependency-tracked engine
-    re-enqueues only the configurations that read an address whose value
-    set grew.  All three strategies compute the same least fixed point:
-    the functional is monotone, and chaotic iteration re-evaluating every
-    equation whose inputs changed converges to the least solution
-    regardless of order.
+    re-step *every* configuration next round; this engine re-enqueues
+    only the configurations that read an address whose value set grew.
+    Both strategies compute the same least fixed point: the functional
+    is monotone, and chaotic iteration re-evaluating every equation
+    whose inputs changed converges to the least solution regardless of
+    order.
 
     Returns the fixed point in the shared-domain shape
     ``(frozenset(configs), store)``.  ``stats``, when supplied, is filled
@@ -455,10 +427,9 @@ def global_store_explore(
     whose recorded reads are still clean replay their recorded successors
     instead of re-stepping).  ``capture``, when supplied, is filled with
     every configuration's last :class:`EvalRecord` so *this* run can seed
-    later ones.  Both require the dependency-tracked configuration
-    (``track_deps`` + recording store) and neither composes with abstract
-    GC or counting: the GC sweep and the count-saturation pass are
-    side-effects an :class:`EvalRecord` replay would silently skip.
+    later ones.  Neither composes with abstract GC or counting: the GC
+    sweep and the count-saturation pass are side-effects an
+    :class:`EvalRecord` replay would silently skip.
 
     ``schedule`` picks the worklist drain order
     (:data:`~repro.core.schedule.SCHEDULES`): ``fifo`` is the historical
@@ -476,70 +447,21 @@ def global_store_explore(
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
     inner = collecting.inner
-    store_like = inner.store_like
-    base_store = unwrap_store(store_like)
+    recorder = inner.store_like
+    if not isinstance(recorder, RecordingStore):
+        raise TypeError(
+            "the global-store engine needs the collecting domain's store to be "
+            "a RecordingStore: its read/write log drives dependency tracking"
+        )
+    base_store = unwrap_store(recorder)
     counting = isinstance(base_store, ACounter)
     gc_on = getattr(inner, "collector", None) is not None
-    check_engine_support(store_like, gc=gc_on, counting=counting)
-    recorder = store_like if isinstance(store_like, RecordingStore) else None
-    if track_deps and recorder is None:
-        raise TypeError(
-            "dependency tracking needs the collecting domain's store to be a RecordingStore"
-        )
-    if warm_start is not None or capture is not None:
+    if (warm_start is not None or capture is not None) and (gc_on or counting):
         what = "warm starts" if warm_start is not None else "evaluation capture"
-        if not track_deps or recorder is None:
-            raise TypeError(
-                f"{what} need the dependency-tracked engine: replayed "
-                "configurations are re-triggered through the dependency map "
-                "when a seeded cell later grows"
-            )
-        if gc_on or counting:
-            raise TypeError(
-                f"{what} do not compose with abstract GC or counting: the "
-                "per-evaluation sweep and the count saturation are effects "
-                "an evaluation record cannot replay"
-            )
-    if parallelism == "sharded":
-        if not isinstance(base_store, VersionedStore) or counting:
-            raise TypeError(
-                "the sharded worklist merges private write overlays through "
-                "the versioned store's changelog; it needs a VersionedStore "
-                "(no counting)"
-            )
-        if not track_deps or recorder is None:
-            raise TypeError(
-                "the sharded worklist retriggers cross-shard readers through "
-                "the dependency map; it needs the dependency-tracked engine"
-            )
-        if gc_on:
-            raise TypeError(
-                "the sharded worklist does not compose with abstract GC: the "
-                "per-evaluation reachability sweep is a sequential engine effect"
-            )
-        if warm_start is not None or capture is not None:
-            raise TypeError(
-                "the sharded worklist does not compose with warm starts or "
-                "evaluation capture: overlay write sets omit no-growth binds, "
-                "so replayed records would under-approximate live writes"
-            )
-        if trace is not None:
-            raise TypeError(
-                "schedule tracing is sequential-only: the sharded worklist "
-                "evaluates slices on worker threads, so a global evaluation "
-                "order is not well-defined"
-            )
-        from repro.parallel.worklist import sharded_explore
-
-        return sharded_explore(
-            collecting,
-            step,
-            initial_state,
-            base_store,
-            shards=shards,
-            max_evals=max_evals,
-            stats=stats,
-            schedule=schedule,
+        raise TypeError(
+            f"{what} do not compose with abstract GC or counting: the "
+            "per-evaluation sweep and the count saturation are effects "
+            "an evaluation record cannot replay"
         )
     if isinstance(base_store, (VersionedStore, VersionedCountingStore)):
         return _versioned_explore(
@@ -548,7 +470,6 @@ def global_store_explore(
             initial_state,
             base_store,
             recorder,
-            track_deps=track_deps,
             max_evals=max_evals,
             stats=stats,
             warm_start=warm_start,
@@ -556,9 +477,8 @@ def global_store_explore(
             schedule=schedule,
             trace=trace,
         )
-    store_lattice = store_like.lattice()
-    value_lattice = store_like.value_lattice
-    use_log = recorder is not None
+    store_lattice = recorder.lattice()
+    value_lattice = recorder.value_lattice
 
     seed_configs, seed_store = collecting.inject(initial_state)
     global_store = seed_store
@@ -613,23 +533,19 @@ def global_store_explore(
         if trace is not None:
             trace.append((worklist.ranks.get(config, 0), config))
 
-        if use_log:
-            recorder.begin_log()
-            try:
-                results = inner.run_config(step, (config, global_store))
-            finally:
-                # always close the bracket: a step that raises must not
-                # leave the recorder logging (begin_log refuses reentry)
-                reads, writes = recorder.end_log()
-            if track_deps:
-                for addr in reads:
-                    deps.setdefault(addr, set()).add(config)
-            if counting:
-                written_all |= writes
-            if warm_records is not None:
-                live_writes |= writes
-        else:
+        recorder.begin_log()
+        try:
             results = inner.run_config(step, (config, global_store))
+        finally:
+            # always close the bracket: a step that raises must not
+            # leave the recorder logging (begin_log refuses reentry)
+            reads, writes = recorder.end_log()
+        for addr in reads:
+            deps.setdefault(addr, set()).add(config)
+        if counting:
+            written_all |= writes
+        if warm_records is not None:
+            live_writes |= writes
 
         new_store = global_store
         for _pair, result_store in results:
@@ -647,24 +563,18 @@ def global_store_explore(
 
         if new_store is global_store:
             continue
-        if track_deps:
-            # re-enqueue only the readers of addresses whose value set grew;
-            # the comparison goes through ``fetch`` because that is all a
-            # re-evaluation can observe (counting stores: count-only drift
-            # is invisible to fetch, so it never retriggers)
-            for addr in writes:
-                old_d = store_like.fetch(global_store, addr)
-                new_d = store_like.fetch(new_store, addr)
-                if value_lattice.leq(new_d, old_d):
-                    continue
-                if warm_records is not None:
-                    dirty.add(addr)
-                for reader in deps.get(addr, ()):
-                    if worklist.retrigger(reader):
-                        retriggers += 1
-        elif not store_lattice.leq(new_store, global_store):
-            # dependency-blind: any growth re-enqueues every configuration
-            for reader in seen:
+        # re-enqueue only the readers of addresses whose value set grew;
+        # the comparison goes through ``fetch`` because that is all a
+        # re-evaluation can observe (counting stores: count-only drift
+        # is invisible to fetch, so it never retriggers)
+        for addr in writes:
+            old_d = recorder.fetch(global_store, addr)
+            new_d = recorder.fetch(new_store, addr)
+            if value_lattice.leq(new_d, old_d):
+                continue
+            if warm_records is not None:
+                dirty.add(addr)
+            for reader in deps.get(addr, ()):
                 if worklist.retrigger(reader):
                     retriggers += 1
         global_store = new_store
@@ -697,13 +607,13 @@ def _successor_live_addresses(
 
     This is the engine-side image of the paper's ``Gamma`` (6.4): one
     reachability closure per successor, unioned.  The sweep goes through
-    ``sweep_like`` -- the :class:`~repro.core.store.RecordingStore` when
-    dependency tracking is on -- so every address it fetches lands in
-    the open read log.  That includes addresses *bound after the log
-    opened* (this evaluation's own writes, visible through the overlay):
-    missing those reads would leave the dependency map without the GC
-    roots, and a configuration whose reachable set grows through such an
-    address would never be retriggered.
+    ``sweep_like`` -- the engine's
+    :class:`~repro.core.store.RecordingStore` -- so every address it
+    fetches lands in the open read log.  That includes addresses *bound
+    after the log opened* (this evaluation's own writes, visible through
+    the overlay): missing those reads would leave the dependency map
+    without the GC roots, and a configuration whose reachable set grows
+    through such an address would never be retriggered.
     """
     # reachability distributes over root unions, so one closure over the
     # union of every successor's roots equals the per-successor sweeps
@@ -722,8 +632,7 @@ def _versioned_explore(
     step: Callable[[Any], Any],
     initial_state: Any,
     base_store: Any,
-    recorder: Any,
-    track_deps: bool,
+    recorder: RecordingStore,
     max_evals: int,
     stats: dict | None,
     warm_start: WarmStart | None = None,
@@ -762,8 +671,6 @@ def _versioned_explore(
     counting = isinstance(base_store, ACounter)
     if gc_on:
         touching = collector.touching
-        sweep_like = recorder if recorder is not None else base_store
-    use_log = recorder is not None
 
     seed_configs, seed_store = collecting.inject(initial_state)
     warm_records = None
@@ -820,34 +727,24 @@ def _versioned_explore(
 
         mark = mstore.mark()
         run_store = GCOverlay(mstore) if gc_on else mstore
-        if use_log:
-            recorder.begin_log()
-            try:
-                pairs = inner.run_config_pairs(
-                    step, (config, run_store), instrument=False
-                )
-                if gc_on:
-                    # the sweep must stay inside the bracket: its reads
-                    # (even of addresses bound after the log opened) are
-                    # the GC roots of the dependency map
-                    live = _successor_live_addresses(
-                        sweep_like, run_store, pairs, touching
-                    )
-            finally:
-                # always close the bracket: a step that raises must not
-                # leave the recorder logging (begin_log refuses reentry)
-                reads, writes = recorder.end_log()
-            if track_deps:
-                for addr in reads:
-                    deps.setdefault(addr, set()).add(config)
-            if counting:
-                written_all |= writes
-            if warm_records is not None:
-                live_writes |= writes
-        else:
+        recorder.begin_log()
+        try:
             pairs = inner.run_config_pairs(step, (config, run_store), instrument=False)
             if gc_on:
-                live = _successor_live_addresses(sweep_like, run_store, pairs, touching)
+                # the sweep must stay inside the bracket: its reads
+                # (even of addresses bound after the log opened) are
+                # the GC roots of the dependency map
+                live = _successor_live_addresses(recorder, run_store, pairs, touching)
+        finally:
+            # always close the bracket: a step that raises must not
+            # leave the recorder logging (begin_log refuses reentry)
+            reads, writes = recorder.end_log()
+        for addr in reads:
+            deps.setdefault(addr, set()).add(config)
+        if counting:
+            written_all |= writes
+        if warm_records is not None:
+            live_writes |= writes
 
         if gc_on:
             # merge the live writes; dead bindings never reach the store
@@ -869,13 +766,8 @@ def _versioned_explore(
             continue
         if warm_records is not None:
             dirty.update(grown)
-        if track_deps:
-            for addr in set(grown):
-                for reader in deps.get(addr, ()):
-                    if worklist.retrigger(reader):
-                        retriggers += 1
-        else:
-            for reader in seen:
+        for addr in set(grown):
+            for reader in deps.get(addr, ()):
                 if worklist.retrigger(reader):
                     retriggers += 1
 

@@ -36,11 +36,8 @@ preempts deeper pending work and re-runs before its inputs stabilize,
 which measured strictly worse than FIFO corpus-wide (FIFO's
 append-at-tail is an implicit batcher).  Deferring retriggers by one
 wave keeps FIFO's batching and adds the topological in-wave order --
-on the dependency-blind engine this collapses the chain workloads from
-quadratic to linear re-evaluation (50x fewer evaluations on
-``id_chain(200)``), and on the dependency-tracked engine it is neutral
-to modestly better (the dependency map already suppresses most wasted
-work).
+on the dependency-tracked engine it is neutral to modestly better (the
+dependency map already suppresses most wasted work).
 
 Both policies share the dedup/rank bookkeeping so their stats are
 comparable cell-for-cell in benchmark reports:
@@ -204,26 +201,3 @@ def make_worklist(schedule: str, seeds: Iterable[Hashable] = ()) -> FifoWorklist
         return PriorityWorklist(seeds)
     raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
 
-
-def deal_slices(batch: list, shards: int, schedule: str, ranks: dict) -> list:
-    """Deal one round's frontier into per-shard slices.
-
-    Under ``fifo`` this is the historical round-robin deal
-    (``batch[i::shards]``), which interleaves arrival order across
-    shards.  Under ``priority`` the batch is first sorted by
-    ``(rank, arrival position)`` -- the sort is stable, so equal ranks
-    keep arrival order -- and then cut into *contiguous* chunks, so each
-    shard receives depth-contiguous work and growth produced by a shard
-    tends to feed configurations in the same or the next chunk rather
-    than ricocheting across the barrier.
-
-    Empty slices are dropped (rounds smaller than the shard count).
-    """
-    if schedule == "priority":
-        ordered = sorted(range(len(batch)), key=lambda i: (ranks.get(batch[i], 0), i))
-        batch = [batch[i] for i in ordered]
-        size = -(-len(batch) // shards)  # ceil division
-        slices = [batch[i : i + size] for i in range(0, len(batch), size)]
-    else:
-        slices = [batch[i::shards] for i in range(shards)]
-    return [chunk for chunk in slices if chunk]

@@ -19,14 +19,14 @@ Four instances:
 * :class:`BasicStore` -- ``a :-> P(Val)``, the plain join-on-bind store;
 * :class:`VersionedStore` -- the same co-domain over an engine-owned
   *mutable* :class:`MutableStore` with per-address change versions, the
-  O(delta) backing of the worklist engines (see PERFORMANCE.md);
+  O(delta) backing of the depgraph engine (see PERFORMANCE.md);
 * :class:`CountingStore` -- ``a :-> (P(Val), AbsNat)``: every binding also
   tracks how many times its address has been allocated, in the abstract
   naturals ``{0,1,inf}`` (6.3).  The :class:`ACounter` mix-in exposes the
   counts; a count of 1 licenses *strong updates* via :meth:`StoreLike.update`;
 * :class:`VersionedCountingStore` -- the counting co-domain over a
-  :class:`MutableStore`, so abstract counting runs on the worklist
-  engines' O(delta) loop too (the engine saturates step-written counts
+  :class:`MutableStore`, so abstract counting runs on the depgraph
+  engine's O(delta) loop too (the engine saturates step-written counts
   on convergence, reproducing the Kleene counting fixed point -- see
   :func:`repro.core.fixpoint.global_store_explore`).
 
@@ -243,7 +243,7 @@ class CountingStore(StoreLike, ACounter):
     def saturate(self, store: PMap, addrs: Iterable[Hashable]) -> PMap:
         """Bump the counts at ``addrs`` by one abstract allocation each.
 
-        The worklist engines call this once, after convergence, on the
+        The depgraph engine calls this once, after convergence, on the
         set of addresses any evaluation bound: at the Kleene fixed point
         every such address has been re-bound at least once more (the
         confirming round re-steps every configuration), so its count has
@@ -467,7 +467,7 @@ class VersionedStore(StoreLike):
     """An engine-owned *mutable* store with per-address change versions.
 
     The persistent :class:`BasicStore` pays O(|store|) per bind (the
-    ``PMap`` copy) and the worklist engines pay another O(|store|) per
+    ``PMap`` copy) and the depgraph engine pays another O(|store|) per
     evaluation joining result stores and re-comparing values through
     ``fetch``.  A :class:`VersionedStore` mutates one
     :class:`MutableStore` in place and bumps a per-address version
@@ -480,7 +480,7 @@ class VersionedStore(StoreLike):
 
     Because mutation is join-only, threading one shared store through
     every monadic branch is exactly the global-store widening the
-    worklist engines already compute; the ``kleene`` engine iterates over
+    depgraph engine already computes; the ``kleene`` engine iterates over
     immutable whole-domain snapshots and therefore pairs only with the
     persistent stores (enforced at assembly time).
 
@@ -613,38 +613,6 @@ class GCOverlay:
 
     def __repr__(self) -> str:
         return f"GCOverlay({len(self._writes)} writes over {self.base!r})"
-
-
-class ShardOverlay(GCOverlay):
-    """A :class:`GCOverlay` that also records the addresses it reads.
-
-    The sharded worklist (:mod:`repro.parallel`) evaluates each pending
-    configuration against one of these: writes stay private until the
-    round barrier (so concurrent shards never observe each other's
-    in-flight bindings), and the read set feeds the dependency map that
-    decides which configurations a cross-shard write retriggers.  Reads
-    are captured at :meth:`get` because ``VersionedStore.fetch`` routes
-    its lookup through the element's ``get`` while ``bind`` reads via
-    ``data.get`` directly -- so, exactly like the sequential engine's
-    ``RecordingStore``, a fetch is a dependency and a bind's internal
-    join read is not.
-    """
-
-    __slots__ = ("reads",)
-
-    def __init__(self, base: MutableStore):
-        super().__init__(base)
-        self.reads: set = set()
-
-    def get(self, addr: Hashable, default: Any = None) -> Any:
-        self.reads.add(addr)
-        return self.data.get(addr, default)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardOverlay({len(self._writes)} writes, "
-            f"{len(self.reads)} reads over {self.base!r})"
-        )
 
 
 class VersionedCountingStore(StoreLike, ACounter):

@@ -133,8 +133,6 @@ class CPSAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    parallelism: str = "none"
-    shards: int = 1
     schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
@@ -319,8 +317,6 @@ def assemble_cps(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        parallelism=config.parallelism,
-        shards=config.shards,
         schedule=config.schedule,
     )
 
@@ -344,8 +340,8 @@ def analyse(
     garbage collection (6.4); ``engine`` picks a fixed-point strategy
     over the store-widened domain (one of
     :data:`~repro.core.fixpoint.ENGINES`), superseding ``shared``;
-    ``store_impl`` picks the store representation behind the worklist
-    engines (one of :data:`~repro.core.fixpoint.STORE_IMPLS`);
+    ``store_impl`` picks the store representation behind the depgraph
+    engine (one of :data:`~repro.core.fixpoint.STORE_IMPLS`);
     ``transition`` picks how the step executes (one of
     :data:`repro.config.TRANSITIONS`: the generic monadic normal form,
     or the staged fused step -- identical fixed points).
@@ -433,15 +429,15 @@ def analyse_with_engine(
 ) -> CPSAnalysisResult:
     """k-CFA over the global store under a named fixed-point engine.
 
-    The three engines (:data:`~repro.core.fixpoint.ENGINES`) compute the
+    The two engines (:data:`~repro.core.fixpoint.ENGINES`) compute the
     identical fixed point of the store-widened domain; they differ only
     in how much of the reached set each store change re-evaluates.
-    ``counting`` composes with every engine: the worklist engines track
+    ``counting`` composes with both engines: the depgraph engine tracks
     written addresses through the recording store's write log and
-    saturate their counts on convergence, reproducing the kleene
+    saturates their counts on convergence, reproducing the kleene
     counting fixed point without its re-evaluations.  ``store_impl``
-    picks persistent or versioned store backing for the worklist
-    engines (identical fixed points, O(delta) hot loop).
+    picks persistent or versioned store backing for the depgraph
+    engine (identical fixed points, O(delta) hot loop).
     """
     analysis = analyse(
         KCFA(k),

@@ -166,8 +166,6 @@ class FJAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    parallelism: str = "none"
-    shards: int = 1
     schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
@@ -324,8 +322,6 @@ def assemble_fj_from_config(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        parallelism=config.parallelism,
-        shards=config.shards,
         schedule=config.schedule,
     )
 

@@ -88,8 +88,11 @@ class Tracer:
 
     Timestamps are microseconds from the tracer's construction
     (``perf_counter``-based: monotone, sub-microsecond resolution).
-    Thread ids are compressed to small consecutive integers in order of
-    first appearance so Chrome's track names stay readable.
+    Each thread gets its own lane: a small consecutive integer assigned
+    at the thread's first record, so Chrome's track names stay readable.
+    Lanes are held in a ``threading.local``, not keyed by
+    ``threading.get_ident()``: the OS reuses an exited thread's ident,
+    which would fold threads that ran one after another into one lane.
     """
 
     active = True
@@ -98,7 +101,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._events: list[dict] = []
-        self._tids: dict[int, int] = {}
+        self._lanes = threading.local()
+        self._next_tid = 0
         self.process_name = process_name
         self.pid = os.getpid()
 
@@ -106,13 +110,13 @@ class Tracer:
         return (time.perf_counter() - self._epoch) * 1e6
 
     def _tid(self) -> int:
-        ident = threading.get_ident()
-        with self._lock:
-            tid = self._tids.get(ident)
-            if tid is None:
-                tid = len(self._tids)
-                self._tids[ident] = tid
-            return tid
+        tid = getattr(self._lanes, "tid", None)
+        if tid is None:
+            with self._lock:
+                tid = self._next_tid
+                self._next_tid += 1
+            self._lanes.tid = tid
+        return tid
 
     @contextmanager
     def span(self, name: str, cat: str = "phase", **args: Any) -> Iterator[None]:
@@ -204,8 +208,8 @@ def set_default_tracer(tracer: Any) -> None:
 
     Pass :data:`NULL_TRACER` to uninstall.  Worker threads with no
     thread-local override inherit this default, which is what makes one
-    ``--trace FILE`` flag cover the serve executor and the sharded
-    evaluation pool without any per-thread plumbing.
+    ``--trace FILE`` flag cover the serve executor's worker threads
+    without any per-thread plumbing.
     """
     global _default_tracer
     _default_tracer = tracer

@@ -14,7 +14,7 @@ store gives every run a change delta -- and turns them into throughput:
   pool, consulting the cache before dispatch and emitting a
   machine-readable report (the CLI's ``repro batch``);
 * :mod:`repro.service.incremental` -- warm-start re-analysis: seed the
-  worklist engines with a cached fixed point so re-analysing a lightly
+  depgraph engine with a cached fixed point so re-analysing a lightly
   edited program costs O(edit), not O(program);
 * :mod:`repro.service.fuzz` -- ``run_fuzz``: differential soundness
   testing of generated ``imp`` programs (abstract covers concrete)

@@ -149,19 +149,10 @@ def warmable(config: AnalysisConfig) -> bool:
     configurations are re-triggered through the dependency map) and do
     not compose with abstract GC or counting, whose per-evaluation sweep
     and post-convergence saturation an evaluation record cannot replay
-    (see :func:`repro.core.fixpoint.global_store_explore`).  The sharded
-    worklist is excluded too: its overlay write sets omit no-growth
-    binds (the versioned ``bind`` early-returns before the private map
-    sees them), so captured records would under-approximate the live
-    writes that warm restriction depends on.  Every other preset still
-    gets the digest-hit tiers of :func:`dispatch`.
+    (see :func:`repro.core.fixpoint.global_store_explore`).  Every other
+    preset still gets the digest-hit tiers of :func:`dispatch`.
     """
-    return (
-        config.engine == "depgraph"
-        and not config.gc
-        and not config.counting
-        and config.parallelism == "none"
-    )
+    return config.engine == "depgraph" and not config.gc and not config.counting
 
 
 def wrap_fixpoint(analysis: Any, fp: Any, program: Any, language: str) -> Any:

@@ -65,28 +65,6 @@ def probe_preset_config(payload: bytes, preset_name: str) -> dict:
     }
 
 
-def probe_sharded_fixpoint(payload: bytes, workload: str) -> dict:
-    """Unpickle a sharded-worklist fixed point and re-derive it locally.
-
-    The sharded engine's results must be as spawn-safe as the sequential
-    engine's: structurally equal to a fresh local run in a process with
-    its own intern pool, and mappable onto that pool's canonical
-    representatives by ``rehydrate``.
-    """
-    from repro.config import assemble, preset_config
-    from repro.corpus.lam_programs import PROGRAMS
-
-    unpickled = pickle.loads(payload)
-    config = preset_config("1cfa-sharded", "lam")
-    program = PROGRAMS[workload]
-    local = assemble(config, program=program).run(program, worklist=not config.shared)
-    rehydrated = rehydrate(unpickled)
-    return {
-        "equal": unpickled == local.fp,
-        "rehydrated_equal": rehydrated == local.fp,
-    }
-
-
 def probe_frozen_store(payload: bytes, chain_length: int, preset_name: str) -> dict:
     """Unpickle a frozen fixpoint store and re-derive it with a local run."""
     from repro.config import assemble, preset_config

@@ -111,7 +111,7 @@ class TestAnalyze:
 
 
 class TestEngineFlag:
-    @pytest.mark.parametrize("engine", ["kleene", "worklist", "depgraph"])
+    @pytest.mark.parametrize("engine", ["kleene", "depgraph"])
     def test_engine_on_every_language(self, engine, cps_file, lam_file, fj_file, capsys):
         for path in (cps_file, lam_file, fj_file):
             assert main(["analyze", path, "--engine", engine]) == 0
@@ -124,14 +124,14 @@ class TestEngineFlag:
 
     def test_engines_print_identical_flow_tables(self, lam_file, capsys):
         tables = {}
-        for engine in ("kleene", "worklist", "depgraph"):
+        for engine in ("kleene", "depgraph"):
             assert main(["analyze", lam_file, "--engine", engine]) == 0
             out = capsys.readouterr().out
             tables[engine] = out[: out.index("states:")]
-        assert tables["kleene"] == tables["worklist"] == tables["depgraph"]
+        assert tables["kleene"] == tables["depgraph"]
 
     def test_gc_with_global_store_engine_supported(self, cps_file, capsys):
-        """GC composes with the worklist engines and agrees with kleene+gc."""
+        """GC composes with the depgraph engine and agrees with kleene+gc."""
         tables = {}
         for engine in ("kleene", "depgraph"):
             assert main(["analyze", cps_file, "--engine", engine, "--gc"]) == 0
@@ -140,21 +140,22 @@ class TestEngineFlag:
         assert tables["kleene"] == tables["depgraph"]
 
     def test_counting_with_global_store_engine_supported(self, cps_file, capsys):
-        """Counting composes with the worklist engines, same flow table."""
+        """Counting composes with the depgraph engine, same flow table."""
         tables = {}
-        for engine in ("kleene", "worklist"):
+        for engine in ("kleene", "depgraph"):
             assert main(["analyze", cps_file, "--engine", engine, "--counting"]) == 0
             out = capsys.readouterr().out
             tables[engine] = out[: out.index("states:")]
-        assert tables["kleene"] == tables["worklist"]
+        assert tables["kleene"] == tables["depgraph"]
 
     def test_counting_with_kleene_engine_allowed(self, cps_file, capsys):
         assert main(["analyze", cps_file, "--engine", "kleene", "--counting"]) == 0
         assert "states:" in capsys.readouterr().out
 
-    def test_unknown_engine_rejected_by_parser(self, cps_file):
+    @pytest.mark.parametrize("engine", ["magic", "worklist"])
+    def test_unknown_engine_rejected_by_parser(self, cps_file, engine):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["analyze", cps_file, "--engine", "magic"])
+            build_parser().parse_args(["analyze", cps_file, "--engine", engine])
 
 
 class TestParser:
@@ -208,7 +209,7 @@ class TestPresets:
             main(["analyze", cps_file, "--preset", "9cfa-quantum"])
 
     def test_invalid_preset_override_rejected(self, cps_file):
-        # versioned store without a worklist engine: caught by validation
+        # versioned store under the kleene engine: caught by validation
         with pytest.raises(SystemExit, match="kleene"):
             main(["analyze", cps_file, "--preset", "1cfa", "--engine", "kleene"])
 

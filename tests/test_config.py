@@ -86,9 +86,10 @@ class TestAnalysisConfigValidation:
         with pytest.raises(ValueError, match="unknown widening"):
             AnalysisConfig(widening="narrowing").validated()
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("engine", ["magic", "worklist"])
+    def test_unknown_engine_rejected(self, engine):
         with pytest.raises(ValueError, match="unknown engine"):
-            AnalysisConfig(engine="magic").validated()
+            AnalysisConfig(engine=engine).validated()
 
     def test_unknown_store_impl_rejected(self):
         with pytest.raises(ValueError, match="store impl"):
@@ -115,7 +116,7 @@ class TestAnalysisConfigValidation:
     def test_gc_and_counting_compose_with_every_engine(self):
         """The old kleene-only restriction is gone: every engine/store
         combination with GC and counting validates."""
-        for engine in ("kleene", "worklist", "depgraph"):
+        for engine in ("kleene", "depgraph"):
             for store_impl in ("persistent", "versioned"):
                 if engine == "kleene" and store_impl == "versioned":
                     continue
@@ -180,16 +181,6 @@ class TestPresetRegistry:
         assert isinstance(
             unwrap_store(persistent.interface.store_like), BasicStore
         )
-
-    def test_blind_worklist_skips_the_recording_wrapper(self):
-        """The blind worklist never consumes the read/write log, so plain
-        and GC'd worklist runs must not pay for RecordingStore."""
-        from repro.core.store import RecordingStore
-        from repro.cps.analysis import analyse
-
-        for gc in (False, True):
-            analysis = analyse(preset="1cfa", engine="worklist", gc=gc or None)
-            assert not isinstance(analysis.interface.store_like, RecordingStore)
 
 
 def _run(config, lang, program, worklist):

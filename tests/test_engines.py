@@ -1,11 +1,11 @@
-"""Engine equivalence: kleene / worklist / depgraph agree everywhere.
+"""Engine equivalence: kleene / depgraph agree everywhere.
 
-The three engines are interchangeable fixed-point strategies over the
+The two engines are interchangeable fixed-point strategies over the
 store-widened collecting domain (paper 5.2's third degree of freedom,
-pushed further): whole-domain Kleene rounds, a dependency-blind frontier
-worklist, and dependency-tracked re-evaluation.  Chaotic iteration of a
-monotone functional converges to the same least fixed point regardless
-of evaluation order, so all three must agree on the reached
+pushed further): whole-domain Kleene rounds and dependency-tracked
+frontier re-evaluation.  Chaotic iteration of a monotone functional
+converges to the same least fixed point regardless of evaluation
+order, so both must agree on the reached
 configurations, the global store's flow tables, and hence every derived
 metric -- across all three languages and context depths.
 """
@@ -15,7 +15,9 @@ import dataclasses
 import pytest
 
 from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine, analyse_cesk_shared
+from repro.core.addresses import KCFA
 from repro.core.fixpoint import ENGINES, STORE_IMPLS, global_store_explore
+from repro.core.schedule import SCHEDULES
 from repro.core.store import BasicStore, CountingStore, RecordingStore, unwrap_store
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
@@ -23,6 +25,7 @@ from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
 from repro.cps.analysis import analyse, analyse_shared, analyse_with_engine
 from repro.fj.analysis import analyse_fj, analyse_fj_engine, analyse_fj_shared
+from schedule_cells import engine_cells, scheduled
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -32,14 +35,14 @@ FJ_NAMES = sorted(FJ_PROGRAMS)
 class TestCPSEngineEquivalence:
     @pytest.mark.parametrize("name", CPS_NAMES)
     @pytest.mark.parametrize("k", [0, 1])
-    def test_engines_agree_with_kleene(self, name, k):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_engines_agree_with_kleene(self, name, k, schedule):
         program = CPS_PROGRAMS[name]
         reference = analyse_with_engine(program, "kleene", k=k)
-        for engine in ("worklist", "depgraph"):
-            result = analyse_with_engine(program, engine, k=k)
-            assert result.configs() == reference.configs(), engine
-            assert result.num_states() == reference.num_states(), engine
-            assert result.flows_to() == reference.flows_to(), engine
+        result = scheduled(analyse(KCFA(k), engine="depgraph"), schedule).run(program)
+        assert result.configs() == reference.configs()
+        assert result.num_states() == reference.num_states()
+        assert result.flows_to() == reference.flows_to()
 
     @pytest.mark.parametrize("name", CPS_NAMES)
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
@@ -69,14 +72,14 @@ class TestCPSEngineEquivalence:
 class TestCESKEngineEquivalence:
     @pytest.mark.parametrize("name", LAM_NAMES)
     @pytest.mark.parametrize("k", [0, 1])
-    def test_engines_agree_with_kleene(self, name, k):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_engines_agree_with_kleene(self, name, k, schedule):
         expr = LAM_PROGRAMS[name]
         reference = analyse_cesk_engine(expr, "kleene", k=k)
-        for engine in ("worklist", "depgraph"):
-            result = analyse_cesk_engine(expr, engine, k=k)
-            assert result.configs() == reference.configs(), engine
-            assert result.num_states() == reference.num_states(), engine
-            assert result.flows_to() == reference.flows_to(), engine
+        result = scheduled(analyse_cesk(KCFA(k), engine="depgraph"), schedule).run(expr)
+        assert result.configs() == reference.configs()
+        assert result.num_states() == reference.num_states()
+        assert result.flows_to() == reference.flows_to()
 
     @pytest.mark.parametrize("name", LAM_NAMES)
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
@@ -89,20 +92,22 @@ class TestCESKEngineEquivalence:
         expr = LAM_PROGRAMS["mj09"]
         results = {e: analyse_cesk_engine(expr, e) for e in ENGINES}
         finals = {e: r.final_values() for e, r in results.items()}
-        assert finals["kleene"] == finals["worklist"] == finals["depgraph"]
+        assert finals["kleene"] == finals["depgraph"]
 
 
 class TestFJEngineEquivalence:
     @pytest.mark.parametrize("name", FJ_NAMES)
     @pytest.mark.parametrize("k", [0, 1])
-    def test_engines_agree_with_kleene(self, name, k):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_engines_agree_with_kleene(self, name, k, schedule):
         program = FJ_PROGRAMS[name]
         reference = analyse_fj_engine(program, "kleene", k=k)
-        for engine in ("worklist", "depgraph"):
-            result = analyse_fj_engine(program, engine, k=k)
-            assert result.configs() == reference.configs(), engine
-            assert result.num_states() == reference.num_states(), engine
-            assert result.class_flows() == reference.class_flows(), engine
+        result = scheduled(
+            analyse_fj(program, KCFA(k), engine="depgraph"), schedule
+        ).run(program)
+        assert result.configs() == reference.configs()
+        assert result.num_states() == reference.num_states()
+        assert result.class_flows() == reference.class_flows()
 
     @pytest.mark.parametrize("name", FJ_NAMES)
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
@@ -114,44 +119,53 @@ class TestFJEngineEquivalence:
     def test_final_classes_agree(self):
         program = FJ_PROGRAMS["animals"]
         finals = {e: analyse_fj_engine(program, e).final_classes() for e in ENGINES}
-        assert finals["kleene"] == finals["worklist"] == finals["depgraph"]
+        assert finals["kleene"] == finals["depgraph"]
 
 
 class TestStoreImplEquivalence:
     """``versioned`` and ``persistent`` store backings agree everywhere.
 
-    The versioned store changes how the worklist engines detect and
-    propagate store growth (mutable store + changelog instead of
-    persistent-map joins), not what they compute: every engine and
-    store-impl combination must produce the identical widened fixed
+    The versioned store changes how the depgraph engine detects and
+    propagates store growth (mutable store + changelog instead of
+    persistent-map joins), not what it computes: both store impls
+    must produce the identical widened fixed
     point -- configurations *and* global store -- across all three
     languages and the whole corpus.
     """
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine", ["worklist", "depgraph"])
-    def test_cps_corpus(self, name, engine):
+    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
+    def test_cps_corpus(self, name, engine, schedule):
         program = CPS_PROGRAMS[name]
-        persistent = analyse_with_engine(program, engine, k=1)
-        versioned = analyse_with_engine(program, engine, k=1, store_impl="versioned")
+        persistent = scheduled(analyse(KCFA(1), engine=engine), schedule).run(program)
+        versioned = scheduled(
+            analyse(KCFA(1), engine=engine, store_impl="versioned"), schedule
+        ).run(program)
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
     @pytest.mark.parametrize("name", LAM_NAMES)
-    @pytest.mark.parametrize("engine", ["worklist", "depgraph"])
-    def test_lam_corpus(self, name, engine):
+    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
+    def test_lam_corpus(self, name, engine, schedule):
         expr = LAM_PROGRAMS[name]
-        persistent = analyse_cesk_engine(expr, engine, k=1)
-        versioned = analyse_cesk_engine(expr, engine, k=1, store_impl="versioned")
+        persistent = scheduled(analyse_cesk(KCFA(1), engine=engine), schedule).run(expr)
+        versioned = scheduled(
+            analyse_cesk(KCFA(1), engine=engine, store_impl="versioned"), schedule
+        ).run(expr)
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("engine", ["worklist", "depgraph"])
-    def test_fj_corpus(self, name, engine):
+    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
+    def test_fj_corpus(self, name, engine, schedule):
         program = FJ_PROGRAMS[name]
-        persistent = analyse_fj_engine(program, engine, k=1)
-        versioned = analyse_fj_engine(program, engine, k=1, store_impl="versioned")
+        persistent = scheduled(
+            analyse_fj(program, KCFA(1), engine=engine), schedule
+        ).run(program)
+        versioned = scheduled(
+            analyse_fj(program, KCFA(1), engine=engine, store_impl="versioned"),
+            schedule,
+        ).run(program)
         assert versioned.fp == persistent.fp
         assert versioned.class_flows() == persistent.class_flows()
 
@@ -320,13 +334,13 @@ class TestEngineGuards:
                 analysis.collecting,
                 analysis.step(),
                 CPS_PROGRAMS["mj09"],
-                track_deps=True,
             )
 
 
 class TestGCEngineEquivalence:
-    """Abstract GC runs on the worklist engines (both store impls) and
-    computes the identical fixed point to the Kleene+GC baseline.
+    """Abstract GC runs on the depgraph engine (both store impls, both
+    schedules) and computes the identical fixed point to the Kleene+GC
+    baseline.
 
     On the persistent path each branch's result store arrives already
     swept by the woven-in collector; on the versioned path the engine
@@ -339,39 +353,36 @@ class TestGCEngineEquivalence:
     """
 
     ENGINE_IMPLS = [
-        ("worklist", "persistent"),
-        ("worklist", "versioned"),
         ("depgraph", "persistent"),
         ("depgraph", "versioned"),
     ]
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_cps_corpus(self, name, engine, impl):
-        from repro.core.addresses import KCFA
-
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_cps_corpus(self, name, engine, impl, schedule):
         program = CPS_PROGRAMS[name]
         reference = analyse(KCFA(1), gc=True, engine="kleene").run(program)
-        result = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
+        result = scheduled(
+            analyse(KCFA(1), gc=True, engine=engine, store_impl=impl), schedule
+        ).run(program)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_lam_spot_check(self, engine, impl):
-        from repro.core.addresses import KCFA
-
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_lam_spot_check(self, engine, impl, schedule):
         expr = LAM_PROGRAMS["mj09"]
         reference = analyse_cesk(KCFA(1), gc=True, engine="kleene").run(expr)
-        result = analyse_cesk(KCFA(1), gc=True, engine=engine, store_impl=impl).run(expr)
+        result = scheduled(
+            analyse_cesk(KCFA(1), gc=True, engine=engine, store_impl=impl), schedule
+        ).run(expr)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_fj_spot_check(self, engine, impl):
-        from repro.core.addresses import KCFA
-
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_fj_spot_check(self, engine, impl, schedule):
         program = FJ_PROGRAMS["visitor"]
         reference = analyse_fj(program, KCFA(1), gc=True, engine="kleene").run(program)
-        result = analyse_fj(
-            program, KCFA(1), gc=True, engine=engine, store_impl=impl
+        result = scheduled(
+            analyse_fj(program, KCFA(1), gc=True, engine=engine, store_impl=impl),
+            schedule,
         ).run(program)
         assert result.fp == reference.fp
 
@@ -405,7 +416,8 @@ class TestGCEngineEquivalence:
 
 
 class TestCountingEngineEquivalence:
-    """Counting stores run on the worklist engines via count saturation.
+    """Counting stores run on the depgraph engine (both store impls, both
+    schedules) via count saturation.
 
     At the Kleene fixed point every step-written address has count MANY
     (the confirming round re-binds it once more), so the engines track
@@ -416,38 +428,45 @@ class TestCountingEngineEquivalence:
     ENGINE_IMPLS = TestGCEngineEquivalence.ENGINE_IMPLS
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_cps_corpus(self, name, engine, impl):
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_cps_corpus(self, name, engine, impl, schedule):
         program = CPS_PROGRAMS[name]
         reference = analyse_with_engine(program, "kleene", k=1, counting=True)
-        result = analyse_with_engine(
-            program, engine, k=1, counting=True, store_impl=impl
-        )
+        result = scheduled(
+            analyse(KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl),
+            schedule,
+        ).run(program)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_lam_spot_check(self, engine, impl):
-        from repro.core.addresses import KCFA
-
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_lam_spot_check(self, engine, impl, schedule):
         expr = LAM_PROGRAMS["church-two-two"]
         reference = analyse_cesk(
             KCFA(1), store_like=CountingStore(), engine="kleene"
         ).run(expr)
-        result = analyse_cesk(
-            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
+        result = scheduled(
+            analyse_cesk(
+                KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
+            ),
+            schedule,
         ).run(expr)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_fj_spot_check(self, engine, impl):
-        from repro.core.addresses import KCFA
-
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_fj_spot_check(self, engine, impl, schedule):
         program = FJ_PROGRAMS["animals"]
         reference = analyse_fj(
             program, KCFA(1), store_like=CountingStore(), engine="kleene"
         ).run(program)
-        result = analyse_fj(
-            program, KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
+        result = scheduled(
+            analyse_fj(
+                program,
+                KCFA(1),
+                store_like=CountingStore(),
+                engine=engine,
+                store_impl=impl,
+            ),
+            schedule,
         ).run(program)
         assert result.fp == reference.fp
 
@@ -491,8 +510,6 @@ class TestFusedTransitionMatrix:
 
     ENGINE_IMPLS = [
         ("kleene", "persistent"),
-        ("worklist", "persistent"),
-        ("worklist", "versioned"),
         ("depgraph", "persistent"),
         ("depgraph", "versioned"),
     ]

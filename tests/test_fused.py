@@ -10,7 +10,8 @@ assembly time rather than interpreted per bind.
 Coverage here:
 
 * corpus-wide fused-vs-generic equivalence on the global-store engines
-  (every engine x store-impl), all three languages;
+  (every engine x store-impl, the depgraph loop under both schedules),
+  all three languages;
 * composition with abstract GC and counting (engine paths) and with the
   per-state-store domains and the concrete reference semantics;
 * the observational contract underneath the depgraph engine: a staged
@@ -29,6 +30,7 @@ from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine
 from repro.config import TRANSITIONS, AnalysisConfig, assemble
 from repro.core.addresses import ConcreteAddressing, KCFA
 from repro.core.fused import FusedTransition, build_fused
+from repro.core.schedule import SCHEDULES
 from repro.core.store import CountingStore, RecordingStore
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
@@ -36,6 +38,7 @@ from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
 from repro.cps.analysis import analyse, analyse_with_engine
 from repro.fj.analysis import analyse_fj, analyse_fj_engine
+from schedule_cells import engine_cells, scheduled
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -44,8 +47,6 @@ FJ_NAMES = sorted(FJ_PROGRAMS)
 #: Every engine x store-impl pair the global-store loop supports.
 ENGINE_IMPLS = (
     ("kleene", "persistent"),
-    ("worklist", "persistent"),
-    ("worklist", "versioned"),
     ("depgraph", "persistent"),
     ("depgraph", "versioned"),
 )
@@ -128,13 +129,14 @@ class TestFusedCalling:
 
 class TestCPSFusedEquivalence:
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_corpus(self, name, engine, impl):
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_corpus(self, name, engine, impl, schedule):
         program = CPS_PROGRAMS[name]
         generic = analyse_with_engine(program, engine, k=1, store_impl=impl)
-        fused = analyse_with_engine(
-            program, engine, k=1, store_impl=impl, transition="fused"
-        )
+        fused = scheduled(
+            analyse(KCFA(1), engine=engine, store_impl=impl, transition="fused"),
+            schedule,
+        ).run(program)
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
 
@@ -174,13 +176,14 @@ class TestCPSFusedEquivalence:
 
 class TestLamFusedEquivalence:
     @pytest.mark.parametrize("name", LAM_NAMES)
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_corpus(self, name, engine, impl):
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_corpus(self, name, engine, impl, schedule):
         expr = LAM_PROGRAMS[name]
         generic = analyse_cesk_engine(expr, engine, k=1, store_impl=impl)
-        fused = analyse_cesk_engine(
-            expr, engine, k=1, store_impl=impl, transition="fused"
-        )
+        fused = scheduled(
+            analyse_cesk(KCFA(1), engine=engine, store_impl=impl, transition="fused"),
+            schedule,
+        ).run(expr)
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
         assert fused.final_values() == generic.final_values()
@@ -194,13 +197,16 @@ class TestLamFusedEquivalence:
 
 class TestFJFusedEquivalence:
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
-    def test_corpus(self, name, engine, impl):
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_corpus(self, name, engine, impl, schedule):
         program = FJ_PROGRAMS[name]
         generic = analyse_fj_engine(program, engine, k=1, store_impl=impl)
-        fused = analyse_fj_engine(
-            program, engine, k=1, store_impl=impl, transition="fused"
-        )
+        fused = scheduled(
+            analyse_fj(
+                program, KCFA(1), engine=engine, store_impl=impl, transition="fused"
+            ),
+            schedule,
+        ).run(program)
         assert fused.fp == generic.fp
         assert fused.class_flows() == generic.class_flows()
         assert fused.final_classes() == generic.final_classes()
@@ -216,20 +222,15 @@ class TestFusedWithRefinements:
     """GC and counting compose with the staged step on every path."""
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize(
-        "engine,impl",
-        (
-            ("kleene", "persistent"),
-            ("worklist", "persistent"),
-            ("depgraph", "persistent"),
-            ("depgraph", "versioned"),
-        ),
-    )
-    def test_cps_gc_corpus(self, name, engine, impl):
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    def test_cps_gc_corpus(self, name, engine, impl, schedule):
         program = CPS_PROGRAMS[name]
         generic = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
-        fused = analyse(
-            KCFA(1), gc=True, engine=engine, store_impl=impl, transition="fused"
+        fused = scheduled(
+            analyse(
+                KCFA(1), gc=True, engine=engine, store_impl=impl, transition="fused"
+            ),
+            schedule,
         ).run(program)
         assert fused.fp == generic.fp
 
@@ -255,34 +256,42 @@ class TestFusedWithRefinements:
             ) == generic.store_like.singleton_addresses(generic.global_store())
 
     @pytest.mark.parametrize("name", LAM_NAMES)
-    def test_lam_gc_fast_path(self, name):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_lam_gc_fast_path(self, name, schedule):
         expr = LAM_PROGRAMS[name]
         generic = analyse_cesk(
             KCFA(1), gc=True, engine="depgraph", store_impl="versioned"
         ).run(expr)
-        fused = analyse_cesk(
-            KCFA(1),
-            gc=True,
-            engine="depgraph",
-            store_impl="versioned",
-            transition="fused",
+        fused = scheduled(
+            analyse_cesk(
+                KCFA(1),
+                gc=True,
+                engine="depgraph",
+                store_impl="versioned",
+                transition="fused",
+            ),
+            schedule,
         ).run(expr)
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", FJ_NAMES)
-    def test_fj_gc_and_counting_fast_path(self, name):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_fj_gc_and_counting_fast_path(self, name, schedule):
         program = FJ_PROGRAMS[name]
         for kwargs in (dict(gc=True), dict(store_like=CountingStore())):
             generic = analyse_fj(
                 program, KCFA(1), engine="depgraph", store_impl="versioned", **kwargs
             ).run(program)
-            fused = analyse_fj(
-                program,
-                KCFA(1),
-                engine="depgraph",
-                store_impl="versioned",
-                transition="fused",
-                **kwargs,
+            fused = scheduled(
+                analyse_fj(
+                    program,
+                    KCFA(1),
+                    engine="depgraph",
+                    store_impl="versioned",
+                    transition="fused",
+                    **kwargs,
+                ),
+                schedule,
             ).run(program)
             assert fused.fp == generic.fp, tuple(kwargs)
 
@@ -379,15 +388,15 @@ class TestFusedReadWriteParity:
 
 
 class TestFusedAcceptance:
-    """The ISSUE's acceptance shape: every engine x store-impl x gc /
+    """The acceptance shape: every engine x store-impl x schedule x gc /
     counting combination runs fused with the identical fixed point (one
     program per language here; the corpus-wide matrices above and the
     preset matrix in test_config.py cover the rest)."""
 
     @pytest.mark.parametrize("lang", ["cps", "lam", "fj"])
-    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
     @pytest.mark.parametrize("refinement", ["plain", "gc", "counting"])
-    def test_matrix_cell(self, lang, engine, impl, refinement):
+    def test_matrix_cell(self, lang, engine, impl, schedule, refinement):
         program = {
             "cps": CPS_PROGRAMS["mj09"],
             "lam": LAM_PROGRAMS["mj09"],
@@ -400,6 +409,7 @@ class TestFusedAcceptance:
                 k=1,
                 engine=engine,
                 store_impl=impl,
+                schedule=schedule,
                 gc=refinement == "gc",
                 counting=refinement == "counting",
                 transition=transition,

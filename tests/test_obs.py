@@ -238,6 +238,22 @@ class TestTracer:
         tids = {event["tid"] for event in tracer.events()}
         assert len(tids) == 3 and all(isinstance(tid, int) for tid in tids)
 
+    def test_sequential_threads_get_distinct_lanes(self):
+        """A thread started after another exited may reuse its OS ident;
+        it must still get a lane of its own."""
+        tracer = Tracer()
+
+        def work():
+            with tracer.span("worker", cat="test"):
+                pass
+
+        for _ in range(8):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+        tids = [event["tid"] for event in tracer.events()]
+        assert sorted(tids) == list(range(8))
+
     def test_chrome_document_round_trips(self, tmp_path):
         tracer = Tracer(process_name="test-proc")
         with tracer.span("phase", cat="test"):

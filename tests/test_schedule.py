@@ -6,26 +6,23 @@ What this file pins, layer by layer:
   insertion order while counting suppressed enqueues;
   :class:`PriorityWorklist` drains in ``(wave, rank, sequence)`` order:
   rank-ascending within a wave, retriggers deferred one wave, ties by
-  insertion.  ``deal_slices`` deals round-robin under ``fifo`` and
-  rank-contiguous chunks under ``priority``, never losing an item.
+  insertion.
 * **No starvation / termination** -- on randomly generated monotone
   fake-domain systems, both schedules terminate, evaluate every
   discovered configuration at least once, and land on the reference
   least fixed point; a retrigger-storm system cannot keep deep pending
-  work out of the drain forever.
+  work out of the drain forever.  The depgraph loop itself
+  (``global_store_explore``, both store impls) reaches the same
+  reference on the same systems and still honours its divergence budget.
 * **Corpus scheduler-equivalence** -- for every engine preset and
   language, the ``priority`` fixed point is bit-identical to the
   ``fifo`` fixed point across the full corpus (chaotic iteration is
-  drain-order-insensitive); likewise for the blind worklist engine,
-  persistent stores, GC, counting, the sharded engine, and warm starts.
+  drain-order-insensitive); likewise for persistent stores, GC,
+  counting, and warm starts.
 * **Configuration surface** -- unknown schedules and worklist-free
   engines are rejected, ``cache_key`` ignores the schedule axis (same
   fixed point, same content address), warm donors are shared across
-  schedules, and the trace hook is sequential-engine-only.
-* **The blind-engine win** -- the regression this PR exists for: on
-  ``id_chain`` the priority schedule needs a small multiple fewer
-  evaluations than FIFO (ratios, not exact counts: FIFO's drain order
-  varies with ``PYTHONHASHSEED``), and the dedup counter is live.
+  schedules, and the trace hook needs the depgraph engine.
 """
 
 import random
@@ -33,13 +30,14 @@ import random
 import pytest
 
 from repro.config import LANGUAGES, PRESETS, AnalysisConfig, assemble, preset_config
+from repro.core.fixpoint import STORE_IMPLS, FixpointDiverged, global_store_explore
 from repro.core.schedule import (
     SCHEDULES,
     FifoWorklist,
     PriorityWorklist,
-    deal_slices,
     make_worklist,
 )
+from repro.core.store import BasicStore, RecordingStore, VersionedStore
 from repro.corpus import corpus_program, corpus_programs
 from repro.corpus.cps_programs import id_chain, id_chain_edited
 from repro.service.cache import FixpointCache
@@ -140,40 +138,14 @@ class TestMakeWorklist:
         assert SCHEDULES == ("fifo", "priority")
 
 
-class TestDealSlices:
-    def test_fifo_deals_round_robin(self):
-        batch = list("abcdef")
-        assert deal_slices(batch, 2, "fifo", {}) == [list("ace"), list("bdf")]
-
-    def test_priority_deals_rank_contiguous_chunks(self):
-        batch = list("abcd")
-        ranks = {"a": 3, "b": 0, "c": 2, "d": 0}
-        # sorted by (rank, arrival): b d c a, cut into contiguous halves
-        assert deal_slices(batch, 2, "priority", ranks) == [["b", "d"], ["c", "a"]]
-
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    @pytest.mark.parametrize("shards", (1, 2, 3, 5))
-    def test_no_item_lost_and_no_empty_slices(self, schedule, shards):
-        rng = random.Random(7)
-        batch = [f"c{i}" for i in range(11)]
-        ranks = {config: rng.randint(0, 4) for config in batch}
-        slices = deal_slices(batch, shards, schedule, ranks)
-        assert all(chunk for chunk in slices)
-        assert sorted(c for chunk in slices for c in chunk) == sorted(batch)
-
-    def test_small_round_drops_empty_slices(self):
-        assert deal_slices(["only"], 4, "fifo", {}) == [["only"]]
-        assert deal_slices(["only"], 4, "priority", {}) == [["only"]]
-
-
 # ---------------------------------------------------------------------------
 # No starvation / termination on fake monotone systems
 # ---------------------------------------------------------------------------
 
 
 def _random_system(seed, configs=12, addresses=8):
-    """A random monotone equation system over frozenset-valued addresses
-    (the ``tests/test_parallel.py`` fake domain): each configuration
+    """A random monotone equation system over frozenset-valued addresses:
+    each configuration
     reads a few addresses and writes the union of what it read plus its
     own token, so the least fixed point is unique and every chaotic
     iteration must land on it exactly."""
@@ -290,6 +262,95 @@ class TestFakeDomainProperties:
             assert set(popped) == set(range(n)), schedule
 
 
+class _FakeInner:
+    """The per-state surface the depgraph loop drives: one fake
+    configuration evaluated against a given store."""
+
+    def __init__(self, store_like):
+        self.store_like = store_like
+
+    def run_config(self, step, config_pair):
+        # persistent path: every successor carries the evaluation's
+        # store; the configuration is its own successor so its writes
+        # reach the engine's join even when the table lists none
+        config, store = config_pair
+        successors, store = step(config, store)
+        return [(successor, store) for successor in (config, *successors)]
+
+    def run_config_pairs(self, step, config_pair, instrument=True):
+        # versioned path: the step has already mutated the shared store
+        config, store = config_pair
+        successors, _ = step(config, store)
+        return list(successors)
+
+
+class _FakeCollecting:
+    def __init__(self, inner, seeds):
+        self.inner = inner
+        self._seeds = frozenset(seeds)
+
+    def inject(self, _initial_state):
+        return self._seeds, self.inner.store_like.empty()
+
+
+def _fake_engine(store_impl, seeds):
+    """A fake shared-store domain wired the way ``prepare_engine_store``
+    wires a real one: the recording wrapper around the chosen store."""
+    base = VersionedStore() if store_impl == "versioned" else BasicStore()
+    recorder = RecordingStore(base)
+    return _FakeCollecting(_FakeInner(recorder), seeds), recorder
+
+
+def _system_step(recorder, table):
+    """The fake system as an engine step, reading and writing through
+    the recording store so the read/write log drives retriggering."""
+
+    def step(config, store):
+        reads, writes, successors = table[config]
+        gathered = frozenset({("token", config)})
+        for addr in reads:
+            gathered |= recorder.fetch(store, addr)
+        for addr in writes:
+            store = recorder.bind(store, addr, gathered)
+        return successors, store
+
+    return step
+
+
+class TestFakeDomainEngine:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("store_impl", STORE_IMPLS)
+    def test_depgraph_reaches_the_unique_lfp(self, store_impl, schedule, seed):
+        table = _random_system(seed)
+        collecting, recorder = _fake_engine(store_impl, seeds={0, 1})
+        stats: dict = {}
+        configs, store = global_store_explore(
+            collecting,
+            _system_step(recorder, table),
+            None,
+            stats=stats,
+            schedule=schedule,
+        )
+        ref_configs, ref_store = _reference_fixpoint(table, seeds={0, 1})
+        assert configs == ref_configs
+        assert dict(store) == ref_store
+        assert stats["schedule"] == schedule
+        assert stats["evaluations"] >= len(ref_configs)
+
+    @pytest.mark.parametrize("store_impl", STORE_IMPLS)
+    def test_divergence_budget_still_applies(self, store_impl):
+        collecting, recorder = _fake_engine(store_impl, seeds={0})
+
+        # an ever-growing write keeps retriggering config 0 forever
+        def step(config, store):
+            current = recorder.fetch(store, "a")
+            return (0,), recorder.bind(store, "a", frozenset({len(current)}))
+
+        with pytest.raises(FixpointDiverged):
+            global_store_explore(collecting, step, None, max_evals=50)
+
+
 # ---------------------------------------------------------------------------
 # Corpus scheduler-equivalence: priority == fifo, preset by preset
 # ---------------------------------------------------------------------------
@@ -299,7 +360,7 @@ class TestFakeDomainProperties:
 SCHEDULED_PRESETS = sorted(
     name
     for name, preset in PRESETS.items()
-    if preset.config.engine in ("worklist", "depgraph")
+    if preset.config.engine == "depgraph"
 )
 
 #: Cells whose engine run is prohibitively slow (same exclusion the
@@ -326,8 +387,6 @@ def _fifo_reference(config, lang, name, program):
         config.engine,
         config.store_impl,
         config.transition,
-        config.parallelism,
-        config.shards,
         config.gc,
         config.counting,
     )
@@ -354,40 +413,28 @@ class TestCorpusEquivalence:
             assert stats["schedule"] == "priority", f"{preset_name} on {lang}/{name}"
             assert stats["dedup_hits"] >= 0
 
-    @pytest.mark.parametrize("lang", LANGUAGES)
-    def test_sharded_priority_preset_matches_sequential(self, lang):
-        """The sharded preset pair: rank-dealt slices reach the same
-        fixed point as the sequential fused engine, stats included."""
-        name = {"cps": "mj09", "lam": "church-two-two", "fj": "visitor"}[lang]
-        program = corpus_program(lang, name)
-        sequential, _ = _fixpoint(preset_config("1cfa-fused", lang), program)
-        sharded, stats = _fixpoint(preset_config("1cfa-sharded-priority", lang), program)
-        assert sharded == sequential
-        assert stats["shards"] == 4 and stats["schedule"] == "priority"
-        assert "dedup_hits" in stats and "max_rank" in stats
-
-
 class TestManualConfigEquivalence:
-    """Axes no preset covers: the blind engine and persistent stores."""
+    """Axes no preset covers: persistent stores."""
 
     PROGRAMS = (("cps", "mj09"), ("lam", "church-two-two"), ("fj", "visitor"))
 
     @pytest.mark.parametrize("lang,name", PROGRAMS)
-    @pytest.mark.parametrize("store_impl", ("persistent", "versioned"))
-    def test_blind_worklist_engine(self, lang, name, store_impl):
+    @pytest.mark.parametrize("transition", ("generic", "fused"))
+    def test_depgraph_over_persistent_store(self, transition, lang, name):
         program = corpus_program(lang, name)
         config = AnalysisConfig(
-            k=1, engine="worklist", store_impl=store_impl, language=lang
+            k=1,
+            engine="depgraph",
+            store_impl="persistent",
+            transition=transition,
+            language=lang,
         ).validated()
-        fifo_fp, fifo_stats = _fixpoint(config, program)
+        fifo_fp, _ = _fixpoint(config, program)
         priority_fp, stats = _fixpoint(
             config.replace(schedule="priority").validated(), program
         )
         assert priority_fp == fifo_fp
-        # the blind engine retriggers every reader of the whole store,
-        # so the membership set must be doing real suppression work
-        assert fifo_stats["dedup_hits"] > 0
-        assert stats["evaluations"] <= fifo_stats["evaluations"]
+        assert stats["schedule"] == "priority"
 
     @pytest.mark.parametrize("gc", (False, True))
     @pytest.mark.parametrize("counting", (False, True))
@@ -458,7 +505,7 @@ class TestScheduleConfig:
             AnalysisConfig(k=1, schedule="priority").validated()  # per-state
 
     def test_priority_presets_registered_and_valid(self):
-        for name in ("1cfa-priority", "1cfa-sharded-priority"):
+        for name in ("1cfa-priority",):
             config = PRESETS[name].config
             assert config.schedule == "priority"
             assert config.validated() == config
@@ -467,10 +514,6 @@ class TestScheduleConfig:
         assert (
             preset_config("1cfa-priority", "lam").cache_key()
             == preset_config("1cfa-fused", "lam").cache_key()
-        )
-        assert (
-            preset_config("1cfa-sharded-priority", "lam").cache_key()
-            == preset_config("1cfa-sharded", "lam").cache_key()
         )
 
     def test_describe_names_the_schedule(self):
@@ -502,39 +545,6 @@ class TestScheduleTrace:
 
     def test_trace_is_sequential_only(self):
         program = corpus_program("lam", "eta")
-        sharded = assemble(preset_config("1cfa-sharded", "lam"), program=program)
-        with pytest.raises(TypeError, match="sequential"):
-            sharded.run(program, trace=[])
         per_state = assemble(preset_config("1cfa-per-state", "lam"), program=program)
         with pytest.raises(ValueError, match="engine"):
             per_state.run(program, trace=[])
-
-
-# ---------------------------------------------------------------------------
-# The blind-engine win (the satellite-2 regression pin)
-# ---------------------------------------------------------------------------
-
-
-class TestBlindChainRegression:
-    def test_id_chain_dedup_and_eval_drop(self):
-        """``id_chain(30)`` on the dependency-blind engine: FIFO re-runs
-        each link once per downstream growth wave (quadratic), priority
-        re-runs it twice (linear).  Bounds are ratios with margin --
-        FIFO's exact counts move with ``PYTHONHASHSEED``; the measured
-        ratio is ~8x and the gate asks for 3x."""
-        program = id_chain(30)
-        config = AnalysisConfig(
-            k=1,
-            engine="worklist",
-            store_impl="versioned",
-            transition="fused",
-            language="cps",
-        ).validated()
-        fifo_fp, fifo_stats = _fixpoint(config, program)
-        priority_fp, priority_stats = _fixpoint(
-            config.replace(schedule="priority").validated(), program
-        )
-        assert priority_fp == fifo_fp
-        assert priority_stats["evaluations"] * 3 <= fifo_stats["evaluations"]
-        assert fifo_stats["dedup_hits"] > 0
-        assert priority_stats["max_rank"] >= 30

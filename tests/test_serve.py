@@ -63,9 +63,9 @@ class TestMatrixEquality:
         seen_keys: set[str] = set()
         for cell in CELLS:
             row = client.call("analyse", cell_params(*cell))
-            # presets that differ only in evaluation strategy (e.g. 1cfa
-            # vs 1cfa-sharded) share a content address: the first cell
-            # per key computes cold, the rest legitimately hit
+            # presets that differ only in evaluation strategy (e.g.
+            # 1cfa-fused vs 1cfa-priority) share a content address: the
+            # first cell per key computes cold, the rest legitimately hit
             if row["key"] not in seen_keys:
                 assert row["cache"] == "miss", cell
                 seen_keys.add(row["key"])
@@ -414,18 +414,21 @@ class TestProtocolDiscipline:
             client.call("analyse", dict(cell_params("1cfa", "cps"), wat=1))
         assert caught.value.name == "invalid-params"
 
-    def test_bad_override_rejected(self, client):
+    @pytest.mark.parametrize(
+        "field,value", [("quantum", True), ("parallelism", "sharded"), ("shards", 4)]
+    )
+    def test_bad_override_rejected(self, client, field, value):
         with pytest.raises(ServeError) as caught:
             client.call(
                 "analyse",
                 {
                     "language": "cps",
                     "corpus": "mj09",
-                    "overrides": {"quantum": True},
+                    "overrides": {field: value},
                 },
             )
         assert caught.value.name == "invalid-params"
-        assert "quantum" in str(caught.value)
+        assert field in str(caught.value)
 
     def test_imp_source_lowers_to_lam(self, client):
         row = client.call(

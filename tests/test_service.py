@@ -1,4 +1,4 @@
-"""The service layer: cache, sharded batch, warm starts -- all bit-identical.
+"""The service layer: cache, batch pool, warm starts -- all bit-identical.
 
 The acceptance matrix this file pins: for every preset x language in the
 existing configuration matrix, four ways of obtaining the fixed point
@@ -17,6 +17,11 @@ must agree exactly --
 Plus the real-edit contract: appending a link to ``id_chain`` and
 warm-starting from the unedited chain's fixed point gives a result
 identical to cold with strictly fewer evaluations.
+
+And the adaptive batch pool's fallbacks: sub-threshold batches never
+spawn workers; a dead worker or damaged transport falls back to inline
+evaluation for its chunk only, counted in ``inline_fallbacks``, with
+every fixed point still bit-identical.
 """
 
 import pickle
@@ -271,12 +276,6 @@ class TestWarmStartRefusals:
         )
         analysis = assemble(config)
         with pytest.raises(ValueError, match="kleene"):
-            analysis.run(id_chain(4), warm_start=WarmStart(store={}, records={}))
-
-    def test_blind_worklist_refuses_warm_start(self):
-        config = preset_config("1cfa", "cps").replace(engine="worklist")
-        analysis = assemble(config)
-        with pytest.raises(TypeError, match="dependency-tracked"):
             analysis.run(id_chain(4), warm_start=WarmStart(store={}, records={}))
 
     def test_per_state_run_refuses_warm_start(self):
@@ -540,3 +539,148 @@ class TestBatchRunner:
         assert all(row["cache"] == "hit" for row in document["jobs"])
         assert rendered.startswith("{\n")
         assert rendered.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# The adaptive batch pool
+# ---------------------------------------------------------------------------
+
+
+def _small_jobs():
+    from repro.service.batch import BatchJob
+
+    return [
+        BatchJob(config=preset_config("1cfa", "lam"), corpus="eta"),
+        BatchJob(config=preset_config("1cfa-fused", "lam"), corpus="eta"),
+        BatchJob(config=preset_config("1cfa", "lam"), corpus="church-two-two"),
+        BatchJob(config=preset_config("1cfa-fused", "lam"), corpus="church-two-two"),
+    ]
+
+
+class _FakeFuture:
+    def __init__(self, value=None, error=None):
+        self._value, self._error = value, error
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _FakePool:
+    """A ProcessPoolExecutor stand-in that computes chunks in-process.
+
+    ``breaker(chunk)`` may return an exception (the whole "worker" dies)
+    or a mutator applied to the packed payloads (damaged transport);
+    ``None`` passes the chunk through the real ``_run_chunk``.
+    """
+
+    captured: list = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        type(self).captured.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, chunk):
+        breaker = type(self).breaker
+        outcome = breaker(chunk) if breaker is not None else None
+        if isinstance(outcome, Exception):
+            return _FakeFuture(error=outcome)
+        packed = fn(chunk)
+        if callable(outcome):
+            packed = outcome(packed)
+        return _FakeFuture(value=packed)
+
+    breaker = None
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Route run_batch's pool through _FakePool on a pretend 4-core box."""
+    import repro.service.batch as batch_mod
+
+    monkeypatch.setattr(batch_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(
+        batch_mod, "as_completed", lambda futures: list(futures), raising=True
+    )
+    _FakePool.captured = []
+    _FakePool.breaker = None
+    return batch_mod
+
+
+class TestAdaptiveBatchPool:
+    def test_sub_threshold_batch_never_spawns_workers(self):
+        from repro.service.batch import run_batch
+
+        report = run_batch(_small_jobs(), workers=4, min_pool_seconds=3600.0)
+        assert report.pool_workers == 0
+        assert report.inline_fallbacks == 0
+
+    def test_single_core_box_never_spawns_workers(self, monkeypatch):
+        import repro.service.batch as batch_mod
+
+        monkeypatch.setattr(batch_mod.os, "cpu_count", lambda: 1)
+        report = batch_mod.run_batch(_small_jobs(), workers=4, min_pool_seconds=0.0)
+        assert report.pool_workers == 0
+
+    def test_engaged_pool_matches_serial(self, forced_pool):
+        serial = forced_pool.run_batch(_small_jobs(), workers=1)
+        pooled = forced_pool.run_batch(_small_jobs(), workers=4, min_pool_seconds=0.0)
+        assert pooled.pool_workers >= 2
+        assert pooled.inline_fallbacks == 0
+        for left, right in zip(serial.outcomes, pooled.outcomes):
+            assert left.fp == right.fp
+
+    def test_dead_worker_falls_back_inline_for_its_chunk_only(self, forced_pool):
+        doomed: set = set()
+
+        def kill_first_chunk(chunk):
+            if not doomed:
+                doomed.update(index for index, _job in chunk)
+                return RuntimeError("worker died")
+            return None
+
+        _FakePool.breaker = staticmethod(kill_first_chunk)
+        serial = forced_pool.run_batch(_small_jobs(), workers=1)
+        pooled = forced_pool.run_batch(_small_jobs(), workers=4, min_pool_seconds=0.0)
+        assert pooled.inline_fallbacks == len(doomed) > 0
+        for left, right in zip(serial.outcomes, pooled.outcomes):
+            assert left.fp == right.fp
+
+    def test_damaged_transport_falls_back_for_that_job_only(self, forced_pool):
+        def corrupt_first_payload(packed):
+            index, payload = packed[0]
+            return [(index, {**payload, "object_blob": b"not a pickle"})] + packed[1:]
+
+        _FakePool.breaker = staticmethod(lambda chunk: corrupt_first_payload)
+        serial = forced_pool.run_batch(_small_jobs(), workers=1)
+        pooled = forced_pool.run_batch(_small_jobs(), workers=4, min_pool_seconds=0.0)
+        assert pooled.inline_fallbacks >= 1
+        for left, right in zip(serial.outcomes, pooled.outcomes):
+            assert left.fp == right.fp
+
+    def test_pooled_payloads_write_through_the_cache(self, forced_pool, tmp_path):
+        from repro.service.cache import FixpointCache
+
+        cache = FixpointCache(root=tmp_path / "fixcache")
+        pooled = forced_pool.run_batch(
+            _small_jobs(), workers=4, cache=cache, min_pool_seconds=0.0
+        )
+        assert pooled.pool_workers >= 2
+        reread = FixpointCache(root=tmp_path / "fixcache")
+        for outcome in pooled.outcomes:
+            entry = reread.get_key(outcome.key)
+            assert entry is not None and entry.fp == outcome.fp
+            assert entry.records  # warmable cells keep their sidecar
+
+    def test_report_document_carries_the_new_fields(self, forced_pool):
+        report = forced_pool.run_batch(_small_jobs(), workers=4, min_pool_seconds=0.0)
+        document = report.to_document()
+        assert document["pool_workers"] == report.pool_workers >= 2
+        assert document["inline_fallbacks"] == 0

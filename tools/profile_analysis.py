@@ -35,16 +35,14 @@ failure; compare ``--schedule fifo`` against ``--schedule priority``
 on the same workload)::
 
     PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa-fused \\
-        --lang cps --workload id-chain-30 --engine worklist \\
+        --lang cps --workload id-chain-30 --engine depgraph \\
         --schedule-trace --schedule priority
 
 ``--pickle-cost`` swaps the profiler for a transport-cost measurement:
 run the analysis once, then time pickling, compressing, unpickling and
 rehydrating its frozen fixed point (and report the byte sizes).  These
-are the numbers that ground the batch runner's transport choices and
-the decision to shard the parallel worklist with threads rather than
-shipping per-round deltas between processes (PERFORMANCE.md, "Parallel
-fixpoints")::
+are the numbers that ground the batch runner's transport choices
+(PERFORMANCE.md, "The adaptive batch pool")::
 
     PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa-fused \\
         --lang lam --workload church-two-two --pickle-cost --repeat 5
@@ -154,16 +152,11 @@ def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
 
     from repro.obs.trace import Tracer, use_tracer
 
-    if config.engine not in ("worklist", "depgraph"):
+    if config.engine != "depgraph":
         raise SystemExit(
-            "--schedule-trace needs a sequential worklist engine "
-            "(--engine worklist|depgraph); kleene and per-state runs "
-            "have no drain order to trace"
-        )
-    if config.parallelism != "none":
-        raise SystemExit(
-            "--schedule-trace is sequential-only: sharded slices run on "
-            "worker threads, so a global evaluation order is not defined"
+            "--schedule-trace needs the worklist engine (--engine "
+            "depgraph); kleene and per-state runs have no drain order "
+            "to trace"
         )
     trace: list = []
     tracer = Tracer(process_name="profile-analysis") if args.trace else None
@@ -235,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument(
         "--engine",
-        choices=("kleene", "worklist", "depgraph"),
+        choices=("kleene", "depgraph"),
         help="fixed-point engine (default without --preset: depgraph, "
         "the hot path -- unlike `repro analyze`, which defaults per-state)",
     )
@@ -267,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         "--schedule-trace",
         action="store_true",
         help="dump the worklist drain order and the per-configuration "
-        "re-evaluation histogram instead of profiling (sequential "
-        "worklist engines only; --top bounds the order listing)",
+        "re-evaluation histogram instead of profiling (depgraph engine "
+        "only; --top bounds the order listing)",
     )
     parser.add_argument(
         "--trace",
