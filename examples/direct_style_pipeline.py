@@ -14,9 +14,11 @@ Run with::
 """
 
 from repro.analysis.report import fmt_table
-from repro.cesk import analyse_cesk_kcfa, analyse_cesk_zerocfa, evaluate
+from repro.cesk.analysis import analyse_cesk_kcfa, analyse_cesk_zerocfa
+from repro.cesk.concrete import evaluate
 from repro.cps.analysis import analyse_kcfa as analyse_cps_kcfa
-from repro.lam import cps_convert, parse_expr
+from repro.lam.cps_transform import cps_convert
+from repro.lam.parser import parse_expr
 from repro.lam.syntax import pp
 
 SOURCE = """
@@ -53,9 +55,9 @@ def main() -> None:
     print(" ", cps_pp(cps_program))
     print()
 
-    cesk_answers = {user_params(l) for l in cesk1.final_values()}
+    cesk_answers = {user_params(lam) for lam in cesk1.final_values()}
     cps_answers = {
-        user_params(l) for l in cps1.flows_to().get("r", frozenset())
+        user_params(lam) for lam in cps1.flows_to().get("r", frozenset())
     }
 
     rows = [

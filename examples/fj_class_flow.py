@@ -10,9 +10,11 @@ Run with::
 """
 
 from repro.analysis.report import fmt_table
-from repro.fj import evaluate_fj, parse_program, typecheck_program
 from repro.fj.analysis import analyse_fj_kcfa, analyse_fj_zerocfa
 from repro.fj.class_table import ClassTable
+from repro.fj.concrete import evaluate_fj
+from repro.fj.parser import parse_program
+from repro.fj.typecheck import typecheck_program
 
 SOURCE = """
 class Animal extends Object {

@@ -18,16 +18,16 @@ Run with::
 import time
 
 from repro.analysis.report import fmt_table, precision_summary
-from repro.cps import (
+from repro.cps.analysis import (
     analyse_concrete_collecting,
     analyse_kcfa,
     analyse_shared,
     analyse_with_count,
     analyse_with_gc,
     analyse_zerocfa,
-    interpret_trace,
-    parse_program,
 )
+from repro.cps.concrete import interpret_trace
+from repro.cps.parser import parse_program
 
 SOURCE = """
 ((lambda (id k)

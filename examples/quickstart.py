@@ -12,7 +12,9 @@ tables side by side.
 """
 
 from repro.analysis.report import fmt_table
-from repro.cps import analyse_kcfa, analyse_zerocfa, interpret, parse_program
+from repro.cps.analysis import analyse_kcfa, analyse_zerocfa
+from repro.cps.concrete import interpret
+from repro.cps.parser import parse_program
 from repro.cps.syntax import pp
 
 SOURCE = """

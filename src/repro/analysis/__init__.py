@@ -1,21 +1,1 @@
 """Analysis-result reporting, graphs, and the benchmark measurement layer."""
-
-from repro.analysis.graph import TransitionGraph, to_dot, transition_graph
-from repro.analysis.report import (
-    AnalysisMetrics,
-    fmt_table,
-    measure_cps,
-    metrics_of,
-    precision_summary,
-)
-
-__all__ = [
-    "AnalysisMetrics",
-    "TransitionGraph",
-    "fmt_table",
-    "measure_cps",
-    "metrics_of",
-    "precision_summary",
-    "to_dot",
-    "transition_graph",
-]

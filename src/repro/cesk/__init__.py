@@ -12,36 +12,3 @@ CPS-specific.
 * :mod:`repro.cesk.concrete`  -- the concrete machine (real heap)
 * :mod:`repro.cesk.analysis`  -- the abstract analysis family
 """
-
-from repro.cesk.machine import Clo, Frame, HaltF, PState, inject
-from repro.cesk.semantics import CESKInterface, mnext_cesk
-from repro.cesk.concrete import ConcreteCESKInterface, evaluate, evaluate_trace
-from repro.cesk.analysis import (
-    AbstractCESKInterface,
-    CESKAnalysisResult,
-    analyse_cesk,
-    analyse_cesk_gc,
-    analyse_cesk_kcfa,
-    analyse_cesk_shared,
-    analyse_cesk_zerocfa,
-)
-
-__all__ = [
-    "AbstractCESKInterface",
-    "CESKAnalysisResult",
-    "CESKInterface",
-    "Clo",
-    "ConcreteCESKInterface",
-    "Frame",
-    "HaltF",
-    "PState",
-    "analyse_cesk",
-    "analyse_cesk_gc",
-    "analyse_cesk_kcfa",
-    "analyse_cesk_shared",
-    "analyse_cesk_zerocfa",
-    "evaluate",
-    "evaluate_trace",
-    "inject",
-    "mnext_cesk",
-]

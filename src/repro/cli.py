@@ -105,6 +105,42 @@ def read_source(path: str) -> str:
     return Path(path).read_text()
 
 
+def parse_source(lang: str, source: str):
+    """Front-end ``source`` into the term ``run`` and ``analyze`` consume.
+
+    imp lowers to a lam term; fj is typechecked, its warnings going to
+    stderr.  A malformed program exits with ``error: <message>`` instead
+    of a traceback.  Only the chosen language's front end is imported.
+    """
+    if lang == "cps":
+        from repro.cps.parser import ParseError as errors
+        from repro.cps.parser import parse_program as front_end
+    elif lang == "lam":
+        from repro.cps.parser import ParseError as errors
+        from repro.lam.parser import parse_expr as front_end
+    elif lang == "imp":
+        from repro.imp.lower import LoweringError, lower_source as front_end
+        from repro.imp.parser import ImpParseError
+
+        errors = (ImpParseError, LoweringError)
+    else:
+        from repro.fj.parser import FJParseError, parse_program
+        from repro.fj.typecheck import TypeError_, typecheck_program
+
+        errors = (FJParseError, TypeError_)
+
+        def front_end(text: str):
+            program = parse_program(text)
+            for warning in typecheck_program(program).warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+            return program
+
+    try:
+        return front_end(source)
+    except errors as error:
+        raise SystemExit(f"error: {error}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     lang = detect_language(args.program, args.lang)
     source = read_source(args.program)
@@ -112,43 +148,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.trace import current_tracer
 
         tracer = current_tracer()
-        if lang == "cps":
-            from repro.cps import interpret, parse_program
+        with tracer.span("parse", cat="prepare", language=lang):
+            program = parse_source(lang, source)
+        with tracer.span("interpret", cat="concrete", language=lang):
+            if lang == "cps":
+                from repro.cps.concrete import interpret
 
-            with tracer.span("parse", cat="prepare", language=lang):
-                program = parse_program(source)
-            with tracer.span("interpret", cat="concrete", language=lang):
                 final = interpret(program, max_steps=args.max_steps)
-            print(f"final state: {final!r}")
-        elif lang == "lam":
-            from repro.cesk import evaluate
-            from repro.lam import parse_expr
+                print(f"final state: {final!r}")
+            elif lang == "fj":
+                from repro.fj.concrete import evaluate_fj
 
-            with tracer.span("parse", cat="prepare", language=lang):
-                program = parse_expr(source)
-            with tracer.span("interpret", cat="concrete", language=lang):
-                value = evaluate(program, max_steps=args.max_steps)
-            print(f"value: {value.lam!r}")
-        elif lang == "imp":
-            from repro.cesk import evaluate
-            from repro.imp import lower_source
-
-            with tracer.span("parse", cat="prepare", language=lang):
-                program = lower_source(source)
-            with tracer.span("interpret", cat="concrete", language=lang):
-                value = evaluate(program, max_steps=args.max_steps)
-            print(f"value: {value.lam!r}")
-        else:
-            from repro.fj import evaluate_fj, parse_program, typecheck_program
-
-            with tracer.span("parse", cat="prepare", language=lang):
-                program = parse_program(source)
-            check = typecheck_program(program)
-            for warning in check.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            with tracer.span("interpret", cat="concrete", language=lang):
                 value = evaluate_fj(program, max_steps=args.max_steps)
-            print(f"value: new {value.cls}(...)")
+                print(f"value: new {value.cls}(...)")
+            else:
+                from repro.cesk.concrete import evaluate
+
+                value = evaluate(program, max_steps=args.max_steps)
+                print(f"value: {value.lam!r}")
     return 0
 
 
@@ -247,27 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         from repro.obs.trace import current_tracer
 
         with current_tracer().span("parse", cat="prepare", language=lang):
-            if lang == "cps":
-                from repro.cps.parser import parse_program
-
-                program = parse_program(source)
-            elif lang in ("lam", "imp"):
-                if lang == "imp":
-                    from repro.imp import lower_source
-
-                    program = lower_source(source)
-                else:
-                    from repro.lam.parser import parse_expr
-
-                    program = parse_expr(source)
-            else:
-                from repro.fj.parser import parse_program as parse_fj
-                from repro.fj.typecheck import typecheck_program
-
-                program = parse_fj(source)
-                check = typecheck_program(program)
-                for warning in check.warnings:
-                    print(f"warning: {warning}", file=sys.stderr)
+            program = parse_source(lang, source)
 
         # the same tier cascade every other front end runs (repro.service.jobs):
         # without --cache-dir it degrades to exactly the old parse-assemble-run

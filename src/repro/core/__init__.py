@@ -13,63 +13,3 @@ direct-style lambda calculus / CESK, Featherweight Java):
 * :mod:`repro.core.gc`        -- abstract garbage collection (6.4)
 * :mod:`repro.core.driver`    -- ``run_analysis``: the three degrees of freedom (5.2)
 """
-
-from repro.core.lattice import (
-    AbsNat,
-    Lattice,
-    MapLattice,
-    PairLattice,
-    PowersetLattice,
-    UnitLattice,
-    join_with,
-)
-from repro.core.monads import ListMonad, StateT, StorePassing
-from repro.core.fixpoint import (
-    ENGINES,
-    STORE_IMPLS,
-    Collecting,
-    explore_fp,
-    global_store_explore,
-    kleene_iterate,
-)
-from repro.core.addresses import Addressable, ConcreteAddressing, KCFA, ZeroCFA
-from repro.core.store import (
-    BasicStore,
-    CountingStore,
-    MutableStore,
-    RecordingStore,
-    StoreLike,
-    VersionedStore,
-)
-from repro.core.driver import run_analysis, run_with_engine
-
-__all__ = [
-    "AbsNat",
-    "Addressable",
-    "BasicStore",
-    "Collecting",
-    "ConcreteAddressing",
-    "CountingStore",
-    "ENGINES",
-    "KCFA",
-    "Lattice",
-    "ListMonad",
-    "MapLattice",
-    "MutableStore",
-    "PairLattice",
-    "PowersetLattice",
-    "RecordingStore",
-    "STORE_IMPLS",
-    "StateT",
-    "StoreLike",
-    "StorePassing",
-    "UnitLattice",
-    "VersionedStore",
-    "ZeroCFA",
-    "explore_fp",
-    "global_store_explore",
-    "join_with",
-    "kleene_iterate",
-    "run_analysis",
-    "run_with_engine",
-]

@@ -120,6 +120,9 @@ class ZeroCFA(Addressable):
     def advance(self, proc: Any, state: HasContextKey, context: tuple) -> tuple:
         return ()
 
+    def __repr__(self) -> str:
+        return "ZeroCFA()"
+
 
 class KCFA(Addressable):
     """k-CFA: contexts are the last ``k`` call sites (paper 2.4.1, 6.1, 8.1).

@@ -8,49 +8,3 @@
   section 2.4, kept for the adequacy experiment (E10)
 * :mod:`repro.cps.analysis`  -- the k-CFA family and friends (sections 5, 6, 8)
 """
-
-from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Ref, free_vars
-from repro.cps.parser import parse_cexp, parse_program
-from repro.cps.semantics import Clo, CPSInterface, PState, inject, mnext, mnext_do
-from repro.cps.concrete import ConcreteCPSInterface, interpret, interpret_trace
-from repro.cps.analysis import (
-    AbstractCPSInterface,
-    CPSAnalysis,
-    analyse,
-    analyse_concrete_collecting,
-    analyse_kcfa,
-    analyse_shared,
-    analyse_with_count,
-    analyse_with_gc,
-    analyse_zerocfa,
-)
-
-__all__ = [
-    "AExp",
-    "AbstractCPSInterface",
-    "CExp",
-    "CPSAnalysis",
-    "CPSInterface",
-    "Call",
-    "Clo",
-    "ConcreteCPSInterface",
-    "Exit",
-    "Lam",
-    "PState",
-    "Ref",
-    "analyse",
-    "analyse_concrete_collecting",
-    "analyse_kcfa",
-    "analyse_shared",
-    "analyse_with_count",
-    "analyse_with_gc",
-    "analyse_zerocfa",
-    "free_vars",
-    "inject",
-    "interpret",
-    "interpret_trace",
-    "mnext",
-    "mnext_do",
-    "parse_cexp",
-    "parse_program",
-]

@@ -9,7 +9,9 @@ Concrete syntax::
 
 Comments run from ``;`` to end of line.  The parser is a plain
 tokenizer + recursive descent over nested lists; errors carry the
-offending token for debuggability.
+offending token for debuggability.  Nesting deeper than
+:data:`MAX_NESTING` parentheses is a :class:`ParseError`, not a
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Ref
 from repro.util.intern import intern
 
 LAMBDA_KEYWORDS = ("lambda", "λ")
+
+#: Deepest parenthesis nesting :func:`read_sexp` accepts (shared by the
+#: CPS and lam front ends).  Converting a term costs up to two Python
+#: frames per level (lam application arguments), so a program at the
+#: limit parses, analyses and prints well within the default recursion
+#: limit of 1000.
+MAX_NESTING = 256
 
 
 class ParseError(Exception):
@@ -47,12 +56,19 @@ def tokenize(source: str) -> list[str]:
     return out
 
 
-def read_sexp(tokens: list[str], index: int = 0):
-    """Read one nested-list s-expression; returns ``(sexp, next_index)``."""
+def read_sexp(tokens: list[str], index: int = 0, depth: int = 0):
+    """Read one nested-list s-expression; returns ``(sexp, next_index)``.
+
+    ``depth`` counts the parentheses already open around ``index``.
+    """
     if index >= len(tokens):
         raise ParseError("unexpected end of input")
     token = tokens[index]
     if token == "(":
+        if depth >= MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING} at token {index}"
+            )
         items = []
         index += 1
         while True:
@@ -60,7 +76,7 @@ def read_sexp(tokens: list[str], index: int = 0):
                 raise ParseError("unclosed '('")
             if tokens[index] == ")":
                 return items, index + 1
-            item, index = read_sexp(tokens, index)
+            item, index = read_sexp(tokens, index, depth + 1)
             items.append(item)
     if token == ")":
         raise ParseError("unexpected ')'")

@@ -17,33 +17,3 @@ lambda calculus, it yields the expected context-insensitive analysis"
 -- and instantiates it with the *same* meta-level monadic components as
 the CPS and CESK machines.
 """
-
-from repro.fj.syntax import Cast, ClassDef, FieldAccess, Invoke, MethodDef, New, Program, VarE
-from repro.fj.class_table import ClassTable
-from repro.fj.parser import parse_program
-from repro.fj.typecheck import TypeError_, typecheck_program
-from repro.fj.concrete import evaluate_fj
-from repro.fj.analysis import (
-    analyse_fj_kcfa,
-    analyse_fj_shared,
-    analyse_fj_zerocfa,
-)
-
-__all__ = [
-    "Cast",
-    "ClassDef",
-    "ClassTable",
-    "FieldAccess",
-    "Invoke",
-    "MethodDef",
-    "New",
-    "Program",
-    "TypeError_",
-    "VarE",
-    "analyse_fj_kcfa",
-    "analyse_fj_shared",
-    "analyse_fj_zerocfa",
-    "evaluate_fj",
-    "parse_program",
-    "typecheck_program",
-]

@@ -15,7 +15,9 @@ Grammar::
 
 Constructors are synthesized (FJ's canonical constructor is pure
 boilerplate), so class bodies contain only field and method
-declarations.  Comments: ``//`` to end of line.
+declarations.  Comments: ``//`` to end of line.  Expressions nested
+deeper than :data:`MAX_NESTING` are an :class:`FJParseError`, not a
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ from repro.fj.syntax import (
 from repro.util.intern import intern
 
 KEYWORDS = {"class", "extends", "return", "new"}
+
+#: Deepest expression nesting the parser accepts.  A level costs three
+#: Python frames here and a few more in the typechecker, so a program at
+#: the limit parses, typechecks and analyses well within the default
+#: recursion limit of 1000.
+MAX_NESTING = 128
 
 _TOKEN_RE = re.compile(
     r"""
@@ -69,6 +77,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> str | None:
         index = self.pos + ahead
@@ -152,6 +161,17 @@ class _Parser:
     # -- expressions ------------------------------------------------------------
 
     def expr(self) -> Expr:
+        if self.depth >= MAX_NESTING:
+            raise FJParseError(
+                f"expressions nested deeper than {MAX_NESTING} at token {self.pos}"
+            )
+        self.depth += 1
+        try:
+            return self._expr()
+        finally:
+            self.depth -= 1
+
+    def _expr(self) -> Expr:
         e = self.primary()
         while self.peek() == ".":
             self.next()

@@ -29,6 +29,8 @@ prelude bindings under that prefix), so the parser rejects them --
 which is what makes the lowering capture-free by construction.
 Functions take at least one parameter and calls pass at least one
 argument (the lowered lambda calculus is strictly n-ary with n >= 1).
+Expressions, blocks and ``!`` nested deeper than :data:`MAX_NESTING`
+are an :class:`ImpParseError`, not a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ from repro.imp.syntax import (
 class ImpParseError(ValueError):
     """A syntax error in an ``imp`` program."""
 
+
+#: Deepest nesting of expressions, blocks and ``!`` the parser accepts.
+#: One parenthesised level descends the whole precedence ladder (about
+#: fourteen Python frames), so a program at the limit parses, lowers and
+#: analyses well within the default recursion limit of 1000.
+MAX_NESTING = 48
 
 KEYWORDS = frozenset({"let", "fn", "if", "else", "while", "return", "true", "false", "and", "or"})
 
@@ -90,6 +98,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -117,6 +126,19 @@ class _Parser:
             and token not in KEYWORDS
         )
 
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper, within :data:`MAX_NESTING`."""
+        if self.depth >= MAX_NESTING:
+            raise ImpParseError(
+                f"expressions and blocks nested deeper than {MAX_NESTING} "
+                f"at token {self.index}"
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def name(self) -> str:
         if not self.at_name():
             raise ImpParseError(f"expected a name, got {self.peek()!r}")
@@ -136,6 +158,9 @@ class _Parser:
         return Program(tuple(body))
 
     def block(self) -> tuple[Stmt, ...]:
+        return self.nested(self._block)
+
+    def _block(self) -> tuple[Stmt, ...]:
         self.expect("{")
         body: list[Stmt] = []
         while self.peek() != "}":
@@ -208,7 +233,7 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.or_expr()
+        return self.nested(self.or_expr)
 
     def _binop_chain(self, sub, ops: tuple[str, ...]) -> Expr:
         expr = sub()
@@ -226,7 +251,7 @@ class _Parser:
     def not_expr(self) -> Expr:
         if self.peek() == "!":
             self.next()
-            return EUnary("!", self.not_expr())
+            return EUnary("!", self.nested(self.not_expr))
         return self.cmp_expr()
 
     def cmp_expr(self) -> Expr:

@@ -7,19 +7,3 @@ language's front end.  The CESK machine that animates it lives in
 the two worlds, letting the cross-language experiments compare a CESK
 analysis of ``e`` with a CPS analysis of ``cps(e)``.
 """
-
-from repro.lam.syntax import App, Expr, Lam, Let, Var, free_vars, pp
-from repro.lam.parser import parse_expr
-from repro.lam.cps_transform import cps_convert
-
-__all__ = [
-    "App",
-    "Expr",
-    "Lam",
-    "Let",
-    "Var",
-    "cps_convert",
-    "free_vars",
-    "parse_expr",
-    "pp",
-]

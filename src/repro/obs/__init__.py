@@ -25,27 +25,3 @@ server's ``stats`` response) keep their local counters authoritative
 and mirror increments into the registry, so existing contracts do not
 move while every counter becomes visible from one place.
 """
-
-from repro.obs.metrics import (
-    MetricsRegistry,
-    default_registry,
-    percentile,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    current_tracer,
-    use_tracer,
-)
-
-__all__ = [
-    "MetricsRegistry",
-    "default_registry",
-    "percentile",
-    "NULL_TRACER",
-    "NullTracer",
-    "Tracer",
-    "current_tracer",
-    "use_tracer",
-]

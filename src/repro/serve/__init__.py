@@ -16,8 +16,3 @@ repeat requests from memory.  The package splits along the obvious seam:
 * :mod:`repro.serve.client` -- the tiny synchronous client behind
   ``repro client``.
 """
-
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import AnalysisServer, ServerHandle
-
-__all__ = ["AnalysisServer", "ServeClient", "ServeError", "ServerHandle"]

@@ -44,6 +44,7 @@ ANALYSIS_ERROR = -32000
 TIMEOUT = -32001
 QUEUE_FULL = -32002
 SHUTTING_DOWN = -32003
+REQUEST_TOO_LARGE = -32004
 
 #: Stable human-readable names, the field tests and clients switch on
 #: (codes stay wire-compatible; names stay grep-able).
@@ -56,6 +57,7 @@ ERROR_NAMES = {
     TIMEOUT: "timeout",
     QUEUE_FULL: "queue-full",
     SHUTTING_DOWN: "shutting-down",
+    REQUEST_TOO_LARGE: "request-too-large",
 }
 
 #: The method surface.  ``analyse`` and ``reanalyse`` differ in exactly

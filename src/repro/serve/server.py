@@ -82,6 +82,12 @@ _ANALYSE_PARAMS = {
 _REQUEST_ONLY_PARAMS = {"include_flows", "timeout", "trace"}
 _JOB_PARAMS = _ANALYSE_PARAMS - _REQUEST_ONLY_PARAMS
 
+#: Longest request line a connection may send, in bytes.  asyncio's
+#: 64 KiB default is smaller than real programs (a 390 KB source is a
+#: legitimate request); a longer line is answered ``request-too-large``
+#: and its connection closed.
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
 
 class AnalysisServer:
     """One resident analysis engine behind one listening socket."""
@@ -137,7 +143,7 @@ class AnalysisServer:
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_REQUEST_BYTES
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
@@ -197,7 +203,20 @@ class AnalysisServer:
         self._connections.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # the line overran MAX_REQUEST_BYTES: the rest of it is
+                    # still in flight, so answer and drop this connection
+                    self.metrics.record_request("invalid")
+                    response = self._error(
+                        None,
+                        protocol.REQUEST_TOO_LARGE,
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                    )
+                    writer.write(protocol.encode(response))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():

@@ -21,23 +21,3 @@ store gives every run a change delta -- and turns them into throughput:
   across a preset matrix, with shrinking and a deterministic report
   (the CLI's ``repro fuzz`` and the nightly CI lane).
 """
-
-from repro.service.batch import BatchJob, BatchReport, run_batch
-from repro.service.cache import FixpointCache, cache_key, program_digest
-from repro.service.fuzz import FUZZ_PRESETS, check_program, render_fuzz_report, run_fuzz
-from repro.service.incremental import reanalyse, warmable
-
-__all__ = [
-    "BatchJob",
-    "BatchReport",
-    "FUZZ_PRESETS",
-    "FixpointCache",
-    "cache_key",
-    "check_program",
-    "program_digest",
-    "reanalyse",
-    "render_fuzz_report",
-    "run_batch",
-    "run_fuzz",
-    "warmable",
-]

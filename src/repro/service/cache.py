@@ -472,10 +472,12 @@ class FixpointCache:
         (:mod:`repro.service.incremental` decides whether to use it).
         """
         config_key = config.cache_key()
+        with self._lock:  # put() grows the index from other threads
+            entries = list(self._index.items())
         candidates = sorted(
             (
                 (meta.get("last_used", 0.0), key)
-                for key, meta in self._index.items()
+                for key, meta in entries
                 if meta.get("config_key") == config_key and meta.get("has_records")
             ),
             reverse=True,

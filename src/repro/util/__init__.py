@@ -8,8 +8,3 @@ value semantics, plus helpers shared by the rest of the code base.
 :mod:`repro.util.intern` adds the hash-consing layer (cached structural
 hashes and a canonicalizing intern pool) the fixed-point engines lean on.
 """
-
-from repro.util.intern import hash_consed, intern
-from repro.util.pcollections import PMap, pmap, pset
-
-__all__ = ["PMap", "hash_consed", "intern", "pmap", "pset"]

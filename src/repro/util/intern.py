@@ -49,6 +49,7 @@ repair.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -120,6 +121,11 @@ def hash_consed(cls: type) -> type:
 #: The global intern pool: value -> its canonical representative.
 _POOL: dict = {}
 
+#: Serializes pool growth.  Only misses take it: the server's worker
+#: threads may intern equal values at once, and two unlocked misses
+#: would each install their own "canonical" object.
+_POOL_LOCK = threading.Lock()
+
 #: Cumulative pool statistics (survive :func:`clear_intern_pool`).
 _HITS = 0
 _MISSES = 0
@@ -151,12 +157,16 @@ def intern(value: T) -> T:
     try:
         canonical = _POOL[value]
     except KeyError:
-        # genuinely new: install it (a miss is exactly one pool growth;
-        # re-interning the canonical object itself must count as a hit,
-        # which a setdefault identity test would get wrong)
-        _POOL[value] = value
-        _MISSES += 1
-        return value
+        with _POOL_LOCK:
+            # re-check: another thread may have installed an equal value
+            # since the lookup above (a miss is exactly one pool growth;
+            # re-interning the canonical object itself must count as a
+            # hit, which a setdefault identity test would get wrong)
+            if value not in _POOL:
+                _POOL[value] = value
+                _MISSES += 1
+                return value
+            canonical = _POOL[value]
     _HITS += 1
     return canonical
 

@@ -1,6 +1,7 @@
 """The command-line front end."""
 
 import pytest
+from cli_helpers import run_repro
 
 from repro.cli import build_parser, detect_language, main
 
@@ -367,3 +368,123 @@ class TestFuzzCommand:
         assert document["schema"] == "fuzz-report/1"
         assert document["seed"] == 42
         assert document["violations"] == []
+
+
+class TestFrontEndErrors:
+    """Malformed programs exit with ``error: <message>``, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize(
+        "lang,source",
+        [
+            ("cps", "((lambda (x k) (k x))"),
+            ("lam", "((lambda (x) x) (lambda (y) y)"),
+            ("imp", "let x = ;"),
+            ("imp", "return y;"),  # parses, but y is unbound when lowering
+            ("fj", "class A extends Object {"),
+        ],
+    )
+    def test_malformed_program_is_a_typed_exit(self, command, lang, source, tmp_path):
+        path = tmp_path / f"bad.{lang}"
+        path.write_text(source)
+        with pytest.raises(SystemExit) as caught:
+            main([command, str(path)])
+        assert str(caught.value.code).startswith("error: ")
+
+
+def _lam_nest(depth: int) -> str:
+    """A lam program whose parentheses nest exactly ``depth`` deep: a
+    chain of applications in argument position, the shape that costs the
+    parser the most Python frames per level."""
+    inner = "x"
+    for _ in range(depth - 4):
+        inner = f"(f {inner})"
+    return f"((lambda (f) ((lambda (x) {inner}) f)) (lambda (y) y))"
+
+
+def _depth(sexp) -> int:
+    """Parenthesis depth of a :func:`~repro.cps.parser.read_sexp` result."""
+    if isinstance(sexp, str):
+        return 0
+    return 1 + max((_depth(item) for item in sexp), default=0)
+
+
+def _cps_nest(levels: int) -> str:
+    """A cps program alternating calls and lambdas ``levels`` times; its
+    parentheses nest ``2 * levels + 3`` deep (cps nests are always odd)."""
+    body = "(k x)"
+    for i in range(levels):
+        body = f"(k (lambda (x{i} k) {body}))"
+    return f"((lambda (x k) {body}) (lambda (z j) (j z)) (lambda (r) (exit)))"
+
+
+def _imp_nest(depth: int) -> str:
+    """An imp program whose expressions nest exactly ``depth`` deep."""
+    return "return " + "(1 + " * (depth - 1) + "1" + ")" * (depth - 1) + ";"
+
+
+def _fj_nest(depth: int) -> str:
+    """An fj program whose main expression nests exactly ``depth`` deep."""
+    inner = "new A()"
+    for _ in range(depth - 1):
+        inner = f"new B({inner})"
+    return f"class A extends Object {{ }}\nclass B extends Object {{ Object f; }}\n{inner}"
+
+
+class TestNestingLimits:
+    """At the parser's nesting limit a program runs; one past it is a
+    typed parse error -- never a ``RecursionError`` traceback."""
+
+    def _check_at_limit(self, tmp_path, suffix: str, source: str) -> None:
+        path = tmp_path / f"deep.{suffix}"
+        path.write_text(source)
+        for args in (["analyze", str(path), "--preset", "0cfa"], ["run", str(path)]):
+            proc = run_repro(*args)
+            assert proc.returncode == 0, proc.stderr[-1000:]
+            assert "Traceback" not in proc.stderr
+
+    def _check_past_limit(self, tmp_path, suffix: str, source: str, limit: int) -> None:
+        path = tmp_path / f"deep.{suffix}"
+        path.write_text(source)
+        proc = run_repro("analyze", str(path))
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert f"nested deeper than {limit} at token" in proc.stderr
+
+    def test_lam_at_and_past_the_limit(self, tmp_path):
+        from repro.cps.parser import MAX_NESTING, read_sexp, tokenize
+
+        at_limit = _lam_nest(MAX_NESTING)
+        assert _depth(read_sexp(tokenize(at_limit))[0]) == MAX_NESTING
+        self._check_at_limit(tmp_path, "lam", at_limit)
+        self._check_past_limit(tmp_path, "lam", _lam_nest(MAX_NESTING + 1), MAX_NESTING)
+
+    def test_cps_at_and_past_the_limit(self, tmp_path):
+        from repro.cps.parser import MAX_NESTING
+
+        deepest = _cps_nest((MAX_NESTING - 3) // 2)
+        self._check_at_limit(tmp_path, "cps", deepest)
+        self._check_past_limit(
+            tmp_path, "cps", _cps_nest((MAX_NESTING - 3) // 2 + 1), MAX_NESTING
+        )
+
+    @pytest.mark.parametrize("suffix", ["cps", "lam"])
+    def test_5000_deep_parentheses(self, tmp_path, suffix):
+        from repro.cps.parser import MAX_NESTING
+
+        self._check_past_limit(tmp_path, suffix, "(" * 5000 + ")" * 5000, MAX_NESTING)
+
+    def test_imp_at_and_past_the_limit(self, tmp_path):
+        from repro.imp.parser import MAX_NESTING
+
+        self._check_at_limit(tmp_path, "imp", _imp_nest(MAX_NESTING))
+        self._check_past_limit(tmp_path, "imp", _imp_nest(MAX_NESTING + 1), MAX_NESTING)
+        self._check_past_limit(tmp_path, "imp", _imp_nest(120), MAX_NESTING)
+
+    def test_fj_at_and_past_the_limit(self, tmp_path):
+        from repro.fj.parser import MAX_NESTING
+
+        self._check_at_limit(tmp_path, "fj", _fj_nest(MAX_NESTING))
+        self._check_past_limit(tmp_path, "fj", _fj_nest(MAX_NESTING + 1), MAX_NESTING)
+

@@ -118,6 +118,62 @@ class TestIntern:
         assert intern_pool_size() >= before
 
 
+    def test_concurrent_misses_install_one_canonical_value(self):
+        """Two threads interning equal, not-yet-pooled values must get
+        the same canonical object back.
+
+        The keys share their hash with a pooled decoy, so every pool
+        probe for a key calls the decoy's ``__eq__``.  A key's first
+        probe (the unlocked lookup) marks it probed; its second (the
+        install, or the re-check under the lock) waits until the other
+        key has probed too.  Both lookups therefore miss before either
+        thread installs -- the race, forced without timing.
+        """
+        import threading
+
+        probed = {"a": threading.Event(), "b": threading.Event()}
+        probes: dict = {}
+
+        class Decoy:
+            def __hash__(self) -> int:
+                return 7
+
+            def __eq__(self, other: object) -> bool:
+                tag = getattr(other, "tag", None)
+                if tag in probed:
+                    probes[tag] = probes.get(tag, 0) + 1
+                    if probes[tag] == 1:
+                        probed[tag].set()
+                    elif probes[tag] == 2:
+                        peer = "b" if tag == "a" else "a"
+                        assert probed[peer].wait(timeout=60)
+                return False
+
+        class Key:
+            def __init__(self, tag: str) -> None:
+                self.tag = tag
+
+            def __hash__(self) -> int:
+                return 7
+
+            def __eq__(self, other: object) -> bool:
+                return isinstance(other, Key)
+
+        intern(Decoy())
+        first, second = Key("a"), Key("b")
+        results: dict = {}
+        threads = [
+            threading.Thread(target=lambda k=k: results.__setitem__(k.tag, intern(k)))
+            for k in (first, second)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results["a"] is results["b"]
+
+
 class TestPoolLifecycle:
     """``intern_stats`` / ``clear_intern_pool``: the pool in long-lived hosts.
 

@@ -31,7 +31,8 @@ import pytest
 import serve_helpers
 from serve_helpers import CELLS, cell_params, content_bytes
 
-from repro.serve import ServeClient, ServeError, ServerHandle
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.server import ServerHandle
 from repro.service.cache import FixpointCache
 
 
@@ -408,6 +409,44 @@ class TestProtocolDiscipline:
                     json.dumps({"id": request_id, "method": "ping"})
                 )
                 assert response["id"] == request_id
+
+    def test_request_past_asyncio_default_limit_is_served(self, server):
+        # 200 KB: over asyncio's 64 KiB line default, well under the cap
+        pad = "x" * 200_000
+        with serve_helpers.RawConnection(server.port) as raw:
+            response = raw.exchange(
+                json.dumps({"id": 3, "method": "ping", "params": {"pad": pad}})
+            )
+        assert response == {"id": 3, "result": {"pong": True}}
+
+    def test_oversized_request_gets_typed_error_then_server_answers(self):
+        import socket
+
+        from repro.serve.server import MAX_REQUEST_BYTES
+
+        pad = "x" * (MAX_REQUEST_BYTES + 1)
+        line = json.dumps({"id": 1, "method": "ping", "params": {"pad": pad}})
+        with ServerHandle(workers=1) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=60) as sock:
+                try:
+                    sock.sendall(line.encode() + b"\n")
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the server stopped reading at the cap and closed
+                with sock.makefile("rb") as stream:
+                    response = json.loads(stream.readline())
+                    try:
+                        rest = stream.readline()
+                    except ConnectionResetError:
+                        rest = b""  # closed with the line's tail unread
+                    assert rest == b""  # only that connection was closed
+            assert response["id"] is None
+            assert response["error"]["name"] == "request-too-large"
+            assert response["error"]["code"] == -32004
+            with ServeClient(port=handle.port) as fresh:
+                assert fresh.call("ping") == {"pong": True}
+                stats = fresh.call("stats")
+            assert stats["errors"] == {"request-too-large": 1}
+            assert stats["requests"]["invalid"] == 1
 
     def test_unknown_params_rejected(self, client):
         with pytest.raises(ServeError) as caught:

@@ -408,6 +408,31 @@ class TestFixpointCache:
         assert donor is not None and donor.key == old_key
         assert new_key not in cache._index  # repaired, not just skipped
 
+    def test_latest_for_reads_the_index_under_the_lock(self, tmp_path):
+        """``put`` grows the index under ``_lock`` from server worker
+        threads, so the donor scan must snapshot it under the same lock:
+        while another thread holds the lock, ``latest_for`` waits."""
+        import threading
+
+        cache = FixpointCache(root=tmp_path / "c")
+        config = preset_config("1cfa", "cps")
+        key = reanalyse(config, id_chain(5), cache).key
+        found: list = []
+        done = threading.Event()
+
+        def probe():
+            found.append(cache.latest_for(config))
+            done.set()
+
+        with cache._lock:
+            scanner = threading.Thread(target=probe)
+            scanner.start()
+            assert not done.wait(timeout=0.2), "scanned the index without the lock"
+        assert done.wait(timeout=60)
+        scanner.join(timeout=60)
+        assert not scanner.is_alive()
+        assert found[0] is not None and found[0].key == key
+
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = FixpointCache(root=tmp_path / "c")
         config = preset_config("1cfa", "cps")
