@@ -334,7 +334,7 @@ def _pool_jobs() -> list:
         ("1cfa", {}),
         ("1cfa", {"store_impl": "persistent"}),
         ("1cfa-gc", {}),
-        ("1cfa-gc-fused", {}),
+        ("1cfa-gc", {"transition": "generic"}),
         ("kcfa-counting-fast", {}),
     ]
     jobs = [

@@ -47,6 +47,7 @@ The fine-grained flags remain, one per degree of freedom:
   runs the monadic normal form through the ``StorePassing`` stack,
   ``fused`` runs the staged first-order step compiled from it
   (identical fixed points; see PERFORMANCE.md, "The fused transition").
+  The depgraph presets default to ``fused``; other runs to ``generic``.
 * ``--schedule`` -- the worklist drain order: ``fifo`` (historical) or
   ``priority`` (dependency-rank waves -- retriggered configurations
   re-run once per wave of store growth instead of once per bump;
@@ -632,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="how the transition executes: the generic monadic normal "
         "form, or the staged (fused) first-order step -- identical fixed "
-        "points, no per-bind monad dispatch (see PERFORMANCE.md)",
+        "points, no per-bind monad dispatch (see PERFORMANCE.md); the "
+        "depgraph presets default to fused, everything else to generic",
     )
     an_p.add_argument(
         "--schedule",

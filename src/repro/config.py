@@ -245,13 +245,12 @@ def _preset(name: str, description: str, **fields: Any) -> Preset:
 
 
 #: The named-configuration registry (CLI ``--preset`` / ``--list-presets``).
-#: ``*-fast`` and the plain ``0cfa``/``1cfa``/``2cfa`` presets run on the
-#: dependency-tracked engine over the versioned store with the generic
-#: transition, and are corpus-equal to their Kleene counterparts
-#: (tests/test_config.py).  They are not the fastest configuration:
-#: ``1cfa-priority`` adds the fused transition and the priority drain
-#: order (0.087 s against 0.60 s for ``1cfa`` on church-two-two, one
-#: 2-core host, CPython 3.11).
+#: Every depgraph preset is the fast path: the versioned store, stepped by
+#: the staged (fused) transition.  Under either transition its fixed point
+#: is bit-identical to the Kleene/persistent/generic oracle
+#: (tests/test_config.py), so ``transition="generic"`` only changes the
+#: speed.  The ``*-kleene`` and ``*-per-state`` presets keep the paper's
+#: monadic transition.
 PRESETS: dict[str, Preset] = {
     preset.name: preset
     for preset in (
@@ -266,6 +265,7 @@ PRESETS: dict[str, Preset] = {
             addressing="zerocfa",
             engine="depgraph",
             store_impl="versioned",
+            transition="fused",
         ),
         _preset(
             "1cfa",
@@ -273,18 +273,12 @@ PRESETS: dict[str, Preset] = {
             k=1,
             engine="depgraph",
             store_impl="versioned",
+            transition="fused",
         ),
         _preset(
             "2cfa",
             "2-CFA over the global store, depgraph engine + versioned store",
             k=2,
-            engine="depgraph",
-            store_impl="versioned",
-        ),
-        _preset(
-            "1cfa-fused",
-            "1-CFA on the staged (monad-free) transition, fifo drain order",
-            k=1,
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
@@ -305,14 +299,6 @@ PRESETS: dict[str, Preset] = {
             gc=True,
             engine="depgraph",
             store_impl="versioned",
-        ),
-        _preset(
-            "1cfa-gc-fused",
-            "GC'd 1-CFA on the staged transition (overlay + engine-side sweep)",
-            k=1,
-            gc=True,
-            engine="depgraph",
-            store_impl="versioned",
             transition="fused",
         ),
         _preset(
@@ -329,6 +315,7 @@ PRESETS: dict[str, Preset] = {
             counting=True,
             engine="depgraph",
             store_impl="versioned",
+            transition="fused",
         ),
         _preset(
             "1cfa-counting-kleene",
@@ -562,8 +549,3 @@ def assemble(
     if program is None:
         raise ValueError("assembling an FJ analysis needs the program (class table)")
     return assemble_fj_from_config(config, addressing, store, program)
-
-
-def analyse_preset(preset: str, language: str, program: Any = None):
-    """Convenience: resolve a preset for a language and assemble it."""
-    return assemble(preset_config(preset, language), program=program)

@@ -75,6 +75,13 @@ class MonadPlus(Monad):
     def mplus(self, mv1: Any, mv2: Any) -> Any:
         """Nondeterministic choice between two computations."""
 
+    def msum(self, mvs: Iterable[Any]) -> Any:
+        """Choice among any number of computations: ``mplus`` folded over ``mvs``."""
+        result = self.mzero()
+        for mv in mvs:
+            result = self.mplus(result, mv)
+        return result
+
 
 class MonadState(Monad):
     """A monad carrying an implicit state component."""
@@ -136,6 +143,9 @@ class ListMonad(MonadPlus):
 
     def mplus(self, mv1: list, mv2: list) -> list:
         return list(mv1) + list(mv2)
+
+    def msum(self, mvs: Iterable[list]) -> list:
+        return [value for mv in mvs for value in mv]
 
     def run(self, mv: list) -> list:
         return mv
@@ -303,12 +313,16 @@ class StateT(MonadState, MonadPlus):
     # -- MonadPlus (when the inner monad has it) -----------------------------
 
     def mzero(self) -> Callable:
-        inner = self._inner_plus()
-        return lambda _s: inner.mzero()
+        return self.msum(())
 
     def mplus(self, mv1: Callable, mv2: Callable) -> Callable:
-        inner = self._inner_plus()
-        return lambda s: inner.mplus(mv1(s), mv2(s))
+        return self.msum((mv1, mv2))
+
+    def msum(self, mvs: Iterable[Callable]) -> Callable:
+        # one flat inner sum, not a nest of mplus closures: a step that
+        # branches on every value at an address costs no Python stack
+        inner, alternatives = self._inner_plus(), tuple(mvs)
+        return lambda s: inner.msum([mv(s) for mv in alternatives])
 
     def _inner_plus(self) -> MonadPlus:
         if not isinstance(self.inner, MonadPlus):
@@ -463,11 +477,8 @@ def sequence_(monad: Monad, mvs: Sequence[Any]) -> Any:
 
 
 def msum(monad: MonadPlus, mvs: Iterable[Any]) -> Any:
-    """``msum``: fold a collection of alternatives with ``mplus``."""
-    result = monad.mzero()
-    for mv in mvs:
-        result = monad.mplus(result, mv)
-    return result
+    """``msum``: choice among a collection of alternatives."""
+    return monad.msum(mvs)
 
 
 def guard(monad: MonadPlus, condition: bool) -> Any:

@@ -47,12 +47,12 @@ from repro.imp.lower import lower_program
 from repro.imp.shrink import shrink
 from repro.imp.syntax import Program, pp
 
-#: The default preset matrix: every context-sensitive engine family
-#: (interpreted, fused, deeper contexts, counting).  Monovariant 0cfa is
+#: The default preset matrix: every context-sensitive depgraph family
+#: (1-CFA, deeper contexts, counting).  Monovariant 0cfa is
 #: deliberately absent: it diverges on chained arithmetic tables (every
 #: table call site shares one set of binder addresses, so compositions
 #: feed joined results back through the same tower).
-FUZZ_PRESETS = ("1cfa", "1cfa-fused", "2cfa", "kcfa-counting-fast")
+FUZZ_PRESETS = ("1cfa", "2cfa", "kcfa-counting-fast")
 
 
 @dataclass

@@ -52,12 +52,12 @@ def probe_pmap_hash(payload: bytes, entries: tuple) -> dict:
     }
 
 
-def probe_preset_config(payload: bytes, preset_name: str) -> dict:
+def probe_preset_config(payload: bytes, preset_name: str, transition: str) -> dict:
     """Unpickle an AnalysisConfig and compare against the local registry."""
     from repro.config import PRESETS
 
     unpickled = pickle.loads(payload)
-    local = PRESETS[preset_name].config
+    local = PRESETS[preset_name].config.replace(transition=transition)
     return {
         "equal": unpickled == local,
         "hash_equal": hash(unpickled) == hash(local),

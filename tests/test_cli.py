@@ -184,7 +184,7 @@ class TestPresets:
             assert main(["analyze", path, "--preset", "1cfa-gc"]) == 0
             out = capsys.readouterr().out
             assert "preset: 1cfa-gc" in out
-            assert "engine: depgraph (versioned)" in out
+            assert "engine: depgraph (versioned, fused)" in out
 
     def test_preset_agrees_with_fine_grained_flags(self, cps_file, capsys):
         assert main(["analyze", cps_file, "--preset", "1cfa"]) == 0
@@ -203,7 +203,7 @@ class TestPresets:
     def test_preset_field_override(self, cps_file, capsys):
         assert main(["analyze", cps_file, "--preset", "1cfa", "--engine", "kleene",
                      "--store-impl", "persistent"]) == 0
-        assert "engine: kleene (persistent)" in capsys.readouterr().out
+        assert "engine: kleene (persistent, fused)" in capsys.readouterr().out
 
     def test_unknown_preset_rejected(self, cps_file):
         with pytest.raises(SystemExit, match="unknown preset"):
@@ -238,6 +238,42 @@ class TestTransitionFlag:
             tables[transition] = out[: out.index("states:")]
         assert tables["generic"] == tables["fused"]
 
+    def test_generic_matches_fused_on_a_wide_fan_out(self, tmp_path, capsys):
+        """Three ten-way closure sets meet at one call, so under 0cfa one
+        return address collects a thousand argument frames and a single
+        step branches a thousand ways.  The generic transition must
+        finish it (each alternative once cost a Python frame) with the
+        fused transition's fixed point."""
+        from repro.config import assemble, preset_config
+        from repro.imp import lower_source
+
+        lines = []
+        for group in "abc":
+            lines.append(f"fn pick{group}(h) {{ return h; }}")
+            for i in range(10):
+                lines.append(
+                    f"let {group}{i} = pick{group}(fn(p0, p1, p2) {{ return p{i % 3}; }});"
+                )
+        source = "fn id(a) { return a; }\n" + "\n".join(lines) + "\nreturn a0(b0, c0, id(0));\n"
+        path = tmp_path / "wide.imp"
+        path.write_text(source)
+        outputs = {}
+        for transition in ("generic", "fused"):
+            assert main(
+                ["analyze", str(path), "--preset", "0cfa", "--transition", transition]
+            ) == 0
+            out = capsys.readouterr().out
+            outputs[transition] = out[: out.index("  time:")]
+        assert outputs["generic"] == outputs["fused"]
+        lowered = lower_source(source)
+        fps = {
+            transition: assemble(
+                preset_config("0cfa", "lam").replace(transition=transition)
+            ).run(lowered).fp
+            for transition in ("generic", "fused")
+        }
+        assert fps["generic"] == fps["fused"]
+
     def test_fused_reported_in_engine_stats_line(self, cps_file, capsys):
         assert main(
             ["analyze", cps_file, "--engine", "depgraph", "--transition", "fused"]
@@ -245,15 +281,22 @@ class TestTransitionFlag:
         assert "fused" in capsys.readouterr().out
 
     def test_fused_preset_runs(self, cps_file, capsys):
-        assert main(["analyze", cps_file, "--preset", "1cfa-fused"]) == 0
-        assert "states:" in capsys.readouterr().out
+        assert main(["analyze", cps_file, "--preset", "1cfa"]) == 0
+        out = capsys.readouterr().out
+        assert "states:" in out
+        assert "engine: depgraph (versioned, fused)" in out
 
     def test_transition_overrides_preset(self, cps_file, capsys):
         # a generic preset paired with --transition fused runs fused
         assert main(
-            ["analyze", cps_file, "--preset", "1cfa", "--transition", "fused"]
+            ["analyze", cps_file, "--preset", "1cfa-gc-kleene", "--transition", "fused"]
         ) == 0
         assert "fused" in capsys.readouterr().out
+        # and a fused preset paired with --transition generic runs generic
+        assert main(
+            ["analyze", cps_file, "--preset", "1cfa", "--transition", "generic"]
+        ) == 0
+        assert "engine: depgraph (versioned)  evaluations" in capsys.readouterr().out
 
     def test_unknown_transition_rejected_by_parser(self, cps_file):
         with pytest.raises(SystemExit):
@@ -338,12 +381,12 @@ class TestImpFrontend:
         argv = [
             "batch", imp_file,
             "--corpus", "imp",
-            "--preset", "1cfa-fused",
+            "--preset", "1cfa",
             "--cache-dir", str(tmp_path / "fixcache"),
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "imp:arith/1cfa-fused" in out
+        assert "imp:arith/1cfa" in out
 
 
 class TestFuzzCommand:
@@ -351,7 +394,7 @@ class TestFuzzCommand:
         report_path = tmp_path / "fuzz.json"
         argv = [
             "fuzz", "--seed", "42", "--count", "3",
-            "--preset", "1cfa-fused",
+            "--preset", "1cfa",
             "--report", str(report_path),
         ]
         assert main(argv) == 0

@@ -28,6 +28,7 @@ from repro.config import (
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
+from preset_cells import cell_config, preset_cells
 
 LANG_PROGRAMS = {
     "cps": CPS_PROGRAMS,
@@ -144,6 +145,13 @@ class TestPresetRegistry:
         for name in ("0cfa", "1cfa", "2cfa", "1cfa-gc", "kcfa-counting-fast"):
             config = PRESETS[name].config
             assert config.engine == "depgraph" and config.store_impl == "versioned"
+            assert config.transition == "fused", name
+
+    def test_presets_are_distinct_configurations(self):
+        """No preset duplicates another: each differs in a field that the
+        cache key or the drain order sees."""
+        shapes = {(p.config.cache_key(), p.config.schedule) for p in PRESETS.values()}
+        assert len(shapes) == len(PRESETS)
 
     def test_unknown_preset_has_helpful_error(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -195,8 +203,8 @@ def _kleene_reference(lang, name, config):
     """The hand-assembled Kleene analysis equivalent to ``config``.
 
     The reference always runs the *generic* monadic transition: the
-    ``*-fused`` presets are thereby checked against the monadic normal
-    form itself, not merely against a fused Kleene run.
+    fused cells are thereby checked against the monadic normal form
+    itself, not merely against a fused Kleene run.
     """
     if config.engine is not None:
         ref = config.replace(
@@ -230,9 +238,9 @@ class TestPresetMatrix:
     """Every preset == its hand-assembled Kleene equivalent, corpus-wide."""
 
     @pytest.mark.parametrize("lang", LANGUAGES)
-    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
-    def test_preset_matches_kleene_equivalent(self, preset_name, lang):
-        config = PRESETS[preset_name].config
+    @pytest.mark.parametrize("preset_name,transition", preset_cells())
+    def test_preset_matches_kleene_equivalent(self, preset_name, transition, lang):
+        config = cell_config(preset_name, transition)
         names = (
             TERMINATING[lang]
             if config.addressing == "concrete"

@@ -81,7 +81,7 @@ class TestTransitionAxis:
     def test_fused_presets_exist(self):
         from repro.config import PRESETS
 
-        for name in ("1cfa-fused", "1cfa-gc-fused"):
+        for name in ("0cfa", "1cfa", "2cfa", "1cfa-gc", "kcfa-counting-fast"):
             config = PRESETS[name].config
             assert config.transition == "fused"
             assert config.engine == "depgraph" and config.store_impl == "versioned"
@@ -89,9 +89,10 @@ class TestTransitionAxis:
 
 class TestFusedCalling:
     def test_analysis_step_is_a_fused_transition(self):
-        analysis = analyse(preset="1cfa-fused")
+        analysis = analyse(preset="1cfa")
         assert isinstance(analysis.step(), FusedTransition)
-        assert analyse(preset="1cfa").step().__class__ is not FusedTransition
+        generic = analyse(preset="1cfa", transition="generic")
+        assert generic.step().__class__ is not FusedTransition
 
     def test_build_fused_resolves_all_three_languages(self):
         for preset, make in (

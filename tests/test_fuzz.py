@@ -14,14 +14,14 @@ from repro.imp.shrink import shrink, variants
 from repro.imp.syntax import Program, SReturn, SWhile, program_size, stmt_blocks
 from repro.service.fuzz import check_program, render_fuzz_report, run_fuzz
 
-FAST_PRESETS = ("1cfa-fused",)
+FAST_PRESETS = ("1cfa",)
 
 
 class TestCheckProgram:
     def test_covered_on_a_simple_program(self):
         program = parse_program("let i = 0; while (i < 2) { i = i + 1; } return i;")
         verdict = check_program(program, presets=FAST_PRESETS)
-        assert verdict == {"1cfa-fused": True}
+        assert verdict == {"1cfa": True}
 
     def test_budget_exhaustion_skips(self):
         program = parse_program("let i = 0; while (i < 3) { i = i + 1; } return i;")
@@ -36,11 +36,11 @@ class TestCheckProgram:
         monkeypatch.setattr(fuzz_mod, "_covers", exploding)
         program = parse_program("return 1;")
         verdict = fuzz_mod.check_program(program, presets=FAST_PRESETS)
-        assert verdict == {"1cfa-fused": None}
+        assert verdict == {"1cfa": None}
         # an aborted preset is counted, never treated as a pass or a violation
         report = fuzz_mod.run_fuzz(seed=3, count=2, presets=FAST_PRESETS)
-        assert report["aborted"] == {"1cfa-fused": 2}
-        assert report["checked"] == {"1cfa-fused": 0}
+        assert report["aborted"] == {"1cfa": 2}
+        assert report["checked"] == {"1cfa": 0}
         assert report["violations"] == []
 
     def test_eval_budget_aborts_deterministically(self):
@@ -48,10 +48,10 @@ class TestCheckProgram:
         # abort -- counted per preset, never a violation
         program = parse_program("let i = 0; while (i < 2) { i = i + 1; } return i;")
         verdict = check_program(program, presets=FAST_PRESETS, max_evals=3)
-        assert verdict == {"1cfa-fused": None}
+        assert verdict == {"1cfa": None}
         report = run_fuzz(seed=5, count=2, presets=FAST_PRESETS, max_evals=3)
         again = run_fuzz(seed=5, count=2, presets=FAST_PRESETS, max_evals=3)
-        assert report["aborted"]["1cfa-fused"] + report["skipped"] == 2
+        assert report["aborted"]["1cfa"] + report["skipped"] == 2
         assert report["max_evals"] == 3
         assert render_fuzz_report(report) == render_fuzz_report(again)
 
@@ -63,8 +63,8 @@ class TestRunFuzz:
         assert report["violations"] == []
         accounted = (
             report["skipped"]
-            + report["checked"]["1cfa-fused"]
-            + report["aborted"]["1cfa-fused"]
+            + report["checked"]["1cfa"]
+            + report["aborted"]["1cfa"]
         )
         assert accounted == 6
         assert render_fuzz_report(report) == render_fuzz_report(again)

@@ -15,7 +15,7 @@ The frontend's contract has three layers, tested in order:
 import pytest
 
 from repro.cesk.concrete import evaluate
-from repro.config import assemble, preset_config
+from repro.config import assemble
 from repro.corpus.imp_programs import SOURCES
 from repro.imp import (
     ImpParseError,
@@ -29,6 +29,7 @@ from repro.imp import (
 )
 from repro.imp.lower import DOMAIN_BOUND
 from repro.lam.syntax import free_vars
+from preset_cells import cell_config, preset_cells
 
 
 class TestParser:
@@ -176,16 +177,16 @@ class TestConcreteSemantics:
 class TestAbstractSoundness:
     """Abstract covers concrete, per preset, on the handwritten corpus."""
 
-    PRESETS = ("1cfa", "1cfa-fused", "2cfa", "kcfa-counting-fast")
-
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_presets_cover_concrete_on_corpus(self, preset):
+    @pytest.mark.parametrize(
+        "preset,transition", preset_cells(("1cfa", "2cfa", "kcfa-counting-fast"))
+    )
+    def test_presets_cover_concrete_on_corpus(self, preset, transition):
         for name, source in SOURCES.items():
             lowered = lower_source(source)
             concrete = evaluate(lowered, max_steps=200_000)
-            config = preset_config(preset, language="lam")
+            config = cell_config(preset, transition, language="lam")
             result = assemble(config).run(lowered, worklist=not config.shared)
-            assert concrete.lam in result.final_values(), (name, preset)
+            assert concrete.lam in result.final_values(), (name, preset, transition)
 
     def test_lowering_is_deterministic(self):
         for source in SOURCES.values():

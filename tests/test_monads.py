@@ -195,6 +195,14 @@ class TestStateT:
         m = StateT(ListMonad())
         assert m.run(m.mplus(m.unit(1), m.unit(2)), 9) == [(1, 9), (2, 9)]
 
+    def test_wide_sum_costs_no_stack(self):
+        """``msum`` over thousands of alternatives runs without a
+        ``RecursionError``: one abstract step may branch on every value
+        stored at an address."""
+        m = StateT(ListMonad())
+        wide = msum(m, [m.unit(i) for i in range(5000)])
+        assert m.run(wide, "s") == [(i, "s") for i in range(5000)]
+
     def test_statet_over_identity_not_monadplus(self):
         m = StateT(Identity())
         with pytest.raises(TypeError):
@@ -235,6 +243,13 @@ class TestStorePassing:
         sp = self.sp
         results = sp.run(sp.gets_nd_store(lambda s: sorted(s)), 0, frozenset([1, 2]))
         assert results == [((1, 0), frozenset([1, 2])), ((2, 0), frozenset([1, 2]))]
+
+    def test_wide_sums_at_both_levels(self):
+        sp = self.sp
+        store_branches = sp.run(sp.gets_nd_store(lambda s: range(5000)), 0, "store")
+        assert [value for (value, _g), _s in store_branches] == list(range(5000))
+        guts_branches = sp.run(msum(sp, [sp.unit(i) for i in range(5000)]), 0, "store")
+        assert [value for (value, _g), _s in guts_branches] == list(range(5000))
 
     def test_gets_nd_store_empty_kills_branch(self):
         assert self.sp.run(self.sp.gets_nd_store(lambda s: []), 0, ()) == []

@@ -42,6 +42,7 @@ from repro.corpus import corpus_program, corpus_programs
 from repro.corpus.cps_programs import id_chain, id_chain_edited
 from repro.service.cache import FixpointCache
 from repro.service.incremental import reanalyse, warmable
+from preset_cells import cell_config, preset_cells
 
 # ---------------------------------------------------------------------------
 # Worklist units
@@ -355,12 +356,11 @@ class TestFakeDomainEngine:
 # Corpus scheduler-equivalence: priority == fifo, preset by preset
 # ---------------------------------------------------------------------------
 
-#: Every preset with a worklist to order (the kleene presets have none,
-#: and the per-state/concrete presets have no engine at all).
-SCHEDULED_PRESETS = sorted(
-    name
-    for name, preset in PRESETS.items()
-    if preset.config.engine == "depgraph"
+#: Every preset with a worklist to order, under both transitions (the
+#: kleene presets have none, and the per-state/concrete presets have no
+#: engine at all).
+SCHEDULED_PRESETS = preset_cells(
+    name for name, preset in sorted(PRESETS.items()) if preset.config.engine == "depgraph"
 )
 
 #: Cells whose engine run is prohibitively slow (same exclusion the
@@ -368,7 +368,7 @@ SCHEDULED_PRESETS = sorted(
 EXPENSIVE = {("2cfa", "lam"): {"church-two-two"}}
 
 #: fifo reference fixed points, shared across presets that differ only
-#: in schedule/label (1cfa-priority's fifo reference == 1cfa-fused's).
+#: in schedule/label (1cfa-priority's fifo reference == 1cfa's).
 _fifo_cache: dict = {}
 
 
@@ -397,9 +397,9 @@ def _fifo_reference(config, lang, name, program):
 
 class TestCorpusEquivalence:
     @pytest.mark.parametrize("lang", LANGUAGES)
-    @pytest.mark.parametrize("preset_name", SCHEDULED_PRESETS)
-    def test_priority_fixpoint_is_bit_identical_to_fifo(self, preset_name, lang):
-        config = preset_config(preset_name, lang)
+    @pytest.mark.parametrize("preset_name,transition", SCHEDULED_PRESETS)
+    def test_priority_fixpoint_is_bit_identical_to_fifo(self, preset_name, transition, lang):
+        config = cell_config(preset_name, transition, lang)
         skip = EXPENSIVE.get((preset_name, lang), set())
         for name in sorted(corpus_programs(lang)):
             if name in skip:
@@ -477,7 +477,7 @@ class TestWarmStartEquivalence:
         """A fifo run's cache entry warm-starts a priority run of the
         edited program (and the digest of the unedited program is a
         plain cache hit): the cache key ignores the schedule axis."""
-        fifo_config = preset_config("1cfa-fused", "cps").validated()
+        fifo_config = preset_config("1cfa", "cps").validated()
         priority_config = fifo_config.replace(schedule="priority").validated()
         cache = FixpointCache(root=tmp_path / "cache")
         reanalyse(fifo_config, id_chain(40), cache)
@@ -513,19 +513,19 @@ class TestScheduleConfig:
     def test_cache_key_ignores_the_schedule_axis(self):
         assert (
             preset_config("1cfa-priority", "lam").cache_key()
-            == preset_config("1cfa-fused", "lam").cache_key()
+            == preset_config("1cfa", "lam").cache_key()
         )
 
     def test_describe_names_the_schedule(self):
         assert "priority" in preset_config("1cfa-priority").describe()
-        assert "priority" not in preset_config("1cfa-fused").describe()
+        assert "priority" not in preset_config("1cfa").describe()
 
     def test_warmable_under_priority(self):
         assert warmable(preset_config("1cfa-priority", "cps"))
 
     def test_stats_report_the_schedule(self):
         program = corpus_program("lam", "eta")
-        for preset_name, expected in (("1cfa-fused", "fifo"), ("1cfa-priority", "priority")):
+        for preset_name, expected in (("1cfa", "fifo"), ("1cfa-priority", "priority")):
             _, stats = _fixpoint(preset_config(preset_name, "lam"), program)
             assert stats["schedule"] == expected
 
@@ -533,7 +533,7 @@ class TestScheduleConfig:
 class TestScheduleTrace:
     def test_trace_records_every_evaluation_with_its_rank(self):
         program = corpus_program("lam", "eta")
-        for preset_name in ("1cfa-fused", "1cfa-priority"):
+        for preset_name in ("1cfa", "1cfa-priority"):
             config = preset_config(preset_name, "lam")
             analysis = assemble(config, program=program)
             trace = []

@@ -65,7 +65,7 @@ class TestMatrixEquality:
         for cell in CELLS:
             row = client.call("analyse", cell_params(*cell))
             # presets that differ only in evaluation strategy (e.g.
-            # 1cfa-fused vs 1cfa-priority) share a content address: the
+            # 1cfa vs 1cfa-priority) share a content address: the
             # first cell per key computes cold, the rest legitimately hit
             if row["key"] not in seen_keys:
                 assert row["cache"] == "miss", cell

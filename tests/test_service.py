@@ -1,8 +1,8 @@
 """The service layer: cache, batch pool, warm starts -- all bit-identical.
 
 The acceptance matrix this file pins: for every preset x language in the
-existing configuration matrix, four ways of obtaining the fixed point
-must agree exactly --
+existing configuration matrix (depgraph presets under both transitions),
+four ways of obtaining the fixed point must agree exactly --
 
 * **cold**: one process, ``assemble(config).run(program)``;
 * **cache hit**: the same cell loaded from the content-addressed
@@ -35,14 +35,15 @@ from repro.corpus.cps_programs import id_chain, id_chain_edited
 from repro.service.batch import BatchJob, jobs_for, run_batch
 from repro.service.cache import FixpointCache, cache_key, program_digest
 from repro.service.incremental import edit_distance, reanalyse, warmable
+from preset_cells import cell_config, cell_id, preset_cells, preset_transitions
 
 #: One small corpus program per language; every preset (including
 #: ``concrete``, which needs a finite concrete state space) runs on it.
 MATRIX_PROGRAMS = {"cps": "mj09", "lam": "eta", "fj": "animals"}
 
 CELLS = [
-    (preset_name, lang)
-    for preset_name in sorted(PRESETS)
+    (preset_name, transition, lang)
+    for preset_name, transition in preset_transitions()
     for lang in LANGUAGES
 ]
 
@@ -61,10 +62,10 @@ def _cold_fp(config, lang):
 def cold_fps():
     """Cold single-process fixed points for every matrix cell."""
     return {
-        (preset_name, lang): _cold_fp(
-            preset_config(preset_name, lang), lang
+        (preset_name, transition, lang): _cold_fp(
+            cell_config(preset_name, transition, lang), lang
         )
-        for preset_name, lang in CELLS
+        for preset_name, transition, lang in CELLS
     }
 
 
@@ -72,11 +73,11 @@ def cold_fps():
 def matrix_jobs():
     return [
         BatchJob(
-            config=preset_config(preset_name, lang),
+            config=cell_config(preset_name, transition, lang),
             corpus=MATRIX_PROGRAMS[lang],
-            label=f"{lang}/{preset_name}",
+            label=f"{lang}/{cell_id(preset_name, transition)}",
         )
-        for preset_name, lang in CELLS
+        for preset_name, transition, lang in CELLS
     ]
 
 
@@ -106,34 +107,41 @@ class TestMatrixEquivalence:
         for outcome, cell in zip(rerun.outcomes, CELLS):
             assert outcome.fp == cold_fps[cell], outcome.job.label
 
-    @pytest.mark.parametrize("preset_name,lang", CELLS)
+    @pytest.mark.parametrize(
+        "preset_name,transition,lang",
+        [
+            pytest.param(name, transition, lang, id=f"{cell_id(name, transition)}-{lang}")
+            for name, transition, lang in CELLS
+        ],
+    )
     def test_identity_edit_reanalysis_matches_cold(
-        self, preset_name, lang, pooled_report, service_cache, cold_fps
+        self, preset_name, transition, lang, pooled_report, service_cache, cold_fps
     ):
         """Re-submitting an unchanged program is a digest hit for every
         preset -- the degenerate warm start available to all of them."""
-        config = preset_config(preset_name, lang)
+        config = cell_config(preset_name, transition, lang)
         outcome = reanalyse(config, _program(lang), service_cache)
         assert outcome.mode == "cache-hit"
-        assert outcome.fp == cold_fps[(preset_name, lang)]
+        assert outcome.fp == cold_fps[(preset_name, transition, lang)]
         assert outcome.stats["evaluations"] == 0
 
     @pytest.mark.parametrize(
-        "preset_name", [n for n in sorted(PRESETS) if warmable(PRESETS[n].config)]
+        "preset_name,transition",
+        preset_cells(n for n in sorted(PRESETS) if warmable(PRESETS[n].config)),
     )
     @pytest.mark.parametrize("lang", LANGUAGES)
     def test_identity_edit_warm_engine_run_matches_cold(
-        self, preset_name, lang, pooled_report, service_cache, cold_fps
+        self, preset_name, transition, lang, pooled_report, service_cache, cold_fps
     ):
         """For warmable presets, force the *engine-level* warm start (not
         the digest shortcut): every evaluation replays, none re-steps."""
-        config = preset_config(preset_name, lang)
+        config = cell_config(preset_name, transition, lang)
         program = _program(lang)
         donor = service_cache.get(program, config)
         assert donor is not None and donor.warmable
         analysis = assemble(config, program=program)
         result = analysis.run(program, warm_start=donor.warm_start())
-        assert result.fp == cold_fps[(preset_name, lang)]
+        assert result.fp == cold_fps[(preset_name, transition, lang)]
         assert analysis.last_stats["evaluations"] == 0
         assert analysis.last_stats["reused"] == analysis.last_stats["configurations"]
 
@@ -285,7 +293,7 @@ class TestWarmStartRefusals:
 
     def test_non_warmable_presets_are_classified(self):
         assert warmable(preset_config("1cfa", "cps"))
-        assert warmable(preset_config("1cfa-fused", "cps"))
+        assert warmable(preset_config("1cfa", "cps").replace(transition="generic"))
         assert not warmable(preset_config("1cfa-gc", "cps"))
         assert not warmable(preset_config("kcfa-counting-fast", "cps"))
         assert not warmable(preset_config("1cfa-per-state", "cps"))
@@ -574,11 +582,13 @@ class TestBatchRunner:
 def _small_jobs():
     from repro.service.batch import BatchJob
 
+    fused = preset_config("1cfa", "lam")
+    generic = fused.replace(transition="generic")
     return [
-        BatchJob(config=preset_config("1cfa", "lam"), corpus="eta"),
-        BatchJob(config=preset_config("1cfa-fused", "lam"), corpus="eta"),
-        BatchJob(config=preset_config("1cfa", "lam"), corpus="church-two-two"),
-        BatchJob(config=preset_config("1cfa-fused", "lam"), corpus="church-two-two"),
+        BatchJob(config=fused, corpus="eta"),
+        BatchJob(config=generic, corpus="eta"),
+        BatchJob(config=fused, corpus="church-two-two"),
+        BatchJob(config=generic, corpus="church-two-two"),
     ]
 
 

@@ -15,7 +15,8 @@ import pickle
 import pytest
 
 import spawn_helpers
-from repro.config import PRESETS, preset_config
+from preset_cells import cell_config, preset_cells
+from repro.config import preset_config
 from repro.corpus.cps_programs import MJ09, id_chain
 from repro.cps.parser import parse_program
 
@@ -64,11 +65,12 @@ class TestPMapAcrossSpawn:
 
 
 class TestConfigsAcrossSpawn:
-    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
-    def test_every_preset_config_round_trips(self, spawn_pool, preset_name):
-        config = PRESETS[preset_name].config
+    @pytest.mark.parametrize("preset_name,transition", preset_cells())
+    def test_every_preset_config_round_trips(self, spawn_pool, preset_name, transition):
+        config = cell_config(preset_name, transition)
         outcome = spawn_pool.apply(
-            spawn_helpers.probe_preset_config, (pickle.dumps(config), preset_name)
+            spawn_helpers.probe_preset_config,
+            (pickle.dumps(config), preset_name, transition),
         )
         assert outcome == {
             "equal": True,

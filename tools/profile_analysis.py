@@ -6,8 +6,8 @@ exactly this view: the generic transition's profile is a wall of
 way -- profile before optimizing::
 
     PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa \\
-        --lang cps --workload id-chain-200
-    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa-fused \\
+        --transition generic --lang cps --workload id-chain-200
+    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa \\
         --lang lam --workload church-two-two --top 15
     PYTHONPATH=src python tools/profile_analysis.py --lang fj \\
         --workload visitor --engine depgraph --store-impl versioned \\
@@ -34,7 +34,7 @@ pathology (a configuration re-evaluated dozens of times is a batching
 failure; compare ``--schedule fifo`` against ``--schedule priority``
 on the same workload)::
 
-    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa-fused \\
+    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa \\
         --lang cps --workload id-chain-30 --engine depgraph \\
         --schedule-trace --schedule priority
 
@@ -44,7 +44,7 @@ rehydrating its frozen fixed point (and report the byte sizes).  These
 are the numbers that ground the batch runner's transport choices
 (PERFORMANCE.md, "The adaptive batch pool")::
 
-    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa-fused \\
+    PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa \\
         --lang lam --workload church-two-two --pickle-cost --repeat 5
 
 Stdlib only (cProfile/pstats/pickle/zlib), like the rest of the tooling.
