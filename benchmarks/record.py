@@ -27,7 +27,7 @@ the same code the ``repro batch`` CLI runs.
 The JSON shape (see PERFORMANCE.md for how to read it)::
 
     {
-      "schema": "engine-suite/8",
+      "schema": "engine-suite/9",
       "workloads": {
         "<workload>": {
           "<engine>/<store_impl>": {            # generic transition
@@ -37,13 +37,6 @@ The JSON shape (see PERFORMANCE.md for how to read it)::
           },
           "<engine>/<store_impl>/fused": {...}, # staged transition
           ...
-        }, ...
-      },
-      "schedule": {
-        "<workload>": {                         # fifo vs priority drain
-          "fifo":     {"seconds", "evaluations", "dedup_hits", "max_rank"},
-          "priority": {"seconds", "evaluations", "dedup_hits", "max_rank"},
-          "eval_reduction": float               # fifo evals / priority evals
         }, ...
       },
       "speedups": {
@@ -89,11 +82,8 @@ cold, (f) a repeat request through the resident server's hot tier is
 less than ``--min-serve-speedup`` (default 20.0) times faster than a
 cold ``repro analyze`` CLI invocation of the same cell -- the whole
 point of keeping an engine resident is amortizing interpreter start-up,
-imports, and the analysis itself, so this gate holds on any hardware --
-or (g) the priority schedule evaluates more than
-:data:`_SCHEDULE_NEVER_WORSE` times FIFO's count on any schedule cell.
-Evaluation counts, unlike seconds, are hardware-independent, so this
-gate never needs a skip condition.  Finally (h) tracing must stay
+imports, and the analysis itself, so this gate holds on any hardware.
+Finally (g) tracing must stay
 cheap: on the cps id-chain-200 depgraph/versioned cell a live tracer
 may cost at most ``--min-trace-overhead-ratio`` (default 1.10) times
 the plain run, and the always-on no-op instrumentation path at most
@@ -222,92 +212,6 @@ def _workloads() -> dict:
 def _row_key(engine: str, impl: str, transition: str) -> str:
     key = f"{engine}/{impl}"
     return key if transition == "generic" else f"{key}/{transition}"
-
-
-#: Priority may never evaluate more than this multiple of FIFO's count
-#: on any schedule cell (PYTHONHASHSEED moves FIFO's exact counts a few
-#: per cent between runs; a real scheduling regression is far larger).
-_SCHEDULE_NEVER_WORSE = 1.05
-
-
-def _schedule_workloads() -> tuple:
-    """The fifo-vs-priority comparison cells: chain- and loop-shaped
-    workloads, the shape the rank order exists for.  The dependency map
-    already suppresses most wasted work, so priority is only neutral to
-    modestly better here; every cell is bound by the never-worse check.
-    """
-    chain30 = resolve_workload("cps", "id-chain-30")
-    chain200 = resolve_workload("cps", "id-chain-200")
-    church = resolve_workload("lam", "church-two-two")
-    visitor = resolve_workload("fj", "visitor")
-    return (
-        # (label, language, program)
-        ("cps-id-chain-30-k1", "cps", chain30),
-        ("cps-id-chain-200-k1", "cps", chain200),
-        ("lam-church-two-two-k1", "lam", church),
-        ("fj-visitor-k1", "fj", visitor),
-    )
-
-
-def run_schedule_suite() -> dict:
-    """Time fifo vs priority drains, asserting bit-identical fixed points.
-
-    Every cell runs the fused depgraph transition over the versioned
-    store -- only the ``schedule`` axis varies, so ``eval_reduction``
-    isolates exactly what the drain order buys.
-    """
-    suite: dict = {}
-    for label, language, program in _schedule_workloads():
-        cells: dict = {}
-        fps: dict = {}
-        for schedule in ("fifo", "priority"):
-            config = AnalysisConfig(
-                language=language,
-                k=1,
-                engine="depgraph",
-                store_impl="versioned",
-                transition="fused",
-                schedule=schedule,
-                label=f"bench-schedule-{label}-{schedule}",
-            )
-            stats: dict = {}
-
-            def run(_engine, _impl, _transition, stats, config=config):
-                analysis = assemble(config, program=program)
-                result = analysis.run(program)
-                stats.update(analysis.last_stats)
-                return result
-
-            best = None
-            for _ in range(_MAX_REPS):
-                stats.clear()
-                start = time.perf_counter()
-                result = run(None, None, None, stats)
-                seconds = time.perf_counter() - start
-                best = seconds if best is None else min(best, seconds)
-                if best >= _REPEAT_UNDER_SECONDS:
-                    break
-            fps[schedule] = result.fp
-            cells[schedule] = {
-                "seconds": round(best, 6),
-                "evaluations": stats.get("evaluations"),
-                "dedup_hits": stats.get("dedup_hits"),
-                "max_rank": stats.get("max_rank"),
-            }
-        assert fps["priority"] == fps["fifo"], f"schedule fp mismatch on {label}"
-        reduction = cells["fifo"]["evaluations"] / cells["priority"]["evaluations"]
-        suite[label] = {
-            "fifo": cells["fifo"],
-            "priority": cells["priority"],
-            "eval_reduction": round(reduction, 2),
-        }
-        print(
-            f"{label:28s} schedule fifo {cells['fifo']['evaluations']:6d} "
-            f"-> priority {cells['priority']['evaluations']:6d} evals "
-            f"({reduction:5.2f}x fewer)",
-            file=sys.stderr,
-        )
-    return suite
 
 
 #: The one-edit warm-start workload: chain length for ``id_chain``.
@@ -640,7 +544,7 @@ def run_service_suite() -> dict:
 
 def run_suite() -> dict:
     record: dict = {
-        "schema": "engine-suite/8",
+        "schema": "engine-suite/9",
         "python": sys.version.split()[0],
         "workloads": {},
         "speedups": {},
@@ -678,7 +582,6 @@ def run_suite() -> dict:
                 fast["seconds"] / fused["seconds"], 2
             )
         record["speedups"][label] = speedups
-    record["schedule"] = run_schedule_suite()
     record["service"] = run_service_suite()
     trace_row = run_trace_overhead_row()
     record["observability"] = {"trace-overhead": trace_row}
@@ -723,10 +626,6 @@ def check(
       ``repro analyze`` subprocess by ``min_serve_speedup`` -- no skip
       condition: the hot tier is a dictionary lookup and the cold cell
       pays interpreter start-up, so the margin is enormous everywhere;
-    * the priority schedule must never exceed
-      :data:`_SCHEDULE_NEVER_WORSE` times FIFO's count on any schedule
-      cell -- counts are hardware-independent, so the bound never needs
-      a skip condition;
     * tracing must stay cheap: on the trace-overhead row an actively
       recording tracer may cost at most ``min_trace_overhead_ratio``
       times the plain run, and the no-op path (instrumentation with the
@@ -787,15 +686,6 @@ def check(
             f"service-serve-latency: hot request only {serve['speedup']:.2f}x over "
             f"a cold CLI run (need >= {min_serve_speedup:.1f}x)"
         )
-    for label, cell in record.get("schedule", {}).items():
-        reduction = cell["eval_reduction"]
-        if reduction * _SCHEDULE_NEVER_WORSE < 1.0:
-            failures.append(
-                f"schedule-{label}: priority evaluated MORE than fifo "
-                f"({cell['priority']['evaluations']} vs "
-                f"{cell['fifo']['evaluations']}; allowed at most "
-                f"{_SCHEDULE_NEVER_WORSE:.2f}x fifo's count)"
-            )
     trace = record.get("observability", {}).get("trace-overhead")
     if trace is not None:
         if trace["traced_ratio"] > min_trace_overhead_ratio:
@@ -870,8 +760,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-engaged-pool-speedup when it engaged on enough cores), the "
         "warm start below --min-warm-speedup over cold, the resident "
         "server's hot tier below --min-serve-speedup over a cold CLI run, "
-        "the priority schedule above 1.05x fifo's evaluation count on any "
-        "schedule cell, or tracing overhead above "
+        "or tracing overhead above "
         "--min-trace-overhead-ratio (live) / 1.03x (no-op path)",
     )
     parser.add_argument("--min-speedup", type=float, default=2.0)

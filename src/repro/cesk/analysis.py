@@ -143,7 +143,6 @@ class CESKAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
     def step(self) -> Callable[[PState], Any]:
@@ -302,7 +301,6 @@ def assemble_cesk(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        schedule=config.schedule,
     )
 
 

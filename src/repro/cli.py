@@ -48,11 +48,6 @@ The fine-grained flags remain, one per degree of freedom:
   ``fused`` runs the staged first-order step compiled from it
   (identical fixed points; see PERFORMANCE.md, "The fused transition").
   The depgraph presets default to ``fused``; other runs to ``generic``.
-* ``--schedule`` -- the worklist drain order: ``fifo`` (historical) or
-  ``priority`` (dependency-rank waves -- retriggered configurations
-  re-run once per wave of store growth instead of once per bump;
-  identical fixed points, fewer evaluations on chain/loop shapes; see
-  PERFORMANCE.md, "Worklist scheduling").
 
 Every combination is validated by
 :meth:`repro.config.AnalysisConfig.validated` before anything runs;
@@ -219,7 +214,6 @@ def _resolve_config(args: argparse.Namespace, lang: str):
                 engine=args.engine,
                 store_impl=args.store_impl,
                 transition=args.transition,
-                schedule=args.schedule,
             )
         )
         if args.k is not None:
@@ -242,7 +236,6 @@ def _resolve_config(args: argparse.Namespace, lang: str):
         gc=args.gc,
         counting=args.counting,
         transition=args.transition or "generic",
-        schedule=args.schedule or "fifo",
         label=args.preset or "",
     )
     return _assemble(config.validated)
@@ -635,16 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         "form, or the staged (fused) first-order step -- identical fixed "
         "points, no per-bind monad dispatch (see PERFORMANCE.md); the "
         "depgraph presets default to fused, everything else to generic",
-    )
-    an_p.add_argument(
-        "--schedule",
-        choices=("fifo", "priority"),
-        default=None,
-        help="worklist drain order: fifo (historical), or priority -- "
-        "dependency-rank waves that re-run a retriggered configuration "
-        "once per wave of store growth instead of once per bump -- "
-        "identical fixed points, fewer evaluations on chain/loop shapes "
-        "(needs --engine depgraph)",
     )
     an_p.add_argument("--shared", action="store_true", help="single-threaded store")
     an_p.add_argument("--gc", action="store_true", help="abstract garbage collection")

@@ -61,7 +61,6 @@ from repro.core.addresses import (
 )
 from repro.core.driver import prepare_engine_store
 from repro.core.fixpoint import ENGINES, STORE_IMPLS
-from repro.core.schedule import SCHEDULES
 from repro.core.store import ACounter, BasicStore, CountingStore, StoreLike
 
 #: The languages an :class:`AnalysisConfig` can target.
@@ -103,7 +102,6 @@ class AnalysisConfig:
     gc: bool = False
     counting: bool = False
     transition: str = "generic"
-    schedule: str = "fifo"
     label: str = ""
 
     @property
@@ -170,17 +168,6 @@ class AnalysisConfig:
                 "concrete addressing is the per-state reference semantics; "
                 "it takes neither an engine nor the store widening"
             )
-        if config.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {config.schedule!r}; "
-                f"choose one of {SCHEDULES}"
-            )
-        if config.schedule != "fifo" and config.engine != "depgraph":
-            raise ValueError(
-                "schedule orders the worklist drain; schedule='priority' "
-                "needs engine='depgraph' (kleene and per-state runs have no "
-                "worklist to order)"
-            )
         return config
 
     def cache_key(self) -> str:
@@ -189,10 +176,7 @@ class AnalysisConfig:
         Every semantics-bearing field appears as ``name=value`` in sorted
         field order; ``label`` is excluded -- it is presentation only, and
         a preset must share cache entries with the identical hand-built
-        configuration.  ``schedule`` is excluded for the same reason: the
-        priority drain order computes the bit-identical fixed point
-        (pinned corpus-wide by ``tests/test_schedule.py``), so those runs
-        must share cache entries with the fifo configuration they equal.
+        configuration.
         The fixpoint cache (:mod:`repro.service.cache`) keys entries by
         this string joined with the program's structural digest, so the
         key must change exactly when the fixed point may.
@@ -222,8 +206,6 @@ class AnalysisConfig:
             parts.append("counting")
         if self.transition != "generic":
             parts.append(self.transition)
-        if self.schedule != "fifo":
-            parts.append(self.schedule)
         return " ".join(parts)
 
 
@@ -282,15 +264,6 @@ PRESETS: dict[str, Preset] = {
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
-        ),
-        _preset(
-            "1cfa-priority",
-            "1-CFA on the rank-ordered priority worklist (fewest evaluations)",
-            k=1,
-            engine="depgraph",
-            store_impl="versioned",
-            transition="fused",
-            schedule="priority",
         ),
         _preset(
             "1cfa-gc",
@@ -447,7 +420,6 @@ def build_config(
     engine: str | None = None,
     store_impl: str | None = None,
     transition: str | None = None,
-    schedule: str | None = None,
     label: str = "",
 ) -> AnalysisConfig:
     """The keyword-argument surface of the ``analyse*`` families, as a config.
@@ -478,8 +450,6 @@ def build_config(
             config = config.replace(store_impl=store_impl)
         if transition is not None:
             config = config.replace(transition=transition)
-        if schedule is not None:
-            config = config.replace(schedule=schedule)
         if label:
             config = config.replace(label=label)
         return config.validated()
@@ -496,7 +466,6 @@ def build_config(
         gc=bool(gc),
         counting=isinstance(store_like, ACounter),
         transition=transition or "generic",
-        schedule=schedule or "fifo",
         label=label,
     ).validated()
 

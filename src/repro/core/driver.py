@@ -16,8 +16,6 @@ instance; everything else is inert plumbing.
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
@@ -25,8 +23,6 @@ from repro.core.fused import FusedTransition
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_tracer
 from repro.core.fixpoint import (
-    ENGINES,
-    STORE_IMPLS,
     Collecting,
     explore_fp,
     global_store_explore,
@@ -70,7 +66,7 @@ def prepare_engine_store(
     gc: bool = False,
     store_impl: str = "persistent",
 ) -> StoreLike:
-    """Validate an engine selection and ready its store (all three languages).
+    """Ready the store for an engine selection (all three languages).
 
     ``store_impl`` picks the store representation behind the worklist
     engine (:data:`~repro.core.fixpoint.STORE_IMPLS`): ``persistent``
@@ -88,25 +84,13 @@ def prepare_engine_store(
     the GC sweep's reads, and for counting stores the write log that
     decides which counts to saturate on convergence).
 
-    Policy questions -- *which* engine/GC/counting combinations make a
-    sensible analysis -- live in
-    :meth:`repro.config.AnalysisConfig.validated`; this helper only
-    refuses setups the engines cannot execute at all.
+    Every compatibility rule -- known engine and store impl, kleene
+    never with ``versioned`` -- lives in
+    :meth:`repro.config.AnalysisConfig.validated`, which has run before
+    :func:`repro.config.prepare_store` calls this.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINES}")
-    if store_impl not in STORE_IMPLS:
-        raise ValueError(
-            f"unknown store impl {store_impl!r}; choose one of {STORE_IMPLS}"
-        )
-    counting = isinstance(store_like, ACounter)
     if store_impl == "versioned":
-        if engine == "kleene":
-            raise ValueError(
-                "the kleene engine iterates immutable whole-domain snapshots; "
-                "the versioned (mutable) store pairs with the depgraph engine"
-            )
-        if counting:
+        if isinstance(store_like, ACounter):
             store_like = VersionedCountingStore(store_like.value_lattice)
         else:
             store_like = VersionedStore(store_like.value_lattice)
@@ -131,8 +115,6 @@ def run_engine_analysis(
     ``capture`` pass straight through to
     :func:`~repro.core.fixpoint.global_store_explore` (incremental
     re-analysis; see :mod:`repro.service.incremental`).
-    ``schedule="priority"`` drains the worklist in dependency-rank order
-    (same fixed point, fewer evaluations on chain/loop shapes).
     ``trace`` collects the evaluation order (see
     ``global_store_explore``).
 
@@ -154,7 +136,6 @@ def run_engine_analysis(
             stats=analysis.last_stats,
             warm_start=warm_start,
             capture=capture,
-            schedule=getattr(analysis, "schedule", "fifo"),
             trace=trace,
         )
     _fold_engine_stats(analysis.engine, analysis.last_stats)
@@ -185,7 +166,6 @@ def run_with_engine(
     stats: dict | None = None,
     warm_start: Any = None,
     capture: Any = None,
-    schedule: str = "fifo",
     trace: list | None = None,
 ) -> tuple:
     """Compute the store-widened collecting semantics under a named engine.
@@ -202,10 +182,9 @@ def run_with_engine(
     worklist engine's retrigger/dependency counters.  ``warm_start`` and
     ``capture`` (depgraph only -- kleene has no per-configuration
     evaluations to record or replay) are documented on
-    :func:`~repro.core.fixpoint.global_store_explore`.
+    :func:`~repro.core.fixpoint.global_store_explore`.  The engine name
+    was checked by :meth:`repro.config.AnalysisConfig.validated`.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINES}")
     if engine == "kleene":
         if warm_start is not None or capture is not None:
             raise ValueError(
@@ -213,14 +192,9 @@ def run_with_engine(
                 "snapshots; warm starts and evaluation capture need the "
                 "per-configuration depgraph engine"
             )
-        if schedule != "fifo":
-            raise ValueError(
-                "schedule orders a worklist drain; the kleene engine "
-                "iterates the whole domain and has no worklist to order"
-            )
         if trace is not None:
             raise ValueError(
-                "schedule tracing records worklist pops; the kleene engine "
+                "tracing records worklist pops; the kleene engine "
                 "has no per-configuration evaluation order to trace"
             )
         evaluations = 0
@@ -253,41 +227,6 @@ def run_with_engine(
         stats=stats,
         warm_start=warm_start,
         capture=capture,
-        schedule=schedule,
         trace=trace,
     )
 
-
-@dataclass
-class AnalysisRun:
-    """A timed analysis outcome, used by the benchmark harness and reports."""
-
-    result: Any
-    seconds: float
-    label: str = ""
-    metrics: dict = field(default_factory=dict)
-
-
-def timed_analysis(
-    collecting: Collecting,
-    step: Callable[[Any], Any],
-    initial_state: Any,
-    label: str = "",
-    worklist: bool = False,
-    engine: str | None = None,
-) -> AnalysisRun:
-    """Run an analysis under a wall-clock timer (benchmark harness helper)."""
-    start = _time.perf_counter()
-    metrics: dict = {}
-    if engine is not None:
-        if not isinstance(collecting, SharedStoreCollecting):
-            raise TypeError("engine selection needs a shared-store domain")
-        result = run_with_engine(engine, collecting, step, initial_state, stats=metrics)
-    elif worklist:
-        if not isinstance(collecting, PerStateStoreCollecting):
-            raise TypeError("worklist evaluation needs a per-state-store domain")
-        result = run_analysis_worklist(collecting, step, initial_state)
-    else:
-        result = run_analysis(collecting, step, initial_state)
-    elapsed = _time.perf_counter() - start
-    return AnalysisRun(result=result, seconds=elapsed, label=label, metrics=metrics)

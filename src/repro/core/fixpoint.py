@@ -101,11 +101,11 @@ saturation set.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.core.gc import reachable_addresses
-from repro.core.schedule import SCHEDULES, make_worklist
 from repro.core.lattice import Lattice
 from repro.core.store import (
     ACounter,
@@ -364,6 +364,50 @@ def worklist_explore(
 # ---------------------------------------------------------------------------
 
 
+class FifoWorklist:
+    """The depgraph loop's worklist: FIFO, each configuration queued at most once.
+
+    Discoveries and retriggers both join the tail.  Retriggering a
+    configuration that is already queued is suppressed -- it will observe
+    the grown store when it is popped -- and counted in ``dedup_hits``.
+    Any drain order reaches the same least fixed point (chaotic
+    iteration); FIFO's append-at-tail batches a reader's re-run behind
+    the growth already queued.
+    """
+
+    __slots__ = ("_queue", "_queued", "dedup_hits")
+
+    def __init__(self, seeds: Iterable[Hashable] = ()) -> None:
+        self._queue: deque = deque(seeds)
+        self._queued: set = set(self._queue)
+        #: retrigger requests suppressed because the config was queued
+        self.dedup_hits = 0
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def __bool__(self) -> bool:
+        return bool(self._queue)
+
+    def discovered(self, config: Hashable) -> None:
+        """Queue a configuration seen for the first time."""
+        self._queued.add(config)
+        self._queue.append(config)
+
+    def retrigger(self, config: Hashable) -> bool:
+        """Re-queue an already-seen configuration; ``False`` if suppressed."""
+        if config in self._queued:
+            self.dedup_hits += 1
+            return False
+        self.discovered(config)
+        return True
+
+    def pop(self) -> Hashable:
+        config = self._queue.popleft()
+        self._queued.discard(config)
+        return config
+
+
 def global_store_explore(
     collecting: Any,
     step: Callable[[Any], Any],
@@ -372,7 +416,6 @@ def global_store_explore(
     stats: dict | None = None,
     warm_start: WarmStart | None = None,
     capture: FixpointCapture | None = None,
-    schedule: str = "fifo",
     trace: list | None = None,
 ) -> tuple:
     """Worklist evaluation of the store-widened domain ``P(configs) x Store``.
@@ -431,21 +474,12 @@ def global_store_explore(
     sweep and the count-saturation pass are side-effects an
     :class:`EvalRecord` replay would silently skip.
 
-    ``schedule`` picks the worklist drain order
-    (:data:`~repro.core.schedule.SCHEDULES`): ``fifo`` is the historical
-    order, ``priority`` drains in ascending dependency rank so store
-    growth flows forward before stale shallow readers re-run.  Any order
-    computes the same least fixed point (chaotic iteration); the
-    schedule only changes *how many* evaluations it takes, reported
-    through the ``evaluations``, ``dedup_hits`` and ``max_rank`` stats.
-    Warm-start replay drains through the same worklist, so clean records
-    replay in rank order under ``priority``.  ``trace``, when supplied,
-    receives one ``(rank, config)`` entry per real (non-replayed)
-    evaluation in evaluation order -- the raw feed behind
+    The worklist is a :class:`FifoWorklist`; its suppressed re-enqueues
+    are reported as the ``dedup_hits`` stat.  ``trace``, when supplied,
+    receives every real (non-replayed) evaluation's configuration in
+    evaluation order -- the raw feed behind
     ``tools/profile_analysis.py --schedule-trace``.
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
     inner = collecting.inner
     recorder = inner.store_like
     if not isinstance(recorder, RecordingStore):
@@ -474,7 +508,6 @@ def global_store_explore(
             stats=stats,
             warm_start=warm_start,
             capture=capture,
-            schedule=schedule,
             trace=trace,
         )
     store_lattice = recorder.lattice()
@@ -492,7 +525,7 @@ def global_store_explore(
         warm_records = warm_start.records
         live_writes = set(seed_store.keys())
     seen: set = set(seed_configs)
-    worklist = make_worklist(schedule, seen)
+    worklist = FifoWorklist(seen)
     deps: dict = {}
     written_all: set = set()
     dirty: set = set()
@@ -520,7 +553,7 @@ def global_store_explore(
                 for pair in record.successors:
                     if pair not in seen:
                         seen.add(pair)
-                        worklist.discovered(pair, config)
+                        worklist.discovered(pair)
                 if capture is not None:
                     capture.records[config] = record
                 continue
@@ -531,7 +564,7 @@ def global_store_explore(
                 f"no fixed point within {max_evals} configuration evaluations"
             )
         if trace is not None:
-            trace.append((worklist.ranks.get(config, 0), config))
+            trace.append(config)
 
         recorder.begin_log()
         try:
@@ -553,7 +586,7 @@ def global_store_explore(
         for pair, _result_store in results:
             if pair not in seen:
                 seen.add(pair)
-                worklist.discovered(pair, config)
+                worklist.discovered(pair)
         if capture is not None:
             capture.records[config] = EvalRecord(
                 reads=reads,
@@ -594,8 +627,6 @@ def global_store_explore(
             tracked_addresses=len(deps),
             reused=reused,
             dedup_hits=worklist.dedup_hits,
-            max_rank=worklist.max_rank,
-            schedule=schedule,
         )
     return (frozenset(seen), global_store)
 
@@ -637,7 +668,6 @@ def _versioned_explore(
     stats: dict | None,
     warm_start: WarmStart | None = None,
     capture: FixpointCapture | None = None,
-    schedule: str = "fifo",
     trace: list | None = None,
 ) -> tuple:
     """The O(delta) hot loop behind :func:`global_store_explore`.
@@ -688,7 +718,7 @@ def _versioned_explore(
         mstore = base_store.thaw(seed_store)
         live_writes = set()
     seen: set = set(seed_configs)
-    worklist = make_worklist(schedule, seen)
+    worklist = FifoWorklist(seen)
     deps: dict = {}
     written_all: set = set()
     dirty: set = set(mstore.changed_since(0)) if warm_start is not None else set()
@@ -712,7 +742,7 @@ def _versioned_explore(
                 for pair in record.successors:
                     if pair not in seen:
                         seen.add(pair)
-                        worklist.discovered(pair, config)
+                        worklist.discovered(pair)
                 if capture is not None:
                     capture.records[config] = record
                 continue
@@ -723,7 +753,7 @@ def _versioned_explore(
                 f"no fixed point within {max_evals} configuration evaluations"
             )
         if trace is not None:
-            trace.append((worklist.ranks.get(config, 0), config))
+            trace.append(config)
 
         mark = mstore.mark()
         run_store = GCOverlay(mstore) if gc_on else mstore
@@ -755,7 +785,7 @@ def _versioned_explore(
         for pair in pairs:
             if pair not in seen:
                 seen.add(pair)
-                worklist.discovered(pair, config)
+                worklist.discovered(pair)
         if capture is not None:
             capture.records[config] = EvalRecord(
                 reads=reads, writes=writes, successors=tuple(dict.fromkeys(pairs))
@@ -786,7 +816,5 @@ def _versioned_explore(
             tracked_addresses=len(deps),
             reused=reused,
             dedup_hits=worklist.dedup_hits,
-            max_rank=worklist.max_rank,
-            schedule=schedule,
         )
     return (frozenset(seen), frozen)

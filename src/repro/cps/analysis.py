@@ -133,7 +133,6 @@ class CPSAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
     def step(self) -> Callable[[PState], Any]:
@@ -317,7 +316,6 @@ def assemble_cps(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        schedule=config.schedule,
     )
 
 

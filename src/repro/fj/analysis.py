@@ -166,7 +166,6 @@ class FJAnalysis:
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
-    schedule: str = "fifo"
     last_stats: dict = field(default_factory=dict)
 
     def step(self) -> Callable[[PState], Any]:
@@ -322,7 +321,6 @@ def assemble_fj_from_config(
         label=config.label,
         engine=config.engine,
         transition=config.transition,
-        schedule=config.schedule,
     )
 
 

@@ -2,7 +2,7 @@
 
 Every earlier PR grew its own counter surface -- the fixpoint cache's
 ``lifetime`` block, ``BatchReport.pool_workers``, the resident server's
-p50/p99 latencies, the schedulers' ``dedup_hits``/``max_rank``, the
+p50/p99 latencies, the worklist's ``dedup_hits``, the
 intern pool's hit/miss stats.  This package is where those one-off
 surfaces converge:
 

@@ -50,7 +50,6 @@ class ServerMetrics:
         self._latencies: dict[str, Histogram] = {}
         self._evaluations = self.registry.counter("serve_work_evaluations_total")
         self._dedup_hits = self.registry.counter("serve_work_dedup_hits_total")
-        self._max_rank = self.registry.gauge("serve_work_max_rank")
         self.registry.describe(
             "serve_requests_total", "Requests received, by protocol method."
         )
@@ -90,18 +89,11 @@ class ServerMetrics:
         """Accumulate one outcome's engine-work counters (handler side).
 
         ``evaluations``/``dedup_hits`` sum across every analysed job
-        (cache-served outcomes carry no stats and contribute nothing);
-        ``max_rank`` keeps the deepest dependency rank any served
-        analysis reached.  Together they make the scheduling win
-        observable from the ``stats`` method without touching per-job
-        report rows.
+        (cache-served outcomes carry no stats and contribute nothing),
+        so the ``stats`` method shows the engine work served.
         """
         self._evaluations.inc(stats.get("evaluations") or 0)
         self._dedup_hits.inc(stats.get("dedup_hits") or 0)
-        rank = stats.get("max_rank") or 0
-        with self._lock:
-            if rank > self._max_rank.value:
-                self._max_rank.set(rank)
 
     def record_latency(self, method: str, seconds: float) -> None:
         """Record one successful request's wall-clock service time."""
@@ -140,7 +132,6 @@ class ServerMetrics:
                 "work": {
                     "evaluations": self._evaluations.value,
                     "dedup_hits": self._dedup_hits.value,
-                    "max_rank": int(self._max_rank.value),
                 },
                 "latency": latency,
             }

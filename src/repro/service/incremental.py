@@ -25,15 +25,6 @@ incremental pipeline over the fixpoint cache:
    written back, so the *next* edit warm-starts from this one: a chain
    of edits stays warm end to end.
 
-Warm replay drains through the engine's configured worklist, so under
-``schedule="priority"`` clean records replay in dependency-rank order
--- writes land forward along the discovery depth, which keeps the dirty
-set from cascading into records that would have stayed clean under an
-arbitrary replay order.  The replayed fixed point is identical either
-way (the schedule axis never changes a fixed point, only the work to
-reach it), which is why ``warmable`` does not look at ``schedule`` and
-warm donors are shared across schedules through the cache key.
-
 The pipeline itself lives in :func:`repro.service.jobs.dispatch` -- the
 same tier cascade the batch runner, the CLI, and the resident server
 run -- and this module is its incremental-facing entry: it accepts an
@@ -45,9 +36,12 @@ either way the digest matched and zero evaluations ran).
 Soundness and exactness contract (also on
 :class:`~repro.core.fixpoint.WarmStart`): the warm result equals the
 cold fixed point whenever the donor's store lies at or below the edited
-program's fixed-point store -- true for identity edits and for edits
-that extend a program around its interned sub-terms (the ``id_chain``
-append workload pinned in ``tests/test_service.py``).  An edit that
+program's fixed-point store -- true for identity edits and, with contexts of at most one call site
+(``k <= 1`` or ``zerocfa``), for edits that extend a program around its
+interned sub-terms (the ``id_chain`` append workload pinned in
+``tests/test_service.py``).  At ``k >= 2`` an extension is not exact, so
+no donor is auto-selected for it
+(:func:`repro.service.jobs.subterm_gate_exact`).  An edit that
 *removes* behavior can leave the donor's stale cells in the seed; the
 result is then a sound over-approximation of the cold analysis, and a
 caller that needs exactness re-runs cold (``donor=None``).  Use

@@ -194,14 +194,29 @@ def contains_subterm(program: Any, candidate: Any) -> bool:
     The donor-eligibility test behind automatic warm starts: when the
     old program is an *exact interned subterm* of the new one, the edit
     is an extension -- the old program is closed, so nothing the new
-    wrapper binds can flow into its cells, its internal contexts (hence
-    addresses and values) re-arise unchanged after at most ``k`` steps,
-    and the seeded store therefore lies below the new fixed point: the
-    warm result is exactly the cold one.  A sibling edit (shared pieces,
-    different surroundings) offers no such guarantee -- shared addresses
+    wrapper binds can flow into its cells.  With contexts of at most one
+    call site (``k <= 1``, or ``zerocfa``) its internal contexts (hence
+    addresses and values) re-arise unchanged, and the seeded store
+    therefore lies below the new fixed point: the warm result is exactly
+    the cold one.  From ``k = 2`` on that argument fails: the donor's
+    short call strings near its entry are ones the wrapper lengthens, so
+    an address the new run shares with them can carry donor-only values
+    (``id_chain`` extensions at ``k = 2, 3`` keep extra states) -- see
+    :func:`subterm_gate_exact`.  A sibling edit (shared pieces, different
+    surroundings) offers no guarantee at any ``k`` -- shared addresses
     can carry donor-only values -- so it must re-run cold.
     """
     return any(node is candidate for node in iter_subvalues(program))
+
+
+def subterm_gate_exact(config: AnalysisConfig) -> bool:
+    """Whether :func:`contains_subterm` proves a warm start exact under ``config``.
+
+    Only contexts of at most one call site re-arise unchanged inside an
+    extension: ``k <= 1``, or ``zerocfa``, which ignores ``k``.  Every
+    other configuration answers an extension edit cold.
+    """
+    return config.k <= 1 or config.addressing == "zerocfa"
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +578,7 @@ def _dispatch_cascade(
     warm_start = None
     gate_bypassed = donor is not None
     if allow_warm and warmable(config) and cache is not None and use_cache:
-        if donor is None:
+        if donor is None and subterm_gate_exact(config):
             candidate = cache.latest_for(config)
             if (
                 candidate is not None
@@ -626,6 +641,5 @@ def outcome_row(outcome: JobOutcome, include_flows: bool = False) -> dict:
         evaluations=outcome.stats.get("evaluations"),
         reused=outcome.stats.get("reused"),
         dedup_hits=outcome.stats.get("dedup_hits"),
-        max_rank=outcome.stats.get("max_rank"),
     )
     return summary

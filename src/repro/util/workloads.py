@@ -57,7 +57,6 @@ def build_workload_config(
     engine: str | None = None,
     store_impl: str | None = None,
     transition: str | None = None,
-    schedule: str | None = None,
     gc: bool = False,
     counting: bool = False,
 ):
@@ -82,7 +81,6 @@ def build_workload_config(
             engine=engine,
             store_impl=store_impl,
             transition=transition,
-            schedule=schedule,
         )
         if k is not None:
             config = config.replace(k=k).validated()
@@ -98,5 +96,4 @@ def build_workload_config(
         gc=gc,
         counting=counting,
         transition=transition or "generic",
-        schedule=schedule or "fifo",
     ).validated()

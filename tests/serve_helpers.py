@@ -40,7 +40,7 @@ CELLS = [
 #: other field of an ``analyse`` response is analysis content and must
 #: be byte-identical to the cold reference.
 VOLATILE_ROW_FIELDS = frozenset(
-    {"seconds", "cache", "tier", "evaluations", "reused", "dedup_hits", "max_rank"}
+    {"seconds", "cache", "tier", "evaluations", "reused", "dedup_hits"}
 )
 
 #: Keys masked (at any nesting depth) in golden protocol fixtures:

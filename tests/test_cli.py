@@ -171,6 +171,11 @@ class TestParser:
         assert args.preset is None and not args.list_presets
         assert not args.shared and not args.gc and not args.counting
 
+    @pytest.mark.parametrize("order", ["fifo", "priority"])
+    def test_schedule_flag_is_gone(self, order):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "x.cps", "--schedule", order])
+
 
 class TestPresets:
     def test_list_presets(self, capsys):

@@ -1,15 +1,8 @@
 """Direct tests for the generic Collecting instances and the driver."""
 
-import pytest
-
 from repro.core.addresses import KCFA, ZeroCFA
 from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
-from repro.core.driver import (
-    AnalysisRun,
-    run_analysis,
-    run_analysis_worklist,
-    timed_analysis,
-)
+from repro.core.driver import run_analysis, run_analysis_worklist
 from repro.core.gc import MonadicStoreCollector
 from repro.core.store import BasicStore
 from repro.cps.analysis import AbstractCPSInterface, CPSTouching
@@ -104,21 +97,6 @@ class TestSharedCollecting:
 
 
 class TestDriver:
-    def test_worklist_requires_per_state(self):
-        _iface, collecting, step = TestSharedCollecting().make_shared()
-        with pytest.raises(TypeError):
-            timed_analysis(collecting, step, inject(PROGRAMS["identity"]), worklist=True)
-
-    def test_timed_analysis_records_time_and_label(self):
-        _iface, collecting, step = make_parts()
-        run = timed_analysis(
-            collecting, step, inject(PROGRAMS["identity"]), label="smoke", worklist=True
-        )
-        assert isinstance(run, AnalysisRun)
-        assert run.label == "smoke"
-        assert run.seconds >= 0
-        assert run.result
-
     def test_run_analysis_and_worklist_agree(self):
         _iface, collecting, step = make_parts(ZeroCFA())
         initial = inject(PROGRAMS["omega"])

@@ -24,6 +24,7 @@ from repro.config import (
     assemble,
     list_presets,
     preset_config,
+    request_config,
 )
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
@@ -149,13 +150,23 @@ class TestPresetRegistry:
 
     def test_presets_are_distinct_configurations(self):
         """No preset duplicates another: each differs in a field that the
-        cache key or the drain order sees."""
-        shapes = {(p.config.cache_key(), p.config.schedule) for p in PRESETS.values()}
+        cache key sees."""
+        shapes = {p.config.cache_key() for p in PRESETS.values()}
         assert len(shapes) == len(PRESETS)
 
     def test_unknown_preset_has_helpful_error(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("definitely-not-a-preset")
+
+    @pytest.mark.parametrize("lang", LANGUAGES)
+    @pytest.mark.parametrize("order", ["fifo", "priority"])
+    def test_schedule_is_not_a_config_field(self, order, lang):
+        """The depgraph loop has one FIFO drain order, so ``schedule`` is
+        an unknown override like any other typo'd field -- no shim."""
+        with pytest.raises(ValueError, match="unknown config override"):
+            request_config(lang, "1cfa", {"schedule": order})
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_config("1cfa-priority", lang)
 
     def test_list_presets_rows(self):
         rows = list_presets()
@@ -211,7 +222,6 @@ def _kleene_reference(lang, name, config):
             engine="kleene",
             store_impl="persistent",
             transition="generic",
-            schedule="fifo",  # kleene has no worklist to order
             label="ref",
         )
         worklist = False

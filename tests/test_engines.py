@@ -17,7 +17,6 @@ import pytest
 from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine, analyse_cesk_shared
 from repro.core.addresses import KCFA
 from repro.core.fixpoint import ENGINES, STORE_IMPLS, global_store_explore
-from repro.core.schedule import SCHEDULES
 from repro.core.store import BasicStore, CountingStore, RecordingStore, unwrap_store
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
@@ -25,7 +24,6 @@ from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
 from repro.cps.analysis import analyse, analyse_shared, analyse_with_engine
 from repro.fj.analysis import analyse_fj, analyse_fj_engine, analyse_fj_shared
-from schedule_cells import engine_cells, scheduled
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -34,12 +32,12 @@ FJ_NAMES = sorted(FJ_PROGRAMS)
 
 class TestCPSEngineEquivalence:
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_engines_agree_with_kleene(self, name, k, schedule):
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("impl", STORE_IMPLS)
+    def test_engines_agree_with_kleene(self, name, k, impl):
         program = CPS_PROGRAMS[name]
         reference = analyse_with_engine(program, "kleene", k=k)
-        result = scheduled(analyse(KCFA(k), engine="depgraph"), schedule).run(program)
+        result = analyse(KCFA(k), engine="depgraph", store_impl=impl).run(program)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
@@ -70,13 +68,15 @@ class TestCPSEngineEquivalence:
 
 
 class TestCESKEngineEquivalence:
+    # k=2 is left to the preset matrix (tests/test_config.py): Church
+    # arithmetic at k=2 makes the whole-domain Kleene reference explode
     @pytest.mark.parametrize("name", LAM_NAMES)
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_engines_agree_with_kleene(self, name, k, schedule):
+    @pytest.mark.parametrize("impl", STORE_IMPLS)
+    def test_engines_agree_with_kleene(self, name, k, impl):
         expr = LAM_PROGRAMS[name]
         reference = analyse_cesk_engine(expr, "kleene", k=k)
-        result = scheduled(analyse_cesk(KCFA(k), engine="depgraph"), schedule).run(expr)
+        result = analyse_cesk(KCFA(k), engine="depgraph", store_impl=impl).run(expr)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
@@ -97,13 +97,13 @@ class TestCESKEngineEquivalence:
 
 class TestFJEngineEquivalence:
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_engines_agree_with_kleene(self, name, k, schedule):
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("impl", STORE_IMPLS)
+    def test_engines_agree_with_kleene(self, name, k, impl):
         program = FJ_PROGRAMS[name]
         reference = analyse_fj_engine(program, "kleene", k=k)
-        result = scheduled(
-            analyse_fj(program, KCFA(k), engine="depgraph"), schedule
+        result = analyse_fj(
+            program, KCFA(k), engine="depgraph", store_impl=impl
         ).run(program)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
@@ -134,38 +134,29 @@ class TestStoreImplEquivalence:
     """
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
-    def test_cps_corpus(self, name, engine, schedule):
+    @pytest.mark.parametrize("engine", ["depgraph"])
+    def test_cps_corpus(self, name, engine):
         program = CPS_PROGRAMS[name]
-        persistent = scheduled(analyse(KCFA(1), engine=engine), schedule).run(program)
-        versioned = scheduled(
-            analyse(KCFA(1), engine=engine, store_impl="versioned"), schedule
-        ).run(program)
+        persistent = analyse(KCFA(1), engine=engine).run(program)
+        versioned = analyse(KCFA(1), engine=engine, store_impl="versioned").run(program)
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
     @pytest.mark.parametrize("name", LAM_NAMES)
-    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
-    def test_lam_corpus(self, name, engine, schedule):
+    @pytest.mark.parametrize("engine", ["depgraph"])
+    def test_lam_corpus(self, name, engine):
         expr = LAM_PROGRAMS[name]
-        persistent = scheduled(analyse_cesk(KCFA(1), engine=engine), schedule).run(expr)
-        versioned = scheduled(
-            analyse_cesk(KCFA(1), engine=engine, store_impl="versioned"), schedule
-        ).run(expr)
+        persistent = analyse_cesk(KCFA(1), engine=engine).run(expr)
+        versioned = analyse_cesk(KCFA(1), engine=engine, store_impl="versioned").run(expr)
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("engine,schedule", engine_cells([("depgraph",)]))
-    def test_fj_corpus(self, name, engine, schedule):
+    @pytest.mark.parametrize("engine", ["depgraph"])
+    def test_fj_corpus(self, name, engine):
         program = FJ_PROGRAMS[name]
-        persistent = scheduled(
-            analyse_fj(program, KCFA(1), engine=engine), schedule
-        ).run(program)
-        versioned = scheduled(
-            analyse_fj(program, KCFA(1), engine=engine, store_impl="versioned"),
-            schedule,
-        ).run(program)
+        persistent = analyse_fj(program, KCFA(1), engine=engine).run(program)
+        versioned = analyse_fj(program, KCFA(1), engine=engine, store_impl="versioned").run(program)
         assert versioned.fp == persistent.fp
         assert versioned.class_flows() == persistent.class_flows()
 
@@ -338,9 +329,8 @@ class TestEngineGuards:
 
 
 class TestGCEngineEquivalence:
-    """Abstract GC runs on the depgraph engine (both store impls, both
-    schedules) and computes the identical fixed point to the Kleene+GC
-    baseline.
+    """Abstract GC runs on the depgraph engine (both store impls) and
+    computes the identical fixed point to the Kleene+GC baseline.
 
     On the persistent path each branch's result store arrives already
     swept by the woven-in collector; on the versioned path the engine
@@ -358,32 +348,26 @@ class TestGCEngineEquivalence:
     ]
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_cps_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_cps_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
         reference = analyse(KCFA(1), gc=True, engine="kleene").run(program)
-        result = scheduled(
-            analyse(KCFA(1), gc=True, engine=engine, store_impl=impl), schedule
-        ).run(program)
+        result = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_lam_spot_check(self, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_lam_spot_check(self, engine, impl):
         expr = LAM_PROGRAMS["mj09"]
         reference = analyse_cesk(KCFA(1), gc=True, engine="kleene").run(expr)
-        result = scheduled(
-            analyse_cesk(KCFA(1), gc=True, engine=engine, store_impl=impl), schedule
-        ).run(expr)
+        result = analyse_cesk(KCFA(1), gc=True, engine=engine, store_impl=impl).run(expr)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_fj_spot_check(self, engine, impl, schedule):
-        program = FJ_PROGRAMS["visitor"]
+    @pytest.mark.parametrize("name", FJ_NAMES)
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_fj_corpus(self, name, engine, impl):
+        program = FJ_PROGRAMS[name]
         reference = analyse_fj(program, KCFA(1), gc=True, engine="kleene").run(program)
-        result = scheduled(
-            analyse_fj(program, KCFA(1), gc=True, engine=engine, store_impl=impl),
-            schedule,
-        ).run(program)
+        result = analyse_fj(program, KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
         assert result.fp == reference.fp
 
     def test_gc_sweeps_dead_bindings_out_of_the_global_store(self):
@@ -416,8 +400,8 @@ class TestGCEngineEquivalence:
 
 
 class TestCountingEngineEquivalence:
-    """Counting stores run on the depgraph engine (both store impls, both
-    schedules) via count saturation.
+    """Counting stores run on the depgraph engine (both store impls) via
+    count saturation.
 
     At the Kleene fixed point every step-written address has count MANY
     (the confirming round re-binds it once more), so the engines track
@@ -428,45 +412,39 @@ class TestCountingEngineEquivalence:
     ENGINE_IMPLS = TestGCEngineEquivalence.ENGINE_IMPLS
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_cps_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_cps_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
         reference = analyse_with_engine(program, "kleene", k=1, counting=True)
-        result = scheduled(
-            analyse(KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl),
-            schedule,
+        result = analyse(
+            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
         ).run(program)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_lam_spot_check(self, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_lam_spot_check(self, engine, impl):
         expr = LAM_PROGRAMS["church-two-two"]
         reference = analyse_cesk(
             KCFA(1), store_like=CountingStore(), engine="kleene"
         ).run(expr)
-        result = scheduled(
-            analyse_cesk(
-                KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
-            ),
-            schedule,
+        result = analyse_cesk(
+            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
         ).run(expr)
         assert result.fp == reference.fp
 
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_fj_spot_check(self, engine, impl, schedule):
-        program = FJ_PROGRAMS["animals"]
+    @pytest.mark.parametrize("name", FJ_NAMES)
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_fj_corpus(self, name, engine, impl):
+        program = FJ_PROGRAMS[name]
         reference = analyse_fj(
             program, KCFA(1), store_like=CountingStore(), engine="kleene"
         ).run(program)
-        result = scheduled(
-            analyse_fj(
-                program,
-                KCFA(1),
-                store_like=CountingStore(),
-                engine=engine,
-                store_impl=impl,
-            ),
-            schedule,
+        result = analyse_fj(
+            program,
+            KCFA(1),
+            store_like=CountingStore(),
+            engine=engine,
+            store_impl=impl,
         ).run(program)
         assert result.fp == reference.fp
 

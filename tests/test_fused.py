@@ -10,8 +10,7 @@ assembly time rather than interpreted per bind.
 Coverage here:
 
 * corpus-wide fused-vs-generic equivalence on the global-store engines
-  (every engine x store-impl, the depgraph loop under both schedules),
-  all three languages;
+  (every engine x store-impl, k=1 and k=0), all three languages;
 * composition with abstract GC and counting (engine paths) and with the
   per-state-store domains and the concrete reference semantics;
 * the observational contract underneath the depgraph engine: a staged
@@ -30,7 +29,6 @@ from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine
 from repro.config import TRANSITIONS, AnalysisConfig, assemble
 from repro.core.addresses import ConcreteAddressing, KCFA
 from repro.core.fused import FusedTransition, build_fused
-from repro.core.schedule import SCHEDULES
 from repro.core.store import CountingStore, RecordingStore
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
@@ -38,7 +36,6 @@ from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
 from repro.cps.analysis import analyse, analyse_with_engine
 from repro.fj.analysis import analyse_fj, analyse_fj_engine
-from schedule_cells import engine_cells, scheduled
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -130,23 +127,21 @@ class TestFusedCalling:
 
 class TestCPSFusedEquivalence:
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
         generic = analyse_with_engine(program, engine, k=1, store_impl=impl)
-        fused = scheduled(
-            analyse(KCFA(1), engine=engine, store_impl=impl, transition="fused"),
-            schedule,
-        ).run(program)
+        fused = analyse(KCFA(1), engine=engine, store_impl=impl, transition="fused").run(program)
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    def test_corpus_k0(self, name):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus_k0(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        generic = analyse_with_engine(program, "depgraph", k=0, store_impl="versioned")
+        generic = analyse_with_engine(program, engine, k=0, store_impl=impl)
         fused = analyse_with_engine(
-            program, "depgraph", k=0, store_impl="versioned", transition="fused"
+            program, engine, k=0, store_impl=impl, transition="fused"
         )
         assert fused.fp == generic.fp
 
@@ -177,17 +172,24 @@ class TestCPSFusedEquivalence:
 
 class TestLamFusedEquivalence:
     @pytest.mark.parametrize("name", LAM_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus(self, name, engine, impl):
         expr = LAM_PROGRAMS[name]
         generic = analyse_cesk_engine(expr, engine, k=1, store_impl=impl)
-        fused = scheduled(
-            analyse_cesk(KCFA(1), engine=engine, store_impl=impl, transition="fused"),
-            schedule,
-        ).run(expr)
+        fused = analyse_cesk(KCFA(1), engine=engine, store_impl=impl, transition="fused").run(expr)
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
         assert fused.final_values() == generic.final_values()
+
+    @pytest.mark.parametrize("name", LAM_NAMES)
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus_k0(self, name, engine, impl):
+        expr = LAM_PROGRAMS[name]
+        generic = analyse_cesk_engine(expr, engine, k=0, store_impl=impl)
+        fused = analyse_cesk_engine(
+            expr, engine, k=0, store_impl=impl, transition="fused"
+        )
+        assert fused.fp == generic.fp
 
     def test_per_state_domain(self):
         expr = LAM_PROGRAMS["mj09"]
@@ -198,19 +200,26 @@ class TestLamFusedEquivalence:
 
 class TestFJFusedEquivalence:
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
         generic = analyse_fj_engine(program, engine, k=1, store_impl=impl)
-        fused = scheduled(
-            analyse_fj(
-                program, KCFA(1), engine=engine, store_impl=impl, transition="fused"
-            ),
-            schedule,
+        fused = analyse_fj(
+            program, KCFA(1), engine=engine, store_impl=impl, transition="fused"
         ).run(program)
         assert fused.fp == generic.fp
         assert fused.class_flows() == generic.class_flows()
         assert fused.final_classes() == generic.final_classes()
+
+    @pytest.mark.parametrize("name", FJ_NAMES)
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_corpus_k0(self, name, engine, impl):
+        program = FJ_PROGRAMS[name]
+        generic = analyse_fj_engine(program, engine, k=0, store_impl=impl)
+        fused = analyse_fj_engine(
+            program, engine, k=0, store_impl=impl, transition="fused"
+        )
+        assert fused.fp == generic.fp
 
     def test_per_state_domain(self):
         program = FJ_PROGRAMS["visitor"]
@@ -223,76 +232,66 @@ class TestFusedWithRefinements:
     """GC and counting compose with the staged step on every path."""
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
-    def test_cps_gc_corpus(self, name, engine, impl, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_cps_gc_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
         generic = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
-        fused = scheduled(
-            analyse(
-                KCFA(1), gc=True, engine=engine, store_impl=impl, transition="fused"
-            ),
-            schedule,
+        fused = analyse(
+            KCFA(1), gc=True, engine=engine, store_impl=impl, transition="fused"
         ).run(program)
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", CPS_NAMES)
-    def test_cps_counting_corpus(self, name):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_cps_counting_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        for engine, impl in (("kleene", "persistent"), ("depgraph", "versioned")):
-            generic = analyse(
-                KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
-            ).run(program)
-            fused = analyse(
-                KCFA(1),
-                store_like=CountingStore(),
-                engine=engine,
-                store_impl=impl,
-                transition="fused",
-            ).run(program)
-            assert fused.fp == generic.fp, (engine, impl)
-            # singleton (must-alias) facts agree too; go through the
-            # store-like so persistent and versioned counting compare alike
-            assert fused.store_like.singleton_addresses(
-                fused.global_store()
-            ) == generic.store_like.singleton_addresses(generic.global_store())
+        generic = analyse(
+            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
+        ).run(program)
+        fused = analyse(
+            KCFA(1),
+            store_like=CountingStore(),
+            engine=engine,
+            store_impl=impl,
+            transition="fused",
+        ).run(program)
+        assert fused.fp == generic.fp
+        # singleton (must-alias) facts agree too; go through the
+        # store-like so persistent and versioned counting compare alike
+        assert fused.store_like.singleton_addresses(
+            fused.global_store()
+        ) == generic.store_like.singleton_addresses(generic.global_store())
 
     @pytest.mark.parametrize("name", LAM_NAMES)
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_lam_gc_fast_path(self, name, schedule):
+    def test_lam_gc_fast_path(self, name):
         expr = LAM_PROGRAMS[name]
         generic = analyse_cesk(
             KCFA(1), gc=True, engine="depgraph", store_impl="versioned"
         ).run(expr)
-        fused = scheduled(
-            analyse_cesk(
-                KCFA(1),
-                gc=True,
-                engine="depgraph",
-                store_impl="versioned",
-                transition="fused",
-            ),
-            schedule,
+        fused = analyse_cesk(
+            KCFA(1),
+            gc=True,
+            engine="depgraph",
+            store_impl="versioned",
+            transition="fused",
         ).run(expr)
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", FJ_NAMES)
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_fj_gc_and_counting_fast_path(self, name, schedule):
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
+    def test_fj_gc_and_counting_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
         for kwargs in (dict(gc=True), dict(store_like=CountingStore())):
             generic = analyse_fj(
-                program, KCFA(1), engine="depgraph", store_impl="versioned", **kwargs
+                program, KCFA(1), engine=engine, store_impl=impl, **kwargs
             ).run(program)
-            fused = scheduled(
-                analyse_fj(
-                    program,
-                    KCFA(1),
-                    engine="depgraph",
-                    store_impl="versioned",
-                    transition="fused",
-                    **kwargs,
-                ),
-                schedule,
+            fused = analyse_fj(
+                program,
+                KCFA(1),
+                engine=engine,
+                store_impl=impl,
+                transition="fused",
+                **kwargs,
             ).run(program)
             assert fused.fp == generic.fp, tuple(kwargs)
 
@@ -389,15 +388,15 @@ class TestFusedReadWriteParity:
 
 
 class TestFusedAcceptance:
-    """The acceptance shape: every engine x store-impl x schedule x gc /
+    """The acceptance shape: every engine x store-impl x gc /
     counting combination runs fused with the identical fixed point (one
     program per language here; the corpus-wide matrices above and the
     preset matrix in test_config.py cover the rest)."""
 
     @pytest.mark.parametrize("lang", ["cps", "lam", "fj"])
-    @pytest.mark.parametrize("engine,impl,schedule", engine_cells(ENGINE_IMPLS))
+    @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     @pytest.mark.parametrize("refinement", ["plain", "gc", "counting"])
-    def test_matrix_cell(self, lang, engine, impl, schedule, refinement):
+    def test_matrix_cell(self, lang, engine, impl, refinement):
         program = {
             "cps": CPS_PROGRAMS["mj09"],
             "lam": LAM_PROGRAMS["mj09"],
@@ -410,7 +409,6 @@ class TestFusedAcceptance:
                 k=1,
                 engine=engine,
                 store_impl=impl,
-                schedule=schedule,
                 gc=refinement == "gc",
                 counting=refinement == "counting",
                 transition=transition,

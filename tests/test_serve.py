@@ -64,9 +64,9 @@ class TestMatrixEquality:
         seen_keys: set[str] = set()
         for cell in CELLS:
             row = client.call("analyse", cell_params(*cell))
-            # presets that differ only in evaluation strategy (e.g.
-            # 1cfa vs 1cfa-priority) share a content address: the
-            # first cell per key computes cold, the rest legitimately hit
+            # presets that differ only in a field the cache key ignores
+            # (the label) would share a content address: the first cell
+            # per key computes cold, any later one legitimately hits
             if row["key"] not in seen_keys:
                 assert row["cache"] == "miss", cell
                 seen_keys.add(row["key"])
@@ -454,7 +454,14 @@ class TestProtocolDiscipline:
         assert caught.value.name == "invalid-params"
 
     @pytest.mark.parametrize(
-        "field,value", [("quantum", True), ("parallelism", "sharded"), ("shards", 4)]
+        "field,value",
+        [
+            ("quantum", True),
+            ("parallelism", "sharded"),
+            ("shards", 4),
+            ("schedule", "fifo"),
+            ("schedule", "priority"),
+        ],
     )
     def test_bad_override_rejected(self, client, field, value):
         with pytest.raises(ServeError) as caught:

@@ -187,6 +187,28 @@ class TestRealEditWarmStart:
         third = reanalyse(config, id_chain_edited(40), cache)
         assert third.mode == "cache-hit" and third.fp == cold.fp
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize(
+        "addressing,k",
+        [("kcfa", 0), ("kcfa", 1), ("kcfa", 2), ("kcfa", 3), ("lcontext", 2)],
+    )
+    def test_chain_append_is_cold_equal_at_every_k(self, addressing, k, n, tmp_path):
+        """The subterm gate's argument holds only for contexts of one call
+        site: from k = 2 a warm-started extension keeps donor-only states
+        (id_chain(5) at k = 2: 17 against 13), so the cascade runs it cold."""
+        config = preset_config("1cfa", "cps").replace(addressing=addressing, k=k)
+        cache = FixpointCache(root=tmp_path / "cache")
+        reanalyse(config, id_chain(n), cache)
+        edited = reanalyse(config, id_chain_edited(n), cache)
+        cold = reanalyse(
+            config,
+            id_chain_edited(n),
+            FixpointCache(root=tmp_path / "fresh"),
+            allow_warm=False,
+        )
+        assert edited.fp == cold.fp
+        assert edited.mode == ("warm" if k <= 1 else "cold")
+
     def test_unrelated_program_is_not_auto_warm_started(self, tmp_path):
         """The donor gate: mj09's entry is not a subterm of the chain, so
         the chain re-runs cold instead of risking an inexact warm seed."""

@@ -28,15 +28,12 @@ and tests run for the same settings.
 
 ``--schedule-trace`` swaps the profiler for a scheduling view: run the
 analysis once with the engine's evaluation-order trace enabled and
-print the drain order (rank per pop) plus the per-configuration
-re-evaluation histogram -- the direct way to eyeball a scheduling
-pathology (a configuration re-evaluated dozens of times is a batching
-failure; compare ``--schedule fifo`` against ``--schedule priority``
-on the same workload)::
+print the drain order plus the per-configuration re-evaluation
+histogram -- the direct way to eyeball a scheduling pathology (a
+configuration re-evaluated dozens of times is a batching failure)::
 
     PYTHONPATH=src python tools/profile_analysis.py --preset 1cfa \\
-        --lang cps --workload id-chain-30 --engine depgraph \\
-        --schedule-trace --schedule priority
+        --lang cps --workload id-chain-30 --schedule-trace
 
 ``--pickle-cost`` swaps the profiler for a transport-cost measurement:
 run the analysis once, then time pickling, compressing, unpickling and
@@ -87,7 +84,6 @@ def build_analysis(args: argparse.Namespace, program):
         engine=args.engine,
         store_impl=args.store_impl,
         transition=args.transition,
-        schedule=args.schedule,
         gc=args.gc,
         counting=args.counting,
     )
@@ -138,15 +134,14 @@ def _timed_once(fn) -> tuple[float, object]:
 def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
     """Run once with the engine trace on; print order + re-eval histogram.
 
-    The trace is the engine's own pop sequence (one ``(rank, config)``
-    entry per real evaluation -- warm replays never appear), so what is
-    printed is exactly what the worklist did, not a reconstruction.
+    The trace is the engine's own pop sequence (one configuration per
+    real evaluation -- warm replays never appear), so what is printed is
+    exactly what the worklist did, not a reconstruction.
 
     With ``--trace FILE`` the same run goes through the structured
     tracer (:mod:`repro.obs.trace`): the analysis phases appear as
     spans, and every worklist pop is appended as an instant ``pop``
-    event carrying its drain index and dependency rank -- the drain
-    order, viewable next to the phase timeline in Perfetto.
+    event carrying its drain index -- the drain order, viewable next to the phase timeline in Perfetto.
     """
     from collections import Counter
 
@@ -163,8 +158,8 @@ def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
     if tracer is not None:
         with use_tracer(tracer):
             analysis.run(program, trace=trace)
-        for index, (rank, _conf) in enumerate(trace):
-            tracer.event("pop", cat="schedule", index=index, rank=rank)
+        for index in range(len(trace)):
+            tracer.event("pop", cat="schedule", index=index)
         tracer.write(args.trace)
         print(f"wrote trace to {args.trace}", file=sys.stderr)
     else:
@@ -172,25 +167,23 @@ def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
     stats = dict(analysis.last_stats)
 
     print(
-        f"schedule trace of {config.describe()} on {args.lang}/{args.workload} "
-        f"(schedule={config.schedule})"
+        f"schedule trace of {config.describe()} on {args.lang}/{args.workload}"
     )
     print(
         f"  evaluations: {stats.get('evaluations')}  "
         f"retriggers: {stats.get('retriggers')}  "
-        f"dedup_hits: {stats.get('dedup_hits')}  "
-        f"max_rank: {stats.get('max_rank')}"
+        f"dedup_hits: {stats.get('dedup_hits')}"
     )
 
     shown = min(len(trace), max(0, args.top))
     print(f"\ndrain order (first {shown} of {len(trace)} evaluations):")
-    for index, (rank, conf) in enumerate(trace[:shown]):
+    for index, conf in enumerate(trace[:shown]):
         text = repr(conf)
         if len(text) > 96:
             text = text[:93] + "..."
-        print(f"  {index:5d}  rank {rank:4d}  {text}")
+        print(f"  {index:5d}  {text}")
 
-    runs = Counter(conf for _rank, conf in trace)
+    runs = Counter(trace)
     histogram = Counter(runs.values())
     print("\nre-evaluation histogram (evaluations-per-configuration: configurations):")
     for count in sorted(histogram):
@@ -205,15 +198,8 @@ def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
             text = repr(conf)
             if len(text) > 80:
                 text = text[:77] + "..."
-            print(f"  {count:4d}x  rank {_rank_of(trace, conf):4d}  {text}")
+            print(f"  {count:4d}x  {text}")
     return 0
-
-
-def _rank_of(trace: list, conf) -> int:
-    for rank, entry in trace:
-        if entry == conf:
-            return rank
-    return -1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -238,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         help="store representation (default without --preset: versioned)",
     )
     parser.add_argument("--transition", choices=("generic", "fused"))
-    parser.add_argument(
-        "--schedule",
-        choices=("fifo", "priority"),
-        default=None,
-        help="worklist drain order (see PERFORMANCE.md, 'Worklist scheduling')",
-    )
     parser.add_argument("--gc", action="store_true")
     parser.add_argument("--counting", action="store_true")
     parser.add_argument("--top", type=int, default=25, help="rows to print")
