@@ -8,16 +8,19 @@ semantics enumerates exactly the concrete control points -- no merging
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, precision_summary
-from repro.cps.analysis import analyse_concrete_collecting, analyse_kcfa
+from repro.config import AnalysisConfig, assemble
 from repro.cps.concrete import interpret_trace
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 TERMINATING = ["identity", "id-id", "mj09", "self-apply"]
 
+#: The concrete collecting semantics: unique addresses, per-state stores.
+COLLECTING = AnalysisConfig(language="cps", addressing="concrete")
+
 
 def test_e2_collecting_semantics_corpus(benchmark):
     def run():
-        return {name: analyse_concrete_collecting(PROGRAMS[name]) for name in TERMINATING}
+        return {name: assemble(COLLECTING).run(PROGRAMS[name]) for name in TERMINATING}
 
     results = run_once(benchmark, run)
     rows = []
@@ -38,7 +41,7 @@ def test_e2_collecting_scaling(benchmark):
     programs = {n: id_chain(n) for n in (2, 4, 8)}
 
     def run():
-        return {n: analyse_concrete_collecting(p).num_states() for n, p in programs.items()}
+        return {n: assemble(COLLECTING).run(p).num_states() for n, p in programs.items()}
 
     states = run_once(benchmark, run)
     assert states[8] > states[4] > states[2]
@@ -48,7 +51,8 @@ def test_e2_abstraction_covers_collecting(benchmark):
     program = PROGRAMS["mj09"]
 
     def run():
-        return analyse_concrete_collecting(program), analyse_kcfa(program, 0)
+        zero = AnalysisConfig(language="cps", k=0)
+        return assemble(COLLECTING).run(program), assemble(zero).run(program)
 
     exact, abstract = run_once(benchmark, run)
     for var, lams in exact.flows_to().items():

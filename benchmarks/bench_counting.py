@@ -9,19 +9,23 @@ and (c) reports MANY exactly where rebinding happens (loops).
 from conftest import run_once
 
 from repro.analysis.report import fmt_table
+from repro.config import AnalysisConfig, assemble
 from repro.core.lattice import AbsNat
-from repro.cps.analysis import analyse_kcfa, analyse_with_count
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 TERMINATING = ["identity", "id-id", "mj09", "self-apply"]
+
+#: 1-CFA over per-state stores, plain and with the counting store.
+PLAIN = AnalysisConfig(language="cps", k=1)
+COUNTING = PLAIN.replace(counting=True)
 
 
 def test_e5_counting_preserves_flows(benchmark):
     def run():
         return {
             name: (
-                analyse_kcfa(PROGRAMS[name], 1).flows_to(),
-                analyse_with_count(PROGRAMS[name], 1, shared=False).flows_to(),
+                assemble(PLAIN).run(PROGRAMS[name]).flows_to(),
+                assemble(COUNTING).run(PROGRAMS[name]).flows_to(),
             )
             for name in TERMINATING
         }
@@ -33,10 +37,7 @@ def test_e5_counting_preserves_flows(benchmark):
 
 def test_e5_singleton_certification(benchmark):
     def run():
-        return {
-            name: analyse_with_count(PROGRAMS[name], 1, shared=False)
-            for name in TERMINATING
-        }
+        return {name: assemble(COUNTING).run(PROGRAMS[name]) for name in TERMINATING}
 
     results = run_once(benchmark, run)
     rows = []
@@ -55,7 +56,7 @@ def test_e5_singleton_certification(benchmark):
 
 def test_e5_loops_counted_many(benchmark):
     def run():
-        return analyse_with_count(PROGRAMS["omega"], 0, shared=False)
+        return assemble(COUNTING.replace(k=0)).run(PROGRAMS["omega"])
 
     result = run_once(benchmark, run)
     store = result.global_store()
@@ -67,5 +68,5 @@ def test_e5_loops_counted_many(benchmark):
 def test_e5_counting_overhead(benchmark):
     """The counting store's bookkeeping cost on a larger workload."""
     program = id_chain(6)
-    result = run_once(benchmark, lambda: analyse_with_count(program, 1, shared=False))
+    result = run_once(benchmark, lambda: assemble(COUNTING).run(program))
     assert result.singleton_counts()

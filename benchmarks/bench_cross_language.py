@@ -11,26 +11,29 @@ it yields the expected analysis."
 from conftest import run_once
 
 from repro.analysis.report import fmt_table
+from repro.config import AnalysisConfig, assemble
 from repro.core.addresses import KCFA, ZeroCFA
-from repro.cps.analysis import analyse as analyse_cps
-from repro.cesk.analysis import analyse_cesk
-from repro.fj.analysis import analyse_fj
 from repro.corpus import cps_programs, fj_programs, lam_programs
 
 
-def merge_width_cps(addressing):
-    result = analyse_cps(addressing).run(cps_programs.PROGRAMS["mj09"])
+def run_shared(language, program, fields, policy):
+    """Run the config ``fields`` name, on the one shared ``policy`` object."""
+    config = AnalysisConfig(language=language, **fields)
+    return assemble(config, program=program, addressing=policy).run(program)
+
+
+def merge_width_cps(fields, policy):
+    result = run_shared("cps", cps_programs.PROGRAMS["mj09"], fields, policy)
     return max(len(result.flows_to()[v]) for v in ("a", "b"))
 
 
-def merge_width_cesk(addressing):
-    result = analyse_cesk(addressing).run(lam_programs.PROGRAMS["mj09"])
+def merge_width_cesk(fields, policy):
+    result = run_shared("lam", lam_programs.PROGRAMS["mj09"], fields, policy)
     return max(len(result.flows_to()[v]) for v in ("a", "b"))
 
 
-def merge_width_fj(addressing):
-    program = fj_programs.PROGRAMS["id-twice"]
-    result = analyse_fj(program, addressing).run(program)
+def merge_width_fj(fields, policy):
+    result = run_shared("fj", fj_programs.PROGRAMS["id-twice"], fields, policy)
     store = result.global_store()
     widths = [
         len(result.store_like.fetch(store, a))
@@ -41,14 +44,19 @@ def merge_width_fj(addressing):
 
 
 def test_e8_same_monad_same_verdict(benchmark):
+    rows = (
+        ("0CFA", dict(addressing="zerocfa"), ZeroCFA),
+        ("1CFA", dict(k=1), lambda: KCFA(1)),
+    )
+
     def run():
         table = {}
-        for label, make in (("0CFA", ZeroCFA), ("1CFA", lambda: KCFA(1))):
+        for label, fields, make in rows:
             policy = make()  # ONE object per row, shared by all three machines
             table[label] = (
-                merge_width_cps(policy),
-                merge_width_cesk(policy),
-                merge_width_fj(policy),
+                merge_width_cps(fields, policy),
+                merge_width_cesk(fields, policy),
+                merge_width_fj(fields, policy),
             )
         return table
 
@@ -96,8 +104,10 @@ def test_e8_fj_dispatch_chain(benchmark):
 
     def run():
         return (
-            analyse_fj(program, ZeroCFA()).run(program),
-            analyse_fj(program, KCFA(1)).run(program),
+            assemble(
+                AnalysisConfig(language="fj", addressing="zerocfa"), program=program
+            ).run(program),
+            assemble(AnalysisConfig(language="fj", k=1), program=program).run(program),
         )
 
     r0, r1 = run_once(benchmark, run)

@@ -14,13 +14,20 @@ import os
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, timed
-from repro.cesk.analysis import analyse_cesk_engine
+from repro.config import AnalysisConfig, assemble
 from repro.core.fixpoint import ENGINES
 from repro.corpus.cps_programs import id_chain
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
-from repro.cps.analysis import analyse_with_engine
-from repro.fj.analysis import analyse_fj_engine
+
+
+def _engine_run(language, program, engine, stats, **fields):
+    """Assemble and run k=1 under ``engine``; its counters land in ``stats``."""
+    config = AnalysisConfig(language=language, k=1, engine=engine, **fields)
+    analysis = assemble(config, program=program)
+    result = analysis.run(program)
+    stats.update(analysis.last_stats)
+    return result
 
 
 def _sweep(run_engine):
@@ -54,7 +61,7 @@ def test_e10_cps_engines_agree(benchmark):
     def run():
         return _sweep(
             lambda engine, stats: timed(
-                lambda: analyse_with_engine(program, engine, k=1, stats=stats)
+                lambda: _engine_run("cps", program, engine, stats)
             )
         )
 
@@ -71,7 +78,7 @@ def test_e10_cesk_engines_agree(benchmark):
     def run():
         return _sweep(
             lambda engine, stats: timed(
-                lambda: analyse_cesk_engine(expr, engine, k=1, stats=stats)
+                lambda: _engine_run("lam", expr, engine, stats)
             )
         )
 
@@ -88,7 +95,7 @@ def test_e10_fj_engines_agree(benchmark):
     def run():
         return _sweep(
             lambda engine, stats: timed(
-                lambda: analyse_fj_engine(program, engine, k=1, stats=stats)
+                lambda: _engine_run("fj", program, engine, stats)
             )
         )
 
@@ -108,17 +115,17 @@ def test_e10_depgraph_does_least_work_everywhere(benchmark):
     timing table is printed for the curious.
     """
     workloads = [
-        ("cps", lambda e, s: timed(lambda: analyse_with_engine(id_chain(8), e, k=1, stats=s))),
+        ("cps", lambda e, s: timed(lambda: _engine_run("cps", id_chain(8), e, s))),
         (
             "lam",
             lambda e, s: timed(
-                lambda: analyse_cesk_engine(LAM_PROGRAMS["church-two-two"], e, k=1, stats=s)
+                lambda: _engine_run("lam", LAM_PROGRAMS["church-two-two"], e, s)
             ),
         ),
         (
             "fj",
             lambda e, s: timed(
-                lambda: analyse_fj_engine(FJ_PROGRAMS["visitor"], e, k=1, stats=s)
+                lambda: _engine_run("fj", FJ_PROGRAMS["visitor"], e, s)
             ),
         ),
     ]
@@ -176,11 +183,11 @@ def test_versioned_store_speedup_on_chain(benchmark):
         stats_p: dict = {}
         stats_v: dict = {}
         persistent, t_persistent = timed(
-            lambda: analyse_with_engine(program, "depgraph", k=1, stats=stats_p)
+            lambda: _engine_run("cps", program, "depgraph", stats_p)
         )
         versioned, t_versioned = timed(
-            lambda: analyse_with_engine(
-                program, "depgraph", k=1, stats=stats_v, store_impl="versioned"
+            lambda: _engine_run(
+                "cps", program, "depgraph", stats_v, store_impl="versioned"
             )
         )
         return persistent, t_persistent, versioned, t_versioned, stats_p, stats_v
@@ -226,16 +233,16 @@ def test_fused_transition_speedup_on_chain(benchmark):
         stats_g: dict = {}
         stats_f: dict = {}
         generic, t_generic = timed(
-            lambda: analyse_with_engine(
-                program, "depgraph", k=1, stats=stats_g, store_impl="versioned"
+            lambda: _engine_run(
+                "cps", program, "depgraph", stats_g, store_impl="versioned"
             )
         )
         fused, t_fused = timed(
-            lambda: analyse_with_engine(
+            lambda: _engine_run(
+                "cps",
                 program,
                 "depgraph",
-                k=1,
-                stats=stats_f,
+                stats_f,
                 store_impl="versioned",
                 transition="fused",
             )

@@ -11,9 +11,8 @@ dependency-tracked worklist agree on the widened domain.
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, timed
-from repro.core.addresses import KCFA
+from repro.config import AnalysisConfig, assemble
 from repro.core.fixpoint import ENGINES
-from repro.cps.analysis import analyse, analyse_with_engine
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 
@@ -23,7 +22,7 @@ def test_e9_kleene_equals_worklist(benchmark):
     def run():
         out = {}
         for name in names:
-            analysis = analyse(KCFA(1))
+            analysis = assemble(AnalysisConfig(language="cps", k=1))
             out[name] = (
                 analysis.run(PROGRAMS[name], worklist=False).fp,
                 analysis.run(PROGRAMS[name], worklist=True).fp,
@@ -39,7 +38,7 @@ def test_e9_strategy_cost_comparison(benchmark):
     program = id_chain(5)
 
     def run():
-        analysis = analyse(KCFA(1))
+        analysis = assemble(AnalysisConfig(language="cps", k=1))
         kleene, t_kleene = timed(lambda: analysis.run(program, worklist=False))
         worklist, t_worklist = timed(lambda: analysis.run(program, worklist=True))
         return kleene, t_kleene, worklist, t_worklist
@@ -68,13 +67,9 @@ def test_e9_global_store_engine_comparison(benchmark):
     def run():
         out = {}
         for engine in ENGINES:
-            stats = {}
-            result, seconds = timed(
-                lambda engine=engine, stats=stats: analyse_with_engine(
-                    program, engine, k=1, stats=stats
-                )
-            )
-            out[engine] = (result, seconds, stats)
+            analysis = assemble(AnalysisConfig(language="cps", k=1, engine=engine))
+            result, seconds = timed(lambda: analysis.run(program))
+            out[engine] = (result, seconds, analysis.last_stats)
         return out
 
     results = run_once(benchmark, run)

@@ -8,17 +8,25 @@ class-flow results.
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, timed
-from repro.fj.analysis import analyse_fj_kcfa, analyse_fj_shared, analyse_fj_zerocfa
+from repro.config import AnalysisConfig, assemble
 from repro.fj.class_table import ClassTable
 from repro.fj.concrete import evaluate_fj
 from repro.corpus.fj_programs import PROGRAMS, dispatch_chain
 
 NAMES = ["pair", "id-twice", "animals", "visitor", "safe-cast"]
 
+ZERO_CFA = AnalysisConfig(language="fj", addressing="zerocfa")
+ONE_CFA = AnalysisConfig(language="fj", k=1)
+
+
+def fixpoint(config, program):
+    """``config`` assembled over ``program``'s class table, run on it."""
+    return assemble(config, program=program).run(program)
+
 
 def test_fj_corpus_sweep(benchmark):
     def run():
-        return {name: analyse_fj_kcfa(PROGRAMS[name], 1) for name in NAMES}
+        return {name: fixpoint(ONE_CFA, PROGRAMS[name]) for name in NAMES}
 
     results = run_once(benchmark, run)
     rows = []
@@ -35,7 +43,7 @@ def test_fj_dispatch_precision(benchmark):
     program = PROGRAMS["animals"]
 
     def run():
-        return analyse_fj_zerocfa(program), analyse_fj_kcfa(program, 1)
+        return fixpoint(ZERO_CFA, program), fixpoint(ONE_CFA, program)
 
     r0, r1 = run_once(benchmark, run)
     print()
@@ -57,7 +65,8 @@ def test_fj_chain_scaling(benchmark):
         out = {}
         for n in (2, 4, 6):
             program = dispatch_chain(n)
-            result, seconds = timed(lambda p=program: analyse_fj_shared(p, 1))
+            shared = ONE_CFA.replace(widening="store")
+            result, seconds = timed(lambda p=program: fixpoint(shared, p))
             out[n] = (result.num_states(), seconds)
         return out
 
@@ -71,9 +80,9 @@ def test_fj_chain_scaling(benchmark):
 def test_fj_cast_safety_client(benchmark):
     def run():
         safe_table = ClassTable.of(PROGRAMS["safe-cast"])
-        safe = analyse_fj_kcfa(PROGRAMS["safe-cast"], 1).possible_cast_failures(safe_table)
+        safe = fixpoint(ONE_CFA, PROGRAMS["safe-cast"]).possible_cast_failures(safe_table)
         bad_table = ClassTable.of(PROGRAMS["bad-cast"])
-        bad = analyse_fj_kcfa(PROGRAMS["bad-cast"], 1).possible_cast_failures(bad_table)
+        bad = fixpoint(ONE_CFA, PROGRAMS["bad-cast"]).possible_cast_failures(bad_table)
         return safe, bad
 
     safe, bad = run_once(benchmark, run)

@@ -11,21 +11,24 @@ the chain family below shows both directions measurably.
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, timed
-from repro.cps.analysis import analyse_kcfa, analyse_with_gc
-from repro.cesk.analysis import analyse_cesk_gc, analyse_cesk_kcfa
 from repro.cesk.concrete import evaluate
+from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 from repro.corpus.lam_programs import eta_chain
 
 TERMINATING = ["identity", "id-id", "mj09", "self-apply"]
+
+#: 1-CFA over per-state stores, without and with abstract GC.
+PLAIN = AnalysisConfig(language="cps", k=1)
+GC = PLAIN.replace(gc=True)
 
 
 def test_e6_gc_shrinks_stores(benchmark):
     def run():
         out = {}
         for name in TERMINATING:
-            plain = analyse_kcfa(PROGRAMS[name], 1)
-            gc = analyse_with_gc(PROGRAMS[name], 1)
+            plain = assemble(PLAIN).run(PROGRAMS[name])
+            gc = assemble(GC).run(PROGRAMS[name])
             out[name] = (plain.store_size(), gc.store_size())
         return out
 
@@ -42,8 +45,8 @@ def test_e6_gc_time_and_space_on_chains(benchmark):
         out = {}
         for n in (4, 8):
             program = id_chain(n)
-            plain, t_plain = timed(lambda p=program: analyse_kcfa(p, 1))
-            gc, t_gc = timed(lambda p=program: analyse_with_gc(p, 1))
+            plain, t_plain = timed(lambda p=program: assemble(PLAIN).run(p))
+            gc, t_gc = timed(lambda p=program: assemble(GC).run(p))
             out[n] = (plain.num_elements(), t_plain, gc.num_elements(), t_gc)
         return out
 
@@ -60,7 +63,7 @@ def test_e6_gc_time_and_space_on_chains(benchmark):
 
 def test_e6_gc_never_loses_the_concrete_answer(benchmark):
     def run():
-        return {name: analyse_with_gc(PROGRAMS[name], 1) for name in TERMINATING}
+        return {name: assemble(GC).run(PROGRAMS[name]) for name in TERMINATING}
 
     results = run_once(benchmark, run)
     for name, result in results.items():
@@ -72,7 +75,8 @@ def test_e6_gc_on_cesk(benchmark):
     program = eta_chain(3)
 
     def run():
-        return analyse_cesk_kcfa(program, 1), analyse_cesk_gc(program, 1)
+        plain = PLAIN.replace(language="lam")
+        return assemble(plain).run(program), assemble(plain.replace(gc=True)).run(program)
 
     plain, gc = run_once(benchmark, run)
     assert gc.store_size() <= plain.store_size()

@@ -9,15 +9,19 @@ grow with k.
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, precision_summary, timed
-from repro.cps.analysis import analyse_kcfa, analyse_shared, analyse_with_engine
+from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import PROGRAMS, id_chain
+
+#: k-CFA over per-state stores, and over Shivers' single-threaded store.
+PER_STATE = AnalysisConfig(language="cps")
+SHARED = PER_STATE.replace(widening="store")
 
 
 def test_e3_k_sweep_mj09(benchmark):
     program = PROGRAMS["mj09"]
 
     def run():
-        return {k: analyse_kcfa(program, k) for k in (0, 1, 2)}
+        return {k: assemble(PER_STATE.replace(k=k)).run(program) for k in (0, 1, 2)}
 
     results = run_once(benchmark, run)
     rows = []
@@ -38,7 +42,7 @@ def test_e3_k_sweep_id_chain(benchmark):
     program = id_chain(6)
 
     def run():
-        return {k: analyse_shared(program, k) for k in (0, 1)}
+        return {k: assemble(SHARED.replace(k=k)).run(program) for k in (0, 1)}
 
     results = run_once(benchmark, run)
     f0 = precision_summary(results[0].flows_to())
@@ -64,7 +68,9 @@ def test_e3_cost_grows_with_k(benchmark):
     def run():
         out = {}
         for k in (0, 1, 2):
-            result, seconds = timed(lambda k=k: analyse_shared(program, k))
+            result, seconds = timed(
+                lambda k=k: assemble(SHARED.replace(k=k)).run(program)
+            )
             out[k] = (result.num_elements(), seconds)
         return out
 
@@ -84,12 +90,10 @@ def test_e3_depgraph_engine_speedup_k1(benchmark):
     program = id_chain(10)
 
     def run():
-        kleene, t_kleene = timed(lambda: analyse_shared(program, 1))
-        stats = {}
-        depgraph, t_depgraph = timed(
-            lambda: analyse_with_engine(program, "depgraph", k=1, stats=stats)
-        )
-        return kleene, t_kleene, depgraph, t_depgraph, stats
+        kleene, t_kleene = timed(lambda: assemble(SHARED).run(program))
+        analysis = assemble(SHARED.replace(engine="depgraph"))
+        depgraph, t_depgraph = timed(lambda: analysis.run(program))
+        return kleene, t_kleene, depgraph, t_depgraph, analysis.last_stats
 
     kleene, t_kleene, depgraph, t_depgraph, stats = run_once(benchmark, run)
     print()
@@ -117,7 +121,10 @@ def test_e3_precision_monotone_in_k_everywhere(benchmark):
 
     def run():
         return {
-            name: (analyse_kcfa(PROGRAMS[name], 0), analyse_kcfa(PROGRAMS[name], 1))
+            name: (
+                assemble(PER_STATE.replace(k=0)).run(PROGRAMS[name]),
+                assemble(PER_STATE).run(PROGRAMS[name]),
+            )
             for name in names
         }
 

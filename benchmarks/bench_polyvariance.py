@@ -10,18 +10,24 @@ sites recover exactness; monovariance merges).
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, precision_summary
-from repro.core.addresses import BoundedNat, KCFA, LContext, ZeroCFA
-from repro.cps.analysis import analyse
+from repro.config import AnalysisConfig, assemble
 from repro.cps.concrete import ConcreteCPSInterface, inject
 from repro.cps.semantics import mnext
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 
+#: Each policy as the shared-store config naming its ``Addressable``.
 POLICIES = [
-    ("0CFA", ZeroCFA()),
-    ("1CFA", KCFA(1)),
-    ("2CFA", KCFA(2)),
-    ("l-ctx(2)", LContext(2)),
-    ("boundN(32)", BoundedNat(32)),
+    ("0CFA", AnalysisConfig(language="cps", widening="store", addressing="zerocfa")),
+    ("1CFA", AnalysisConfig(language="cps", widening="store", k=1)),
+    ("2CFA", AnalysisConfig(language="cps", widening="store", k=2)),
+    (
+        "l-ctx(2)",
+        AnalysisConfig(language="cps", widening="store", addressing="lcontext", k=2),
+    ),
+    (
+        "boundN(32)",
+        AnalysisConfig(language="cps", widening="store", addressing="boundednat", k=32),
+    ),
 ]
 
 
@@ -43,10 +49,7 @@ def test_e7_policy_sweep_mj09(benchmark):
     program = PROGRAMS["mj09"]
 
     def run():
-        return {
-            name: analyse(policy, shared=True).run(program)
-            for name, policy in POLICIES
-        }
+        return {name: assemble(config).run(program) for name, config in POLICIES}
 
     results = run_once(benchmark, run)
     rows = []
@@ -67,10 +70,7 @@ def test_e7_policy_sweep_id_chain(benchmark):
     program = id_chain(5)
 
     def run():
-        return {
-            name: analyse(policy, shared=True).run(program)
-            for name, policy in POLICIES
-        }
+        return {name: assemble(config).run(program) for name, config in POLICIES}
 
     results = run_once(benchmark, run)
     rows = []
@@ -94,8 +94,7 @@ def test_e7_all_policies_sound(benchmark):
 
     def run():
         return {
-            name: analyse(policy, shared=True).run(program).flows_to()
-            for name, policy in POLICIES
+            name: assemble(config).run(program).flows_to() for name, config in POLICIES
         }
 
     results = run_once(benchmark, run)

@@ -10,8 +10,12 @@ result still covers the per-state result.
 from conftest import run_once
 
 from repro.analysis.report import fmt_table, timed
-from repro.cps.analysis import analyse_kcfa, analyse_shared
+from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import heap_clone
+
+#: 1-CFA with per-state stores, and widened to the single-threaded store.
+PER_STATE = AnalysisConfig(language="cps", k=1)
+SHARED = PER_STATE.replace(widening="store")
 
 
 def test_e4_heap_cloning_blowup(benchmark):
@@ -21,8 +25,8 @@ def test_e4_heap_cloning_blowup(benchmark):
         out = {}
         for n in sizes:
             program = heap_clone(n)
-            per_state, t_ps = timed(lambda p=program: analyse_kcfa(p, 1))
-            shared, t_sh = timed(lambda p=program: analyse_shared(p, 1))
+            per_state, t_ps = timed(lambda p=program: assemble(PER_STATE).run(p))
+            shared, t_sh = timed(lambda p=program: assemble(SHARED).run(p))
             out[n] = (per_state.num_elements(), t_ps, shared.num_elements(), t_sh)
         return out
 
@@ -48,7 +52,7 @@ def test_e4_shared_covers_per_state(benchmark):
     program = heap_clone(5)
 
     def run():
-        return analyse_kcfa(program, 1), analyse_shared(program, 1)
+        return assemble(PER_STATE).run(program), assemble(SHARED).run(program)
 
     per_state, shared = run_once(benchmark, run)
     for var, lams in per_state.flows_to().items():
@@ -61,7 +65,7 @@ def test_e4_widening_is_the_cheap_direction(benchmark):
     program = heap_clone(10)
 
     def run():
-        return timed(lambda: analyse_shared(program, 1))
+        return timed(lambda: assemble(SHARED).run(program))
 
     _result, seconds = run_once(benchmark, run)
     assert seconds < 30  # the per-state analysis at n=10 is ~2^10 configs

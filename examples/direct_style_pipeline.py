@@ -14,9 +14,8 @@ Run with::
 """
 
 from repro.analysis.report import fmt_table
-from repro.cesk.analysis import analyse_cesk_kcfa, analyse_cesk_zerocfa
 from repro.cesk.concrete import evaluate
-from repro.cps.analysis import analyse_kcfa as analyse_cps_kcfa
+from repro.config import AnalysisConfig, assemble
 from repro.lam.cps_transform import cps_convert
 from repro.lam.parser import parse_expr
 from repro.lam.syntax import pp
@@ -44,10 +43,10 @@ def main() -> None:
     print(f"concrete CESK value: {value.lam!r}")
     print()
 
-    cesk0 = analyse_cesk_zerocfa(expr)
-    cesk1 = analyse_cesk_kcfa(expr, 1)
+    cesk0 = assemble(AnalysisConfig(language="lam", addressing="zerocfa")).run(expr)
+    cesk1 = assemble(AnalysisConfig(language="lam", k=1)).run(expr)
     cps_program = cps_convert(expr)
-    cps1 = analyse_cps_kcfa(cps_program, 1)
+    cps1 = assemble(AnalysisConfig(language="cps", k=1)).run(cps_program)
 
     print("CPS image (one-pass transform):")
     from repro.cps.syntax import pp as cps_pp

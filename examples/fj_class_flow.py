@@ -10,7 +10,7 @@ Run with::
 """
 
 from repro.analysis.report import fmt_table
-from repro.fj.analysis import analyse_fj_kcfa, analyse_fj_zerocfa
+from repro.config import AnalysisConfig, assemble
 from repro.fj.class_table import ClassTable
 from repro.fj.concrete import evaluate_fj
 from repro.fj.parser import parse_program
@@ -53,8 +53,10 @@ def main() -> None:
     print(f"concrete run returns an instance of: {value.cls}")
     print()
 
-    mono = analyse_fj_zerocfa(program)
-    poly = analyse_fj_kcfa(program, 1)
+    mono = assemble(
+        AnalysisConfig(language="fj", addressing="zerocfa"), program=program
+    ).run(program)
+    poly = assemble(AnalysisConfig(language="fj", k=1), program=program).run(program)
 
     rows = []
     keys = sorted(set(mono.class_flows()) | set(poly.class_flows()))

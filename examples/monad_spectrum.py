@@ -18,14 +18,7 @@ Run with::
 import time
 
 from repro.analysis.report import fmt_table, precision_summary
-from repro.cps.analysis import (
-    analyse_concrete_collecting,
-    analyse_kcfa,
-    analyse_shared,
-    analyse_with_count,
-    analyse_with_gc,
-    analyse_zerocfa,
-)
+from repro.config import AnalysisConfig, assemble
 from repro.cps.concrete import interpret_trace
 from repro.cps.parser import parse_program
 
@@ -50,17 +43,17 @@ def main() -> None:
     rows.append(("concrete interpreter", len(trace), "-", f"{time.perf_counter()-start:.4f}s"))
 
     spectrum = [
-        ("concrete collecting", lambda: analyse_concrete_collecting(program)),
-        ("0CFA", lambda: analyse_zerocfa(program)),
-        ("1CFA", lambda: analyse_kcfa(program, 1)),
-        ("2CFA", lambda: analyse_kcfa(program, 2)),
-        ("1CFA + shared store", lambda: analyse_shared(program, 1)),
-        ("1CFA + counting", lambda: analyse_with_count(program, 1, shared=False)),
-        ("1CFA + abstract GC", lambda: analyse_with_gc(program, 1)),
+        ("concrete collecting", dict(addressing="concrete")),
+        ("0CFA", dict(addressing="zerocfa")),
+        ("1CFA", dict(k=1)),
+        ("2CFA", dict(k=2)),
+        ("1CFA + shared store", dict(k=1, widening="store")),
+        ("1CFA + counting", dict(k=1, counting=True)),
+        ("1CFA + abstract GC", dict(k=1, gc=True)),
     ]
-    for label, run in spectrum:
+    for label, fields in spectrum:
         start = time.perf_counter()
-        result = run()
+        result = assemble(AnalysisConfig(language="cps", **fields)).run(program)
         elapsed = time.perf_counter() - start
         mean_flow = precision_summary(result.flows_to())["mean_flow"]
         rows.append((label, result.num_states(), mean_flow, f"{elapsed:.4f}s"))

@@ -12,17 +12,17 @@ Run with::
 """
 
 from repro.analysis.report import fmt_table
-from repro.core.addresses import BoundedNat, KCFA, LContext, ZeroCFA
-from repro.cps.analysis import analyse
+from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import id_chain
 
+#: Each policy as the config fields naming its ``Addressable``.
 POLICIES = [
-    ("0CFA (Addr = Var)", ZeroCFA()),
-    ("1CFA (last call site)", KCFA(1)),
-    ("2CFA (last two call sites)", KCFA(2)),
-    ("l-contexts, l=2 (unique sites)", LContext(2)),
-    ("bounded naturals, N=4", BoundedNat(4)),
-    ("bounded naturals, N=64", BoundedNat(64)),
+    ("0CFA (Addr = Var)", dict(addressing="zerocfa")),
+    ("1CFA (last call site)", dict(k=1)),
+    ("2CFA (last two call sites)", dict(k=2)),
+    ("l-contexts, l=2 (unique sites)", dict(addressing="lcontext", k=2)),
+    ("bounded naturals, N=4", dict(addressing="boundednat", k=4)),
+    ("bounded naturals, N=64", dict(addressing="boundednat", k=64)),
 ]
 
 
@@ -32,7 +32,8 @@ def main() -> None:
 
     rows = []
     for label, policy in POLICIES:
-        result = analyse(policy, shared=True).run(program)
+        config = AnalysisConfig(language="cps", widening="store", **policy)
+        result = assemble(config).run(program)
         per_addr = result.flows_per_address()
         widest = max(len(lams) for lams in per_addr.values())
         rows.append((label, result.num_states(), len(per_addr), widest))

@@ -12,7 +12,7 @@ tables side by side.
 """
 
 from repro.analysis.report import fmt_table
-from repro.cps.analysis import analyse_kcfa, analyse_zerocfa
+from repro.config import AnalysisConfig, assemble, preset_config
 from repro.cps.concrete import interpret
 from repro.cps.parser import parse_program
 from repro.cps.syntax import pp
@@ -38,8 +38,8 @@ def main() -> None:
     print(f"concrete run finished at: {final.ctrl!r}")
     print()
 
-    mono = analyse_zerocfa(program)
-    poly = analyse_kcfa(program, k=1)
+    mono = assemble(AnalysisConfig(language="cps", addressing="zerocfa")).run(program)
+    poly = assemble(AnalysisConfig(language="cps", k=1)).run(program)
 
     rows = []
     for var in sorted(set(mono.flows_to()) | set(poly.flows_to())):
@@ -56,9 +56,7 @@ def main() -> None:
 
     # the same analyses by name: the preset registry drives the CLI,
     # the benchmarks and the tests through one assemble() entry point
-    from repro.cps.analysis import analyse
-
-    fast = analyse(preset="1cfa-gc").run(program)
+    fast = assemble(preset_config("1cfa-gc", "cps")).run(program)
     print(
         f"preset 1cfa-gc (depgraph engine, versioned store, abstract GC):\n"
         f"  {fast.num_states()} states, store of {fast.store_size()} live addresses"

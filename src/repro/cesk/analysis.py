@@ -1,31 +1,24 @@
-"""The abstract CESK analysis family -- same monads, same components as CPS.
+"""The abstract CESK analysis -- same monads, same components as CPS.
 
-This module is deliberately a near-clone of :mod:`repro.cps.analysis`:
-the *only* genuinely new code is the interface implementation's case
-analysis and the touchability relation.  Polyvariance
-(:class:`~repro.core.addresses.Addressable`), stores
-(:class:`~repro.core.store.StoreLike`), counting, garbage collection and
-both fixed-point domains are imported from :mod:`repro.core` verbatim --
-the paper's reuse claim, which experiment E8 checks by identity of the
-component objects.
+The *only* CESK-specific code is the interface implementation's case
+analysis, the touchability relation and the result's flow views.
+Polyvariance (:class:`~repro.core.addresses.Addressable`), stores
+(:class:`~repro.core.store.StoreLike`), counting, garbage collection,
+both fixed-point domains and the assembled
+:class:`~repro.core.analysis.Analysis` itself come from
+:mod:`repro.core` verbatim -- the paper's reuse claim, which experiment
+E8 checks by identity of the component objects.  The :data:`LANGUAGE`
+descriptor seeds the injected store with the halt frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
-from repro.config import AnalysisConfig, assemble, build_config
-from repro.core.addresses import Addressable, Binding, KCFA, ZeroCFA
-from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
-from repro.core.driver import (
-    run_analysis,
-    run_analysis_worklist,
-    run_engine_analysis,
-)
-from repro.core.gc import MonadicStoreCollector
+from repro.core.addresses import Addressable, Binding
+from repro.core.analysis import AnalysisResult, Language
 from repro.core.monads import StorePassing
-from repro.core.store import CountingStore, StoreLike, unwrap_store
+from repro.core.store import StoreLike
 from repro.cesk.machine import (
     ArgF,
     Clo,
@@ -50,13 +43,6 @@ class AbstractCESKInterface(CESKInterface):
         super().__init__(StorePassing())
         self.addressing = addressing
         self.store_like = store_like
-        # the halt continuation is pre-bound at the distinguished address
-        self._initial_store = store_like.bind(
-            store_like.empty(), HALT_ADDRESS, frozenset([HaltF()])
-        )
-
-    def initial_store(self) -> Any:
-        return self._initial_store
 
     def fetch_values(self, env: PMap, var: str) -> Any:
         if var not in env:
@@ -133,124 +119,9 @@ class CESKTouching:
         return frozenset()
 
 
-@dataclass
-class CESKAnalysis:
-    """An assembled CESK analysis (interface + collecting domain)."""
 
-    interface: AbstractCESKInterface
-    collecting: Any
-    shared: bool
-    label: str = ""
-    engine: str | None = None
-    transition: str = "generic"
-    last_stats: dict = field(default_factory=dict)
-
-    def step(self) -> Callable[[PState], Any]:
-        if self.transition == "fused":
-            from repro.cesk.fused import build_cesk_fused
-
-            return build_cesk_fused(self.interface)
-        return lambda pstate: mnext_cesk(self.interface, pstate)
-
-    def run(
-        self,
-        expr: Expr,
-        worklist: bool = True,
-        max_steps: int = 1_000_000,
-        warm_start: Any = None,
-        capture: Any = None,
-        trace: list | None = None,
-    ):
-        initial = inject(expr)
-        if self.engine is not None:
-            fp = run_engine_analysis(
-                self,
-                initial,
-                max_steps=max_steps,
-                warm_start=warm_start,
-                capture=capture,
-                trace=trace,
-            )
-        elif warm_start is not None or capture is not None:
-            raise ValueError("warm starts / capture need an engine-backed analysis")
-        elif trace is not None:
-            raise ValueError("schedule tracing needs an engine-backed analysis")
-        elif worklist and not self.shared:
-            fp = run_analysis_worklist(
-                self.collecting, self.step(), initial, max_states=max_steps
-            )
-        else:
-            fp = run_analysis(self.collecting, self.step(), initial, max_steps=max_steps)
-        return self.wrap_result(fp)
-
-    def wrap_result(self, fp: Any) -> "CESKAnalysisResult":
-        """View a fixed point (freshly computed or cache-loaded) uniformly."""
-        return CESKAnalysisResult(
-            fp=fp,
-            shared=self.shared,
-            store_like=unwrap_store(self.interface.store_like),
-            label=self.label,
-        )
-
-
-class _SeededPerState(PerStateStoreCollecting):
-    """Per-state collecting whose injected store holds the halt frame."""
-
-    def __init__(self, interface: AbstractCESKInterface, initial_guts, collector=None):
-        super().__init__(interface.monad, interface.store_like, initial_guts, collector)
-        self._seed_store = interface.initial_store()
-
-    def inject(self, state: Any) -> frozenset:
-        return frozenset([((state, self.initial_guts), self._seed_store)])
-
-
-class _SeededShared(SharedStoreCollecting):
-    """Shared-store collecting whose injected store holds the halt frame."""
-
-    def __init__(self, interface: AbstractCESKInterface, initial_guts, collector=None):
-        super().__init__(interface.monad, interface.store_like, initial_guts, collector)
-        self._seed_store = interface.initial_store()
-
-    def inject(self, state: Any) -> tuple:
-        return (frozenset([(state, self.inner.initial_guts)]), self._seed_store)
-
-
-@dataclass
-class CESKAnalysisResult:
-    """Uniform view of a CESK analysis fixed point (mirrors the CPS one)."""
-
-    fp: Any
-    shared: bool
-    store_like: StoreLike
-    label: str = ""
-
-    def configs(self) -> frozenset:
-        if self.shared:
-            return self.fp[0]
-        return frozenset(pair for pair, _store in self.fp)
-
-    def states(self) -> frozenset:
-        return frozenset(pstate for pstate, _guts in self.configs())
-
-    def num_states(self) -> int:
-        return len(self.states())
-
-    def num_configs(self) -> int:
-        return len(self.configs())
-
-    def num_elements(self) -> int:
-        if self.shared:
-            return len(self.fp[0])
-        return len(self.fp)
-
-    def global_store(self):
-        lattice = self.store_like.lattice()
-        if self.shared:
-            return self.fp[1]
-        return lattice.join_all(store for _pair, store in self.fp)
-
-    def store_size(self) -> int:
-        return len(list(self.store_like.addresses(self.global_store())))
+class CESKAnalysisResult(AnalysisResult):
+    """CESK flow views over the shared fixed-point views."""
 
     def flows_to(self) -> dict:
         """``var -> frozenset[Lam]`` over *value* addresses (frames skipped)."""
@@ -275,111 +146,22 @@ class CESKAnalysisResult:
         return frozenset(s.ctrl.lam for s in self.final_states())
 
 
-def assemble_cesk(
-    config: AnalysisConfig, addressing: Addressable, store: StoreLike
-) -> CESKAnalysis:
-    """Build a :class:`CESKAnalysis` from validated, prepared components.
+def _fused(interface: AbstractCESKInterface) -> Any:
+    from repro.cesk.fused import build_cesk_fused
 
-    Called by :func:`repro.config.assemble`; mirrors
-    :func:`repro.cps.analysis.assemble_cps` with the CESK interface and
-    the halt-frame-seeded collecting domains.
-    """
-    interface = AbstractCESKInterface(addressing, store)
-    collector = (
-        MonadicStoreCollector(interface.monad, store, CESKTouching())
-        if config.gc
-        else None
-    )
-    if config.shared:
-        collecting: Any = _SeededShared(interface, addressing.tau0(), collector)
-    else:
-        collecting = _SeededPerState(interface, addressing.tau0(), collector)
-    return CESKAnalysis(
-        interface=interface,
-        collecting=collecting,
-        shared=config.shared,
-        label=config.label,
-        engine=config.engine,
-        transition=config.transition,
-    )
+    return build_cesk_fused(interface)
 
 
-def analyse_cesk(
-    addressing: Addressable | None = None,
-    store_like: StoreLike | None = None,
-    shared: bool | None = None,
-    gc: bool | None = None,
-    label: str = "",
-    engine: str | None = None,
-    store_impl: str | None = None,
-    transition: str | None = None,
-    preset: str | None = None,
-) -> CESKAnalysis:
-    """Assemble a CESK analysis from the shared degrees of freedom.
-
-    ``preset`` starts from :data:`repro.config.PRESETS` (e.g.
-    ``analyse_cesk(preset="1cfa-gc")``); other keywords override it.
-    All paths route through :func:`repro.config.assemble`.
-    """
-    config = build_config(
-        "lam",
-        preset=preset,
-        addressing=addressing,
-        store_like=store_like,
-        shared=shared,
-        gc=gc,
-        engine=engine,
-        store_impl=store_impl,
-        transition=transition,
-        label=label,
-    )
-    return assemble(config, addressing=addressing, store_like=store_like)
-
-
-def analyse_cesk_kcfa(expr: Expr, k: int = 1, gc: bool = False) -> CESKAnalysisResult:
-    """k-CFA for direct-style programs (per-state stores)."""
-    return analyse_cesk(KCFA(k), gc=gc, label=f"cesk-{k}cfa").run(expr)
-
-
-def analyse_cesk_zerocfa(expr: Expr) -> CESKAnalysisResult:
-    """Monovariant analysis for direct-style programs."""
-    return analyse_cesk(ZeroCFA(), label="cesk-0cfa").run(expr)
-
-
-def analyse_cesk_shared(expr: Expr, k: int = 1, gc: bool = False) -> CESKAnalysisResult:
-    """k-CFA with the single-threaded-store widening."""
-    return analyse_cesk(KCFA(k), shared=True, gc=gc, label=f"cesk-{k}cfa-shared").run(expr)
-
-
-def analyse_cesk_gc(expr: Expr, k: int = 1) -> CESKAnalysisResult:
-    """k-CFA with abstract garbage collection."""
-    return analyse_cesk(KCFA(k), gc=True, label=f"cesk-{k}cfa-gc").run(expr)
-
-
-def analyse_cesk_counting(expr: Expr, k: int = 1, shared: bool = False) -> CESKAnalysisResult:
-    """k-CFA with a counting store (abstract counting for CESK)."""
-    return analyse_cesk(
-        KCFA(k), store_like=CountingStore(), shared=shared, label=f"cesk-{k}cfa-count"
-    ).run(expr, worklist=not shared)
-
-
-def analyse_cesk_engine(
-    expr: Expr,
-    engine: str,
-    k: int = 1,
-    stats: dict | None = None,
-    store_impl: str = "persistent",
-    transition: str | None = None,
-) -> CESKAnalysisResult:
-    """Global-store k-CFA for direct-style programs under a named engine."""
-    analysis = analyse_cesk(
-        KCFA(k),
-        engine=engine,
-        label=f"cesk-{k}cfa-{engine}-{store_impl}",
-        store_impl=store_impl,
-        transition=transition,
-    )
-    result = analysis.run(expr)
-    if stats is not None:
-        stats.update(analysis.last_stats)
-    return result
+#: The direct-style (``lam``) descriptor :func:`repro.config.assemble` uses.
+LANGUAGE = Language(
+    name="lam",
+    interface=lambda addressing, store_like, _program: AbstractCESKInterface(
+        addressing, store_like
+    ),
+    touching=CESKTouching(),
+    inject=inject,
+    step=mnext_cesk,
+    fused=_fused,
+    result=CESKAnalysisResult,
+    halt=(HALT_ADDRESS, HaltF()),
+)

@@ -196,31 +196,29 @@ def _resolve_config(args: argparse.Namespace, lang: str):
     per-state CPS path).  With ``--preset`` the named config is the base
     and only explicitly passed flags override its fields.
     """
-    from repro.config import AnalysisConfig, build_config
+    from repro.config import AnalysisConfig, preset_config, request_config
 
     k = 1 if args.k is None else args.k
     if args.preset is not None:
-        from repro.core.store import CountingStore
-
-        # build_config owns the preset-override semantics (None = not
-        # passed); store_true flags can only assert, never un-set
-        config = _assemble(
-            lambda: build_config(
-                lang,
-                preset=args.preset,
-                store_like=CountingStore() if args.counting else None,
-                shared=True if args.shared else None,
-                gc=True if args.gc else None,
-                engine=args.engine,
-                store_impl=args.store_impl,
-                transition=args.transition,
+        # store_true flags can only assert, never un-set
+        overrides = {
+            name: value
+            for name, value in (
+                ("engine", args.engine),
+                ("store_impl", args.store_impl),
+                ("transition", args.transition),
+                ("widening", "store" if args.shared else None),
+                ("gc", args.gc or None),
+                ("counting", args.counting or None),
             )
-        )
+            if value is not None
+        }
         if args.k is not None:
-            config = config.replace(k=args.k)
-            if config.addressing not in ("kcfa", "lcontext", "boundednat"):
-                config = config.replace(addressing="kcfa")
-        return _assemble(config.validated)
+            overrides["k"] = args.k
+            base = _assemble(lambda: preset_config(args.preset))
+            if base.addressing not in ("kcfa", "lcontext", "boundednat"):
+                overrides["addressing"] = "kcfa"
+        return _assemble(lambda: request_config(lang, args.preset, overrides))
     addressing = (
         "zerocfa"
         if (lang == "cps" and k == 0 and not args.shared and args.engine is None)

@@ -2,25 +2,28 @@
 
 The paper's point is that an abstract interpreter is *assembled* from
 interchangeable pieces -- a monad stack, an address allocator, a store,
-optional GC/counting refinements, and a fixed-point strategy.  Until
-this module, each assembly lived in imperative keyword soup spread over
-three ``analyse*`` families, and the compatibility rules between the
-pieces were scattered checks.  Here the whole design space is one
-declarative record:
+optional GC/counting refinements, and a fixed-point strategy.  Here the
+whole design space is one declarative record:
 
 * :class:`AnalysisConfig` -- a frozen dataclass naming every degree of
   freedom (language, addressing/k, widening, engine, store
   implementation, GC, counting, transition staging), with
-  :meth:`AnalysisConfig.validated`
-  as the single home of the compatibility rules (it subsumes the old
-  ``check_global_store_compat`` and ``check_store_impl_scope``);
+  :meth:`AnalysisConfig.validated` as the single home of the
+  compatibility rules;
 * :data:`PRESETS` -- a registry of named, validated configurations
   (``concrete``, ``0cfa``, ``1cfa-gc``, ``kcfa-counting-fast``, ...),
   the CLI's ``--preset``/``--list-presets`` vocabulary;
-* :func:`assemble` -- the single entry point turning a config (plus a
-  program, for Featherweight Java's class table) into a runnable
-  analysis object.  All three ``analyse*`` families, the CLI and the
-  benchmark harness route through it.
+* :func:`request_config` -- the one home of preset overrides: a preset
+  plus the fields a front end (CLI flag, server request, batch job)
+  explicitly set;
+* :func:`assemble` -- the single constructor turning a config (plus a
+  program, for Featherweight Java's class table) into one
+  :class:`~repro.core.analysis.Analysis` over the language's
+  descriptor.  The CLI, the service layer, the tests and the
+  benchmarks all build analyses through it::
+
+      assemble(preset_config("1cfa-gc", "cps")).run(program)
+      assemble(AnalysisConfig(language="lam", k=2, widening="store")).run(expr)
 
 The style follows CPAchecker's composite-CPA configuration files: small
 declarative modules naming a stack of components, validated before
@@ -49,6 +52,7 @@ learned to sweep reachability and saturate counts (see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields, replace as _dc_replace
+from importlib import import_module
 from typing import Any, Mapping
 
 from repro.core.addresses import (
@@ -59,12 +63,23 @@ from repro.core.addresses import (
     LContext,
     ZeroCFA,
 )
+from repro.core.analysis import Analysis
+from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
 from repro.core.driver import prepare_engine_store
 from repro.core.fixpoint import ENGINES, STORE_IMPLS
-from repro.core.store import ACounter, BasicStore, CountingStore, StoreLike
+from repro.core.gc import MonadicStoreCollector
+from repro.core.store import BasicStore, CountingStore, StoreLike
 
 #: The languages an :class:`AnalysisConfig` can target.
 LANGUAGES = ("cps", "lam", "fj")
+
+#: The module holding each language's :class:`~repro.core.analysis.Language`
+#: descriptor (``lam`` runs on the CESK machine).
+ANALYSIS_MODULES = {
+    "cps": "repro.cps.analysis",
+    "lam": "repro.cesk.analysis",
+    "fj": "repro.fj.analysis",
+}
 
 #: Named address-allocation policies (:mod:`repro.core.addresses`).
 #: ``custom`` stands for a caller-supplied :class:`Addressable` object.
@@ -87,8 +102,8 @@ class AnalysisConfig:
     """One point in the paper's analysis design space, as plain data.
 
     ``language`` may be left ``None`` in language-agnostic presets; it is
-    filled in by the ``analyse*`` family or the CLI that resolves the
-    preset.  ``k`` parameterizes whichever addressing scheme is named
+    filled in by whoever resolves the preset (:func:`preset_config`,
+    :func:`request_config`).  ``k`` parameterizes whichever addressing scheme is named
     (context depth for ``kcfa``/``lcontext``, the bound for
     ``boundednat``); it is ignored by ``zerocfa`` and ``concrete``.
     """
@@ -339,12 +354,13 @@ def request_config(
 ) -> AnalysisConfig:
     """Resolve a service request's scalar parameters into a validated config.
 
-    The wire-facing twin of :func:`build_config`: everything arrives as
-    plain JSON scalars (a language, an optional preset name, an optional
-    ``{field: value}`` override mapping), never as live ``Addressable``
-    or store objects, so the same call serves the analysis server's
-    request router, the ``repro client`` front end, and batch-job
-    normalization (:func:`repro.service.jobs.normalize_job`).  Unknown
+    Everything arrives as plain scalars (a language, an optional preset
+    name, an optional ``{field: value}`` override mapping), never as
+    live ``Addressable`` or store objects, so the same call serves the
+    analysis server's request router, the ``repro client`` front end,
+    batch-job normalization (:func:`repro.service.jobs.normalize_job`),
+    the CLI's ``--preset`` flags and the measurement harnesses: only the
+    fields a caller explicitly set are overrides.  Unknown
     override fields raise ``ValueError`` with the allowed names -- a
     request must fail loudly, not silently ignore a typo'd field.
     """
@@ -395,81 +411,6 @@ def make_addressing(config: AnalysisConfig) -> Addressable:
     )
 
 
-def classify_addressing(addressing: Addressable) -> tuple[str, int]:
-    """Map an :class:`Addressable` object back to a config ``(name, k)``."""
-    if isinstance(addressing, KCFA):
-        return "kcfa", addressing.k
-    if isinstance(addressing, ZeroCFA):
-        return "zerocfa", 0
-    if isinstance(addressing, ConcreteAddressing):
-        return "concrete", 0
-    if isinstance(addressing, LContext):
-        return "lcontext", addressing.depth
-    if isinstance(addressing, BoundedNat):
-        return "boundednat", addressing.n
-    return "custom", 0
-
-
-def build_config(
-    language: str,
-    preset: str | None = None,
-    addressing: Addressable | None = None,
-    store_like: StoreLike | None = None,
-    shared: bool | None = None,
-    gc: bool | None = None,
-    engine: str | None = None,
-    store_impl: str | None = None,
-    transition: str | None = None,
-    label: str = "",
-) -> AnalysisConfig:
-    """The keyword-argument surface of the ``analyse*`` families, as a config.
-
-    ``None`` means "not passed" for every override.  With ``preset`` the
-    named configuration is the starting point and only passed keywords
-    override it: ``analyse(preset="1cfa-gc")`` is exactly the preset,
-    ``analyse(preset="1cfa", engine="kleene", store_impl="persistent")``
-    pairs a versioned preset back with the kleene engine.  Objects passed for ``addressing``/``store_like`` are
-    classified into the record; :func:`assemble` will use the objects
-    themselves.  This is the single home of the preset-override
-    semantics -- the CLI routes through it too.
-    """
-    if preset is not None:
-        config = preset_config(preset, language)
-        if addressing is not None:
-            name, k = classify_addressing(addressing)
-            config = config.replace(addressing=name, k=k)
-        if store_like is not None:
-            config = config.replace(counting=isinstance(store_like, ACounter))
-        if shared is not None:
-            config = config.replace(widening="store" if shared else "none")
-        if gc is not None:
-            config = config.replace(gc=gc)
-        if engine is not None:
-            config = config.replace(engine=engine)
-        if store_impl is not None:
-            config = config.replace(store_impl=store_impl)
-        if transition is not None:
-            config = config.replace(transition=transition)
-        if label:
-            config = config.replace(label=label)
-        return config.validated()
-    if addressing is None:
-        raise ValueError("pass an Addressable (or a preset name) to assemble from")
-    name, k = classify_addressing(addressing)
-    return AnalysisConfig(
-        language=language,
-        addressing=name,
-        k=k,
-        widening="store" if (shared or engine is not None) else "none",
-        engine=engine,
-        store_impl=store_impl or "persistent",
-        gc=bool(gc),
-        counting=isinstance(store_like, ACounter),
-        transition=transition or "generic",
-        label=label,
-    ).validated()
-
-
 def prepare_store(
     config: AnalysisConfig, store_like: StoreLike | None = None
 ) -> StoreLike:
@@ -487,34 +428,46 @@ def assemble(
     program: Any = None,
     addressing: Addressable | None = None,
     store_like: StoreLike | None = None,
-):
+) -> Analysis:
     """``assemble(config) -> Analysis``: the single assembly entry point.
 
     Validates the config, builds (or accepts) the addressing and store
-    components, prepares the store for the configured engine, and hands
-    the pieces to the language assembler.  ``program`` is required for
-    Featherweight Java (the interface carries the class table) and
-    ignored otherwise.  The returned object is the language's analysis
-    type (``CPSAnalysis``/``CESKAnalysis``/``FJAnalysis``) -- run it
-    with ``.run(program)``.
+    components, prepares the store for the configured engine, and
+    composes them with the language's
+    :class:`~repro.core.analysis.Language` descriptor into one
+    :class:`~repro.core.analysis.Analysis` -- run it with
+    ``.run(program)``.  ``program`` is required for Featherweight Java
+    (the interface carries the class table) and ignored otherwise.
+    ``addressing``/``store_like`` objects replace the ones the config
+    names (a custom :class:`Addressable`, a store subclass).
     """
     config = config.validated()
     if config.language is None:
         raise ValueError("the config names no language; set language= first")
     addressing = addressing if addressing is not None else make_addressing(config)
     store = prepare_store(config, store_like)
-    # language modules import repro.config at module level; importing them
-    # lazily here keeps the dependency acyclic
-    if config.language == "cps":
-        from repro.cps.analysis import assemble_cps
-
-        return assemble_cps(config, addressing, store)
-    if config.language == "lam":
-        from repro.cesk.analysis import assemble_cesk
-
-        return assemble_cesk(config, addressing, store)
-    from repro.fj.analysis import assemble_fj_from_config
-
-    if program is None:
-        raise ValueError("assembling an FJ analysis needs the program (class table)")
-    return assemble_fj_from_config(config, addressing, store, program)
+    # the language modules stay unimported until a config names them
+    language = import_module(ANALYSIS_MODULES[config.language]).LANGUAGE
+    interface = language.interface(addressing, store, program)
+    collector = (
+        MonadicStoreCollector(interface.monad, store, language.touching)
+        if config.gc
+        else None
+    )
+    domain = SharedStoreCollecting if config.shared else PerStateStoreCollecting
+    collecting = domain(
+        interface.monad,
+        store,
+        addressing.tau0(),
+        collector,
+        language.seed_store(store),
+    )
+    return Analysis(
+        language=language,
+        interface=interface,
+        collecting=collecting,
+        shared=config.shared,
+        label=config.label,
+        engine=config.engine,
+        transition=config.transition,
+    )

@@ -11,5 +11,7 @@ direct-style lambda calculus / CESK, Featherweight Java):
 * :mod:`repro.core.addresses` -- ``Addressable``: polyvariance & context (6.1)
 * :mod:`repro.core.store`     -- ``StoreLike`` & counting stores (6.2, 6.3)
 * :mod:`repro.core.gc`        -- abstract garbage collection (6.4)
-* :mod:`repro.core.driver`    -- ``run_analysis``: the three degrees of freedom (5.2)
+* :mod:`repro.core.analysis`  -- ``Analysis.run`` (``runAnalysis``): the three
+  degrees of freedom tied together over a per-language descriptor (5.2, 7)
+* :mod:`repro.core.driver`    -- the engines behind ``Analysis.run``
 """

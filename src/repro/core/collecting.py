@@ -38,7 +38,9 @@ class PerStateStoreCollecting(Collecting):
     """The set-of-configurations domain ``P(((PSigma, guts), store))``.
 
     ``inject`` instruments a machine state with the initial guts (the
-    ``HasInitial`` value, here ``initial_guts``) and the empty store;
+    ``HasInitial`` value, here ``initial_guts``) and the seed store --
+    the empty store, or one holding the halt frame for the direct-style
+    machines;
     ``apply_step`` runs the monadic step in every configuration and
     collects all results -- the paper's
 
@@ -51,18 +53,20 @@ class PerStateStoreCollecting(Collecting):
         store_like: StoreLike,
         initial_guts: Any,
         collector: GarbageCollector | None = None,
+        seed_store: Any = None,
     ):
         self.monad = monad
         self.store_like = store_like
         self.initial_guts = initial_guts
         self.collector = collector
+        self.seed_store = store_like.empty() if seed_store is None else seed_store
         self._lattice = PowersetLattice()
 
     def lattice(self) -> Lattice:
         return self._lattice
 
     def inject(self, state: Any) -> frozenset:
-        return frozenset([((state, self.initial_guts), self.store_like.empty())])
+        return frozenset([((state, self.initial_guts), self.seed_store)])
 
     def _instrumented(self, step: Callable[[Any], Any]) -> Callable[[Any], Any]:
         """Weave GC into the step when a collector is configured (6.4)."""
@@ -158,8 +162,11 @@ class SharedStoreCollecting(Collecting):
         store_like: StoreLike,
         initial_guts: Any,
         collector: GarbageCollector | None = None,
+        seed_store: Any = None,
     ):
-        self.inner = PerStateStoreCollecting(monad, store_like, initial_guts, collector)
+        self.inner = PerStateStoreCollecting(
+            monad, store_like, initial_guts, collector, seed_store
+        )
         self.store_like = store_like
         self._alpha = store_sharing_alpha(store_like.lattice())
         self._gamma = store_sharing_gamma()
@@ -169,10 +176,7 @@ class SharedStoreCollecting(Collecting):
         return self._lattice
 
     def inject(self, state: Any) -> tuple:
-        return (
-            frozenset([(state, self.inner.initial_guts)]),
-            self.store_like.empty(),
-        )
+        return (frozenset([(state, self.inner.initial_guts)]), self.inner.seed_store)
 
     def apply_step(self, step: Callable[[Any], Any], fp: tuple) -> tuple:
         return self._alpha(self.inner.apply_step(step, self._gamma(fp)))

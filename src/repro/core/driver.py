@@ -1,4 +1,4 @@
-"""``run_analysis``: the paper's three degrees of freedom, tied together (5.2, 7).
+"""Engine plumbing behind ``Analysis.run`` (5.2, 7).
 
 ``runAnalysis`` in the paper::
 
@@ -8,26 +8,23 @@
 
 Its signature names exactly what can vary:  (1) the monad, (2) the
 semantic-interface implementation, and (3) the analysis lattice with its
-fixed-point computation.  Here those arrive as the ``step`` function
-(already closed over a monad and an interface implementation by the
-language package) and a :class:`~repro.core.fixpoint.Collecting`
-instance; everything else is inert plumbing.
+fixed-point computation.  :meth:`repro.core.analysis.Analysis.run` is
+that function: it calls ``exploreFP`` (:func:`~repro.core.fixpoint.explore_fp`)
+or the frontier worklist directly, and hands engine-backed analyses to
+:func:`run_engine_analysis` here.  This module readies the store for an
+engine (:func:`prepare_engine_store`) and runs the two engines with
+their counters and trace span.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
+from repro.core.collecting import SharedStoreCollecting
 from repro.core.fused import FusedTransition
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_tracer
-from repro.core.fixpoint import (
-    Collecting,
-    explore_fp,
-    global_store_explore,
-    worklist_explore,
-)
+from repro.core.fixpoint import explore_fp, global_store_explore
 from repro.core.store import (
     ACounter,
     RecordingStore,
@@ -35,29 +32,6 @@ from repro.core.store import (
     VersionedCountingStore,
     VersionedStore,
 )
-
-
-def run_analysis(
-    collecting: Collecting,
-    step: Callable[[Any], Any],
-    initial_state: Any,
-    max_steps: int = 1_000_000,
-) -> Any:
-    """Compute the collecting semantics: ``exploreFP step (inject initial)``."""
-    return explore_fp(collecting, step, initial_state, max_steps=max_steps)
-
-
-def run_analysis_worklist(
-    collecting: PerStateStoreCollecting,
-    step: Callable[[Any], Any],
-    initial_state: Any,
-    max_states: int = 1_000_000,
-) -> frozenset:
-    """Same fixed point as :func:`run_analysis` on per-state-store domains,
-    computed by a frontier worklist (each configuration stepped once)."""
-    return worklist_explore(
-        collecting, step, initial_state, collecting.successors_of, max_states=max_states
-    )
 
 
 def prepare_engine_store(
@@ -109,9 +83,10 @@ def run_engine_analysis(
 ) -> tuple:
     """Run an assembled analysis under its configured engine.
 
-    Duck-typed over the three language analysis objects: each carries
-    ``engine``, ``collecting``, ``step()`` and a ``last_stats`` dict that
-    is refreshed with the run's evaluation counts.  ``warm_start`` and
+    ``analysis`` is an assembled :class:`~repro.core.analysis.Analysis`:
+    it carries ``engine``, ``collecting``, ``step()`` and a
+    ``last_stats`` dict that is refreshed with the run's evaluation
+    counts.  ``warm_start`` and
     ``capture`` pass straight through to
     :func:`~repro.core.fixpoint.global_store_explore` (incremental
     re-analysis; see :mod:`repro.service.incremental`).

@@ -1,27 +1,23 @@
-"""The abstract FJ analysis family -- the same monadic components, third time.
+"""The abstract FJ analysis -- the same monadic components, third time.
 
 Class-flow analysis for Featherweight Java: which classes of objects
 reach which variables, fields and call sites.  As with CPS and CESK,
-everything except the interface's case analysis and the touchability
-relation is imported from :mod:`repro.core` unchanged.
+everything except the interface's case analysis, the touchability
+relation and the result's class-flow views comes from
+:mod:`repro.core` unchanged, the assembled
+:class:`~repro.core.analysis.Analysis` included.  FJ's
+:data:`LANGUAGE` descriptor builds its interface over the class table of
+the program being assembled for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
-from repro.config import AnalysisConfig, assemble, build_config
-from repro.core.addresses import Addressable, Binding, KCFA, ZeroCFA
-from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
-from repro.core.driver import (
-    run_analysis,
-    run_analysis_worklist,
-    run_engine_analysis,
-)
-from repro.core.gc import MonadicStoreCollector
+from repro.core.addresses import Addressable, Binding
+from repro.core.analysis import AnalysisResult, Language
 from repro.core.monads import StorePassing
-from repro.core.store import CountingStore, StoreLike, unwrap_store
+from repro.core.store import StoreLike
 from repro.fj.class_table import ClassTable
 from repro.fj.machine import (
     CastF,
@@ -50,12 +46,6 @@ class AbstractFJInterface(FJInterface):
         super().__init__(StorePassing(), table)
         self.addressing = addressing
         self.store_like = store_like
-        self._initial_store = store_like.bind(
-            store_like.empty(), HALT_ADDRESS, frozenset([HaltF()])
-        )
-
-    def initial_store(self) -> Any:
-        return self._initial_store
 
     def fetch_values(self, env: PMap, var: str) -> Any:
         if var not in env:
@@ -138,119 +128,8 @@ class FJTouching:
         return frozenset()
 
 
-class _SeededPerState(PerStateStoreCollecting):
-    def __init__(self, interface: AbstractFJInterface, initial_guts, collector=None):
-        super().__init__(interface.monad, interface.store_like, initial_guts, collector)
-        self._seed_store = interface.initial_store()
-
-    def inject(self, state: Any) -> frozenset:
-        return frozenset([((state, self.initial_guts), self._seed_store)])
-
-
-class _SeededShared(SharedStoreCollecting):
-    def __init__(self, interface: AbstractFJInterface, initial_guts, collector=None):
-        super().__init__(interface.monad, interface.store_like, initial_guts, collector)
-        self._seed_store = interface.initial_store()
-
-    def inject(self, state: Any) -> tuple:
-        return (frozenset([(state, self.inner.initial_guts)]), self._seed_store)
-
-
-@dataclass
-class FJAnalysis:
-    """An assembled FJ class-flow analysis."""
-
-    interface: AbstractFJInterface
-    collecting: Any
-    shared: bool
-    label: str = ""
-    engine: str | None = None
-    transition: str = "generic"
-    last_stats: dict = field(default_factory=dict)
-
-    def step(self) -> Callable[[PState], Any]:
-        if self.transition == "fused":
-            from repro.fj.fused import build_fj_fused
-
-            return build_fj_fused(self.interface)
-        return lambda pstate: mnext_fj(self.interface, pstate)
-
-    def run(
-        self,
-        program: Program,
-        worklist: bool = True,
-        max_steps: int = 1_000_000,
-        warm_start: Any = None,
-        capture: Any = None,
-        trace: list | None = None,
-    ):
-        initial = inject_fj(program.main)
-        if self.engine is not None:
-            fp = run_engine_analysis(
-                self,
-                initial,
-                max_steps=max_steps,
-                warm_start=warm_start,
-                capture=capture,
-                trace=trace,
-            )
-        elif warm_start is not None or capture is not None:
-            raise ValueError("warm starts / capture need an engine-backed analysis")
-        elif trace is not None:
-            raise ValueError("schedule tracing needs an engine-backed analysis")
-        elif worklist and not self.shared:
-            fp = run_analysis_worklist(
-                self.collecting, self.step(), initial, max_states=max_steps
-            )
-        else:
-            fp = run_analysis(self.collecting, self.step(), initial, max_steps=max_steps)
-        return self.wrap_result(fp, program)
-
-    def wrap_result(self, fp: Any, program: Program) -> "FJAnalysisResult":
-        """View a fixed point (freshly computed or cache-loaded) uniformly."""
-        return FJAnalysisResult(
-            fp=fp,
-            shared=self.shared,
-            store_like=unwrap_store(self.interface.store_like),
-            program=program,
-            label=self.label,
-        )
-
-
-@dataclass
-class FJAnalysisResult:
-    """Uniform view of an FJ analysis fixed point."""
-
-    fp: Any
-    shared: bool
-    store_like: StoreLike
-    program: Program
-    label: str = ""
-
-    def configs(self) -> frozenset:
-        if self.shared:
-            return self.fp[0]
-        return frozenset(pair for pair, _store in self.fp)
-
-    def states(self) -> frozenset:
-        return frozenset(pstate for pstate, _guts in self.configs())
-
-    def num_states(self) -> int:
-        return len(self.states())
-
-    def num_elements(self) -> int:
-        if self.shared:
-            return len(self.fp[0])
-        return len(self.fp)
-
-    def global_store(self):
-        lattice = self.store_like.lattice()
-        if self.shared:
-            return self.fp[1]
-        return lattice.join_all(store for _pair, store in self.fp)
-
-    def store_size(self) -> int:
-        return len(list(self.store_like.addresses(self.global_store())))
+class FJAnalysisResult(AnalysisResult):
+    """FJ class-flow views over the shared fixed-point views."""
 
     def class_flows(self) -> dict:
         """``var-or-field -> frozenset[class]``: which classes reach where."""
@@ -295,117 +174,28 @@ class FJAnalysisResult:
         return failures
 
 
-def assemble_fj_from_config(
-    config: AnalysisConfig, addressing: Addressable, store: StoreLike, program: Program
-) -> FJAnalysis:
-    """Build an :class:`FJAnalysis` from validated, prepared components.
-
-    Called by :func:`repro.config.assemble`; FJ additionally needs the
-    program here because the interface closes over its class table.
-    """
-    table = ClassTable.of(program)
-    interface = AbstractFJInterface(table, addressing, store)
-    collector = (
-        MonadicStoreCollector(interface.monad, store, FJTouching())
-        if config.gc
-        else None
-    )
-    if config.shared:
-        collecting: Any = _SeededShared(interface, addressing.tau0(), collector)
-    else:
-        collecting = _SeededPerState(interface, addressing.tau0(), collector)
-    return FJAnalysis(
-        interface=interface,
-        collecting=collecting,
-        shared=config.shared,
-        label=config.label,
-        engine=config.engine,
-        transition=config.transition,
-    )
+def _interface(
+    addressing: Addressable, store_like: StoreLike, program: Program | None
+) -> AbstractFJInterface:
+    if program is None:
+        raise ValueError("assembling an FJ analysis needs the program (class table)")
+    return AbstractFJInterface(ClassTable.of(program), addressing, store_like)
 
 
-def analyse_fj(
-    program: Program,
-    addressing: Addressable | None = None,
-    store_like: StoreLike | None = None,
-    shared: bool | None = None,
-    gc: bool | None = None,
-    label: str = "",
-    engine: str | None = None,
-    store_impl: str | None = None,
-    transition: str | None = None,
-    preset: str | None = None,
-) -> FJAnalysis:
-    """Assemble an FJ analysis from the shared degrees of freedom.
+def _fused(interface: AbstractFJInterface) -> Any:
+    from repro.fj.fused import build_fj_fused
 
-    ``preset`` starts from :data:`repro.config.PRESETS` (e.g.
-    ``analyse_fj(program, preset="1cfa-gc")``); other keywords override
-    it.  All paths route through :func:`repro.config.assemble`.
-    """
-    config = build_config(
-        "fj",
-        preset=preset,
-        addressing=addressing,
-        store_like=store_like,
-        shared=shared,
-        gc=gc,
-        engine=engine,
-        store_impl=store_impl,
-        transition=transition,
-        label=label,
-    )
-    return assemble(
-        config, program=program, addressing=addressing, store_like=store_like
-    )
+    return build_fj_fused(interface)
 
 
-def analyse_fj_kcfa(program: Program, k: int = 1, gc: bool = False) -> FJAnalysisResult:
-    """k-CFA class-flow analysis (per-state stores)."""
-    return analyse_fj(program, KCFA(k), gc=gc, label=f"fj-{k}cfa").run(program)
-
-
-def analyse_fj_zerocfa(program: Program) -> FJAnalysisResult:
-    """Monovariant (context-insensitive) class-flow analysis."""
-    return analyse_fj(program, ZeroCFA(), label="fj-0cfa").run(program)
-
-
-def analyse_fj_shared(program: Program, k: int = 1, gc: bool = False) -> FJAnalysisResult:
-    """k-CFA with the single-threaded-store widening."""
-    return analyse_fj(program, KCFA(k), shared=True, gc=gc, label=f"fj-{k}cfa-shared").run(
-        program
-    )
-
-
-def analyse_fj_counting(program: Program, k: int = 1, shared: bool = False) -> FJAnalysisResult:
-    """k-CFA with a counting store (abstract counting for FJ)."""
-    return analyse_fj(
-        program, KCFA(k), store_like=CountingStore(), shared=shared, label=f"fj-{k}cfa-count"
-    ).run(program, worklist=not shared)
-
-
-def analyse_fj_gc(program: Program, k: int = 1) -> FJAnalysisResult:
-    """k-CFA with abstract garbage collection."""
-    return analyse_fj(program, KCFA(k), gc=True, label=f"fj-{k}cfa-gc").run(program)
-
-
-def analyse_fj_engine(
-    program: Program,
-    engine: str,
-    k: int = 1,
-    stats: dict | None = None,
-    store_impl: str = "persistent",
-    transition: str | None = None,
-) -> FJAnalysisResult:
-    """Global-store class-flow analysis under a named fixed-point engine."""
-    analysis = analyse_fj(
-        program,
-        KCFA(k),
-        engine=engine,
-        label=f"fj-{k}cfa-{engine}-{store_impl}",
-        store_impl=store_impl,
-        transition=transition,
-    )
-    result = analysis.run(program)
-    if stats is not None:
-        stats.update(analysis.last_stats)
-    return result
+#: The FJ descriptor :func:`repro.config.assemble` builds analyses from.
+LANGUAGE = Language(
+    name="fj",
+    interface=_interface,
+    touching=FJTouching(),
+    inject=lambda program: inject_fj(program.main),
+    step=mnext_fj,
+    fused=_fused,
+    result=FJAnalysisResult,
+    halt=(HALT_ADDRESS, HaltF()),
+)

@@ -30,7 +30,10 @@ which is what makes the lowering capture-free by construction.
 Functions take at least one parameter and calls pass at least one
 argument (the lowered lambda calculus is strictly n-ary with n >= 1).
 Expressions, blocks and ``!`` nested deeper than :data:`MAX_NESTING`
-are an :class:`ImpParseError`, not a ``RecursionError``.
+are an :class:`ImpParseError`, not a ``RecursionError``; so is a program
+whose *lowered* term would nest deeper than :data:`MAX_TERM_DEPTH`
+(long operator chains, call chains and blocks parse flat but lower to
+deep terms).
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ class ImpParseError(ValueError):
 #: fourteen Python frames), so a program at the limit parses, lowers and
 #: analyses well within the default recursion limit of 1000.
 MAX_NESTING = 48
+
+#: Deepest lowered term the parser accepts (see :func:`term_depth`).  The
+#: lowering recurses once per level, so this keeps the worst shape -- a
+#: chain of binary operators, which stack overflows near 490 operands
+#: at the default recursion limit of 1000 -- well clear of the limit.
+MAX_TERM_DEPTH = 256
 
 KEYWORDS = frozenset({"let", "fn", "if", "else", "while", "return", "true", "false", "and", "or"})
 
@@ -305,10 +314,66 @@ class _Parser:
         raise ImpParseError(f"unexpected token {token!r}")
 
 
+def _children(node) -> list[tuple[object, int]]:
+    """``(child, levels)`` pairs: how much deeper each child lowers."""
+    if isinstance(node, Program):
+        return [(node.body, 0)]
+    if isinstance(node, tuple):  # a block: each statement nests the rest
+        return [(stmt, index + 1) for index, stmt in enumerate(node)]
+    if isinstance(node, (SLet, SAssign)):
+        return [(node.rhs, 0)]
+    if isinstance(node, (SReturn, SExpr)):
+        return [(node.value, 0)]
+    if isinstance(node, SIf):
+        return [(node.cond, 1), (node.then, 1), (node.els, 1)]
+    if isinstance(node, SWhile):
+        return [(node.cond, 1), (node.body, 1)]
+    if isinstance(node, EFn):
+        return [(node.body, 1)]
+    if isinstance(node, ECall):
+        return [(node.fun, 1)] + [(arg, 2) for arg in node.args]
+    if isinstance(node, EBinOp):
+        return [(node.lhs, 2), (node.rhs, 2)]
+    if isinstance(node, EUnary):
+        return [(node.operand, 2)]
+    return []
+
+
+def term_depth(program: Program) -> int:
+    """How many levels deep ``program``'s lowered term nests.
+
+    Each statement of a block nests the rest of the block one level
+    deeper, as do a callee and a function body; operands and call
+    arguments count two levels, because lowering recurses through their
+    argument tuple.  Computed without recursion: the tree may be far
+    deeper than Python's stack.
+    """
+    depth: dict[int, int] = {}
+    stack: list = [program]
+    while stack:
+        node = stack[-1]
+        children = _children(node)
+        pending = [child for child, _levels in children if id(child) not in depth]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        depth[id(node)] = max(
+            (levels + depth[id(child)] for child, levels in children), default=0
+        )
+    return depth[id(program)]
+
+
 def parse_program(source: str) -> Program:
-    """Parse a whole ``imp`` program."""
-    parser = _Parser(tokenize(source))
-    return parser.program()
+    """Parse a whole ``imp`` program (at most :data:`MAX_TERM_DEPTH` deep)."""
+    program = _Parser(tokenize(source)).program()
+    depth = term_depth(program)
+    if depth > MAX_TERM_DEPTH:
+        raise ImpParseError(
+            f"program lowers to a term nested {depth} levels deep, deeper than "
+            f"{MAX_TERM_DEPTH}: split long operator chains, call chains or blocks"
+        )
+    return program
 
 
 def parse_stmts(source: str) -> tuple[Stmt, ...]:

@@ -63,7 +63,6 @@ from repro.service.jobs import (  # noqa: F401  (historical import surface)
     dispatch,
     iter_subvalues,
     warmable,
-    wrap_fixpoint,
 )
 
 

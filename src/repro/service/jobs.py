@@ -158,13 +158,12 @@ def warmable(config: AnalysisConfig) -> bool:
 def wrap_fixpoint(analysis: Any, fp: Any, program: Any, language: str) -> Any:
     """Wrap a bare fixed point in the language's result type.
 
-    The one home of the FJ-vs-others ``wrap_result`` signature split
-    (FJ results carry the program for its class table); every tier of
-    :func:`dispatch` and the batch runner route through here.
+    Every analysis shares one ``wrap_result(fp, program)``, so
+    ``language`` is unused; the tiers of :func:`dispatch` call
+    ``wrap_result`` directly, and replays of them (the perfbench
+    layers) call this.
     """
-    if language == "fj":
-        return analysis.wrap_result(fp, program)
-    return analysis.wrap_result(fp)
+    return analysis.wrap_result(fp, program)
 
 
 def iter_subvalues(value: Any):
@@ -391,13 +390,13 @@ def probe(
     full miss -- the caller decides how to compute (inline, pool, warm).
     """
     started = time.perf_counter()
-    language = prepared.config.language
+    analysis, program = prepared.analysis, prepared.program
     if hot is not None:
         fp = hot.get(prepared.key)
         if fp is not None:
             return JobOutcome(
                 job=prepared.job,
-                result=wrap_fixpoint(prepared.analysis, fp, prepared.program, language),
+                result=analysis.wrap_result(fp, program),
                 key=prepared.key,
                 cached=True,
                 tier="hot",
@@ -413,9 +412,7 @@ def probe(
                 hot.put(prepared.key, entry.fp)
             return JobOutcome(
                 job=prepared.job,
-                result=wrap_fixpoint(
-                    prepared.analysis, entry.fp, prepared.program, language
-                ),
+                result=analysis.wrap_result(entry.fp, program),
                 key=prepared.key,
                 cached=True,
                 tier="disk",
@@ -471,9 +468,7 @@ def complete(
     served as an exact digest hit later).
     """
     if result is None:
-        result = wrap_fixpoint(
-            prepared.analysis, payload["fp"], prepared.program, prepared.config.language
-        )
+        result = prepared.analysis.wrap_result(payload["fp"], prepared.program)
     if cache is not None and store:
         object_blob = payload.get("object_blob")
         if object_blob is not None:

@@ -69,22 +69,22 @@ def build_workload_config(
     falling back to the persistent store for the kleene engine, which
     cannot pair with the versioned one.
     """
-    from repro.config import AnalysisConfig, build_config
-    from repro.core.store import CountingStore
+    from repro.config import AnalysisConfig, request_config
 
     if preset:
-        config = build_config(
-            lang,
-            preset=preset,
-            store_like=CountingStore() if counting else None,
-            gc=True if gc else None,
-            engine=engine,
-            store_impl=store_impl,
-            transition=transition,
-        )
-        if k is not None:
-            config = config.replace(k=k).validated()
-        return config
+        overrides = {
+            name: value
+            for name, value in (
+                ("k", k),
+                ("engine", engine),
+                ("store_impl", store_impl),
+                ("transition", transition),
+                ("gc", gc or None),
+                ("counting", counting or None),
+            )
+            if value is not None
+        }
+        return request_config(lang, preset, overrides)
     resolved_engine = engine or "depgraph"
     default_impl = "persistent" if resolved_engine == "kleene" else "versioned"
     return AnalysisConfig(

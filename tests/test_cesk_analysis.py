@@ -1,14 +1,8 @@
 """The abstract CESK analysis family."""
 
 
+from config_helpers import run_config
 from repro.core.lattice import AbsNat
-from repro.cesk.analysis import (
-    analyse_cesk_counting,
-    analyse_cesk_gc,
-    analyse_cesk_kcfa,
-    analyse_cesk_shared,
-    analyse_cesk_zerocfa,
-)
 from repro.cesk.concrete import ConcreteCESKInterface, evaluate
 from repro.cesk.machine import inject
 from repro.cesk.semantics import is_final, mnext_cesk
@@ -22,12 +16,12 @@ PER_STATE_SAFE = ["id-simple", "mj09", "eta"]
 
 class TestPolyvariance:
     def test_mj09_zerocfa_merges(self):
-        r = analyse_cesk_zerocfa(PROGRAMS["mj09"])
+        r = run_config("lam", PROGRAMS["mj09"], addressing="zerocfa")
         assert len(r.flows_to()["b"]) == 2
         assert len(r.final_values()) == 2
 
     def test_mj09_onecfa_separates(self):
-        r = analyse_cesk_kcfa(PROGRAMS["mj09"], 1)
+        r = run_config("lam", PROGRAMS["mj09"], k=1)
         assert len(r.flows_to()["b"]) == 1
         assert len(r.final_values()) == 1
 
@@ -37,74 +31,76 @@ class TestPolyvariance:
         for name in TERMINATING:
             concrete = evaluate(PROGRAMS[name]).lam
             for k in (0, 1):
-                abstract = analyse_cesk_shared(PROGRAMS[name], k).final_values()
+                abstract = run_config(
+                    "lam", PROGRAMS[name], k=k, widening="store"
+                ).final_values()
                 assert concrete in abstract
 
     def test_precision_monotone_in_k(self):
         for name in TERMINATING:
-            f1 = analyse_cesk_shared(PROGRAMS[name], 1).flows_to()
-            f0 = analyse_cesk_shared(PROGRAMS[name], 0).flows_to()
+            f1 = run_config("lam", PROGRAMS[name], k=1, widening="store").flows_to()
+            f0 = run_config("lam", PROGRAMS[name], k=0, widening="store").flows_to()
             for var, lams in f1.items():
                 assert lams <= f0.get(var, lams)
 
     def test_eta_chain_compounds_monovariant_loss(self):
         # deeper eta chains merge more at the shared identity parameter
-        shallow = analyse_cesk_zerocfa(eta_chain(1)).flows_to()
-        deep = analyse_cesk_zerocfa(eta_chain(3)).flows_to()
+        shallow = run_config("lam", eta_chain(1), addressing="zerocfa").flows_to()
+        deep = run_config("lam", eta_chain(3), addressing="zerocfa").flows_to()
         assert len(deep.get("x", ())) >= len(shallow.get("x", ()))
 
 
 class TestTermination:
     def test_omega_terminates(self):
-        r = analyse_cesk_zerocfa(PROGRAMS["omega"])
+        r = run_config("lam", PROGRAMS["omega"], addressing="zerocfa")
         assert r.num_states() > 2
         assert not r.final_states()
 
     def test_z_loop_terminates(self):
-        r = analyse_cesk_kcfa(PROGRAMS["z-loop"], 1)
+        r = run_config("lam", PROGRAMS["z-loop"], k=1)
         assert r.num_states() > 2
 
 
 class TestSharedStore:
     def test_shared_covers_per_state(self):
         for name in PER_STATE_SAFE + ["omega"]:
-            per_state = analyse_cesk_kcfa(PROGRAMS[name], 1)
-            shared = analyse_cesk_shared(PROGRAMS[name], 1)
+            per_state = run_config("lam", PROGRAMS[name], k=1)
+            shared = run_config("lam", PROGRAMS[name], k=1, widening="store")
             for var, lams in per_state.flows_to().items():
                 assert lams <= shared.flows_to().get(var, frozenset())
 
     def test_shared_fixed_point_is_smaller_or_equal(self):
         program = eta_chain(3)
-        per_state = analyse_cesk_kcfa(program, 1)
-        shared = analyse_cesk_shared(program, 1)
+        per_state = run_config("lam", program, k=1)
+        shared = run_config("lam", program, k=1, widening="store")
         assert shared.num_elements() <= per_state.num_elements()
 
 
 class TestGC:
     def test_gc_store_never_larger(self):
         for name in PER_STATE_SAFE:
-            plain = analyse_cesk_kcfa(PROGRAMS[name], 1)
-            gc = analyse_cesk_gc(PROGRAMS[name], 1)
+            plain = run_config("lam", PROGRAMS[name], k=1)
+            gc = run_config("lam", PROGRAMS[name], k=1, gc=True)
             assert gc.store_size() <= plain.store_size()
 
     def test_gc_preserves_final_values(self):
         for name in PER_STATE_SAFE:
-            plain = analyse_cesk_kcfa(PROGRAMS[name], 1)
-            gc = analyse_cesk_gc(PROGRAMS[name], 1)
+            plain = run_config("lam", PROGRAMS[name], k=1)
+            gc = run_config("lam", PROGRAMS[name], k=1, gc=True)
             assert evaluate(PROGRAMS[name]).lam in gc.final_values()
             assert gc.final_values() <= plain.final_values()
 
     def test_gc_can_reduce_state_count(self):
         # GC prunes dead store structure, collapsing otherwise-distinct configs
         program = eta_chain(3)
-        plain = analyse_cesk_kcfa(program, 1)
-        gc = analyse_cesk_gc(program, 1)
+        plain = run_config("lam", program, k=1)
+        gc = run_config("lam", program, k=1, gc=True)
         assert gc.num_elements() <= plain.num_elements()
 
 
 class TestCounting:
     def test_straightline_counts_stay_one(self):
-        r = analyse_cesk_counting(PROGRAMS["id-simple"], 1)
+        r = run_config("lam", PROGRAMS["id-simple"], k=1, counting=True)
         store = r.global_store()
         counting = r.store_like
         from repro.core.addresses import Binding
@@ -118,15 +114,15 @@ class TestCounting:
         assert all(c is AbsNat.ONE for c in var_counts.values())
 
     def test_loop_counts_reach_many(self):
-        r = analyse_cesk_counting(PROGRAMS["omega"], 0)
+        r = run_config("lam", PROGRAMS["omega"], k=0, counting=True)
         store = r.global_store()
         counting = r.store_like
         counts = [counting.count(store, a) for a in counting.addresses(store)]
         assert AbsNat.MANY in counts
 
     def test_counting_preserves_flows(self):
-        plain = analyse_cesk_kcfa(PROGRAMS["mj09"], 1).flows_to()
-        counted = analyse_cesk_counting(PROGRAMS["mj09"], 1).flows_to()
+        plain = run_config("lam", PROGRAMS["mj09"], k=1).flows_to()
+        counted = run_config("lam", PROGRAMS["mj09"], k=1, counting=True).flows_to()
         assert plain == counted
 
 
@@ -144,10 +140,10 @@ class TestSoundnessSmoke:
                     concrete_exprs.add(state.ctrl)
                 state = mnext_cesk(iface, state)
             abstract_exprs = {
-                s.ctrl for s in analyse_cesk_kcfa(program, 1).states() if s.is_eval()
+                s.ctrl for s in run_config("lam", program, k=1).states() if s.is_eval()
             }
             assert concrete_exprs <= abstract_exprs
 
     def test_scaling_family_analyzable(self):
-        r = analyse_cesk_zerocfa(apply_tower(6))
+        r = run_config("lam", apply_tower(6), addressing="zerocfa")
         assert r.final_values()

@@ -530,6 +530,25 @@ class TestNestingLimits:
         self._check_past_limit(tmp_path, "imp", _imp_nest(MAX_NESTING + 1), MAX_NESTING)
         self._check_past_limit(tmp_path, "imp", _imp_nest(120), MAX_NESTING)
 
+    @pytest.mark.parametrize("shape", ["plus", "and", "calls", "lets"])
+    def test_imp_term_depth_at_and_past_the_limit(self, tmp_path, shape):
+        """Long operator chains, call chains and blocks parse flat but lower
+        to deep terms: at ``MAX_TERM_DEPTH`` they analyse and run, at 3000
+        they are a typed error."""
+        from test_imp import CHAINS, longest_accepted
+
+        from repro.imp.parser import MAX_TERM_DEPTH
+
+        make = CHAINS[shape]
+        self._check_at_limit(tmp_path, "imp", make(longest_accepted(make)))
+        path = tmp_path / "long.imp"
+        path.write_text(make(3000))
+        proc = run_repro("analyze", str(path))
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert f"deeper than {MAX_TERM_DEPTH}" in proc.stderr
+
     def test_fj_at_and_past_the_limit(self, tmp_path):
         from repro.fj.parser import MAX_NESTING
 

@@ -2,7 +2,7 @@
 
 from repro.core.addresses import KCFA, ZeroCFA
 from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
-from repro.core.driver import run_analysis, run_analysis_worklist
+from repro.core.fixpoint import explore_fp, worklist_explore
 from repro.core.gc import MonadicStoreCollector
 from repro.core.store import BasicStore
 from repro.cps.analysis import AbstractCPSInterface, CPSTouching
@@ -57,8 +57,8 @@ class TestPerStateCollecting:
         program = PROGRAMS["mj09"]
         _i1, plain, step1 = make_parts()
         _i2, with_gc, step2 = make_parts(collector=True)
-        fp_plain = run_analysis_worklist(plain, step1, inject(program))
-        fp_gc = run_analysis_worklist(with_gc, step2, inject(program))
+        fp_plain = worklist_explore(plain, step1, inject(program), plain.successors_of)
+        fp_gc = worklist_explore(with_gc, step2, inject(program), with_gc.successors_of)
         ctrls = lambda fp: {ps.ctrl for (ps, _g), _s in fp}
         assert ctrls(fp_gc) == ctrls(fp_plain)
 
@@ -91,7 +91,7 @@ class TestSharedCollecting:
 
     def test_kleene_against_run_analysis(self):
         _iface, collecting, step = self.make_shared()
-        fp = run_analysis(collecting, step, inject(PROGRAMS["identity"]))
+        fp = explore_fp(collecting, step, inject(PROGRAMS["identity"]))
         states, _store = fp
         assert any(ps.is_final() for ps, _g in states)
 
@@ -100,6 +100,6 @@ class TestDriver:
     def test_run_analysis_and_worklist_agree(self):
         _iface, collecting, step = make_parts(ZeroCFA())
         initial = inject(PROGRAMS["omega"])
-        assert run_analysis(collecting, step, initial) == run_analysis_worklist(
-            collecting, step, initial
+        assert explore_fp(collecting, step, initial) == worklist_explore(
+            collecting, step, initial, collecting.successors_of
         )

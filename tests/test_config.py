@@ -4,7 +4,7 @@ Two layers of checks:
 
 * :class:`AnalysisConfig` validation is the single home of the
   compatibility rules that used to live as scattered checks in the
-  driver and the three ``analyse*`` families -- every rule is pinned
+  driver and the per-language constructors -- every rule is pinned
   here, with its historical error-message wording.
 * The **preset matrix**: every preset in the registry produces a fixed
   point identical to the equivalent hand-assembled Kleene analysis,
@@ -188,15 +188,20 @@ class TestPresetRegistry:
             assemble(preset_config("1cfa", "fj"))
 
     def test_explicit_defaults_override_presets(self):
-        """``None`` means "not passed": explicitly passing the historical
-        defaults (persistent store, kleene engine) must override a
-        versioned preset rather than being silently dropped."""
+        """An override is any field the caller passed: explicitly passing
+        the historical defaults (persistent store, kleene engine) must
+        override a versioned preset rather than being silently dropped."""
         from repro.core.store import BasicStore, unwrap_store
-        from repro.cps.analysis import analyse
 
-        paired_back = analyse(preset="1cfa", engine="kleene", store_impl="persistent")
+        paired_back = assemble(
+            request_config(
+                "cps", "1cfa", {"engine": "kleene", "store_impl": "persistent"}
+            )
+        )
         assert paired_back.engine == "kleene"
-        persistent = analyse(preset="1cfa", store_impl="persistent")
+        persistent = assemble(
+            request_config("cps", "1cfa", {"store_impl": "persistent"})
+        )
         assert isinstance(
             unwrap_store(persistent.interface.store_like), BasicStore
         )

@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.core.addresses import Binding, KCFA
+from config_helpers import run_config
+from repro.config import AnalysisConfig, assemble
+from repro.core.addresses import Binding
 from repro.core.lattice import AbsNat
 from repro.core.store import CountingStore
-from repro.cps.analysis import (
-    analyse,
-    analyse_concrete_collecting,
-    analyse_kcfa,
-    analyse_shared,
-    analyse_with_count,
-    analyse_with_gc,
-    analyse_zerocfa,
-)
 from repro.cps.syntax import Lam
 from repro.corpus.cps_programs import PROGRAMS, heap_clone, id_chain
 
@@ -24,17 +17,17 @@ def flow_sizes(result):
 
 class TestCollectingSemantics:
     def test_identity_reaches_exit(self):
-        result = analyse_concrete_collecting(PROGRAMS["identity"])
+        result = run_config("cps", PROGRAMS["identity"], addressing="concrete")
         assert result.reaching_exit()
 
     def test_concrete_collecting_is_exact_on_identity(self):
-        result = analyse_concrete_collecting(PROGRAMS["identity"])
+        result = run_config("cps", PROGRAMS["identity"], addressing="concrete")
         # unique addresses: every variable flows to exactly one lambda
         assert all(n == 1 for n in flow_sizes(result).values())
 
     def test_kleene_and_worklist_agree(self):
         program = PROGRAMS["mj09"]
-        analysis = analyse(KCFA(1))
+        analysis = assemble(AnalysisConfig(language="cps", k=1))
         fp_kleene = analysis.run(program, worklist=False).fp
         fp_worklist = analysis.run(program, worklist=True).fp
         assert fp_kleene == fp_worklist
@@ -44,89 +37,91 @@ class TestPolyvariance:
     """The mj09 example: the heart of experiments E3/E7."""
 
     def test_zerocfa_merges_the_two_id_results(self):
-        flows = flow_sizes(analyse_zerocfa(PROGRAMS["mj09"]))
+        flows = flow_sizes(run_config("cps", PROGRAMS["mj09"], addressing="zerocfa"))
         assert flows["a"] == 2
         assert flows["b"] == 2
         assert flows["x"] == 2
 
     def test_onecfa_separates_the_two_id_results(self):
-        flows = flow_sizes(analyse_kcfa(PROGRAMS["mj09"], 1))
+        flows = flow_sizes(run_config("cps", PROGRAMS["mj09"], k=1))
         assert flows["a"] == 1
         assert flows["b"] == 1
 
     def test_precision_never_decreases_with_k(self):
         for name in ("identity", "mj09", "id-id", "self-apply"):
-            f1 = analyse_kcfa(PROGRAMS[name], 1).flows_to()
-            f0 = analyse_kcfa(PROGRAMS[name], 0).flows_to()
+            f1 = run_config("cps", PROGRAMS[name], k=1).flows_to()
+            f0 = run_config("cps", PROGRAMS[name], k=0).flows_to()
             for var, lams in f1.items():
                 assert lams <= f0.get(var, lams)
 
     def test_id_chain_separation_grows_with_n(self):
         program = id_chain(4)
-        flows0 = flow_sizes(analyse_zerocfa(program))
+        flows0 = flow_sizes(run_config("cps", program, addressing="zerocfa"))
         # monovariant: all four arguments merge through the shared parameter
         assert flows0["x"] == 4
         # 1CFA: per-address (per-context) bindings of x each hold one lambda
-        per_addr = analyse_kcfa(program, 1).flows_per_address()
+        per_addr = run_config("cps", program, k=1).flows_per_address()
         x_addrs = [a for a in per_addr if getattr(a, "var", a) == "x"]
         assert len(x_addrs) == 4
         assert all(len(per_addr[a]) == 1 for a in x_addrs)
 
     def test_kcfa0_equals_zerocfa_flows(self):
         for name in ("identity", "mj09", "omega"):
-            fk = analyse_kcfa(PROGRAMS[name], 0).flows_to()
-            fz = analyse_zerocfa(PROGRAMS[name]).flows_to()
+            fk = run_config("cps", PROGRAMS[name], k=0).flows_to()
+            fz = run_config("cps", PROGRAMS[name], addressing="zerocfa").flows_to()
             assert fk == fz
 
 
 class TestTermination:
     def test_omega_terminates_abstractly(self):
-        result = analyse_zerocfa(PROGRAMS["omega"])
+        result = run_config("cps", PROGRAMS["omega"], addressing="zerocfa")
         assert result.num_states() >= 2
         assert not result.reaching_exit()  # omega never exits
 
     def test_omega_terminates_with_1cfa(self):
-        assert analyse_kcfa(PROGRAMS["omega"], 1).num_states() >= 2
+        assert run_config("cps", PROGRAMS["omega"], k=1).num_states() >= 2
 
 
 class TestSharedStoreWidening:
     def test_shared_store_covers_per_state_flows(self):
         for name in ("identity", "mj09", "omega"):
-            per_state = analyse_kcfa(PROGRAMS[name], 1).flows_to()
-            shared = analyse_shared(PROGRAMS[name], 1).flows_to()
+            per_state = run_config("cps", PROGRAMS[name], k=1).flows_to()
+            shared = run_config("cps", PROGRAMS[name], k=1, widening="store").flows_to()
             for var, lams in per_state.items():
                 assert lams <= shared.get(var, frozenset())
 
     def test_shared_store_state_set_covers_per_state(self):
         for name in ("identity", "mj09"):
-            per_state = analyse_kcfa(PROGRAMS[name], 1).states()
-            shared = analyse_shared(PROGRAMS[name], 1).states()
+            per_state = run_config("cps", PROGRAMS[name], k=1).states()
+            shared = run_config("cps", PROGRAMS[name], k=1, widening="store").states()
             assert per_state <= shared
 
     def test_heap_cloning_blowup_vs_shared(self):
         program = heap_clone(6)
-        per_state = analyse_kcfa(program, 1)
-        shared = analyse_shared(program, 1)
+        per_state = run_config("cps", program, k=1)
+        shared = run_config("cps", program, k=1, widening="store")
         # per-state: one store per choice prefix; shared: linear
         assert per_state.num_elements() > 4 * shared.num_elements()
 
     def test_blowup_is_exponential_in_n(self):
-        small = analyse_kcfa(heap_clone(3), 1).num_elements()
-        big = analyse_kcfa(heap_clone(6), 1).num_elements()
+        small = run_config("cps", heap_clone(3), k=1).num_elements()
+        big = run_config("cps", heap_clone(6), k=1).num_elements()
         assert big >= 4 * small
 
 
 class TestCountingStore:
     def test_counting_plugs_in_without_changing_flows(self):
         program = PROGRAMS["mj09"]
-        plain = analyse_shared(program, 1).flows_to()
-        counted = analyse_with_count(program, 1).flows_to()
+        plain = run_config("cps", program, k=1, widening="store").flows_to()
+        counted = run_config(
+            "cps", program, k=1, widening="store", counting=True
+        ).flows_to()
         assert plain == counted
 
     def test_single_bindings_counted_one(self):
         # per-state stores: each configuration's store is rebuilt
         # deterministically, so straight-line allocations stay at ONE
-        result = analyse_with_count(PROGRAMS["identity"], 1, shared=False)
+        result = run_config("cps", PROGRAMS["identity"], k=1, counting=True)
         singles = result.singleton_counts()
         assert singles  # straight-line code: everything allocated once
         for addr in singles:
@@ -135,12 +130,16 @@ class TestCountingStore:
     def test_shared_store_counting_drifts_soundly(self):
         # re-analysis against the global store bumps counts: sound (MANY
         # over-approximates ONE) but deliberately imprecise
-        per_state = analyse_with_count(PROGRAMS["identity"], 1, shared=False)
-        shared = analyse_with_count(PROGRAMS["identity"], 1, shared=True)
+        per_state = run_config("cps", PROGRAMS["identity"], k=1, counting=True)
+        shared = run_config(
+            "cps", PROGRAMS["identity"], k=1, widening="store", counting=True
+        )
         assert len(shared.singleton_counts()) <= len(per_state.singleton_counts())
 
     def test_loop_bindings_counted_many(self):
-        result = analyse_with_count(PROGRAMS["omega"], 0)
+        result = run_config(
+            "cps", PROGRAMS["omega"], k=0, widening="store", counting=True
+        )
         store = result.global_store()
         counting = result.store_like
         assert isinstance(counting, CountingStore)
@@ -149,15 +148,15 @@ class TestCountingStore:
         assert AbsNat.MANY in counts.values()
 
     def test_per_state_counting_also_works(self):
-        result = analyse_with_count(PROGRAMS["identity"], 1, shared=False)
+        result = run_config("cps", PROGRAMS["identity"], k=1, counting=True)
         assert result.reaching_exit()
 
 
 class TestAbstractGC:
     def test_gc_preserves_flows_of_live_variables(self):
         program = PROGRAMS["identity"]
-        with_gc = analyse_with_gc(program, 1).flows_to()
-        without = analyse_kcfa(program, 1).flows_to()
+        with_gc = run_config("cps", program, k=1, gc=True).flows_to()
+        without = run_config("cps", program, k=1).flows_to()
         # x and k are live (read) while bound: their flows survive GC.
         # r is dead at Exit, so GC legitimately drops it.
         assert with_gc.get("x") == without.get("x")
@@ -166,48 +165,48 @@ class TestAbstractGC:
 
     def test_gc_shrinks_or_preserves_store(self):
         for name in ("identity", "mj09", "id-id"):
-            with_gc = analyse_with_gc(PROGRAMS[name], 1)
-            without = analyse_kcfa(PROGRAMS[name], 1)
+            with_gc = run_config("cps", PROGRAMS[name], k=1, gc=True)
+            without = run_config("cps", PROGRAMS[name], k=1)
             assert with_gc.store_size() <= without.store_size()
 
     def test_gc_never_loses_exit_reachability(self):
         for name in ("identity", "mj09", "id-id", "self-apply"):
-            assert analyse_with_gc(PROGRAMS[name], 1).reaching_exit()
+            assert run_config("cps", PROGRAMS[name], k=1, gc=True).reaching_exit()
 
     def test_gc_can_improve_precision(self):
         # dead bindings dropped => flows-to domain can only shrink
         program = PROGRAMS["mj09"]
-        gc_flows = analyse_with_gc(program, 0).flows_to()
-        plain_flows = analyse_zerocfa(program).flows_to()
+        gc_flows = run_config("cps", program, k=0, gc=True).flows_to()
+        plain_flows = run_config("cps", program, addressing="zerocfa").flows_to()
         for var, lams in gc_flows.items():
             assert lams <= plain_flows.get(var, frozenset())
 
 
 class TestResultAccessors:
     def test_states_and_configs(self):
-        result = analyse_kcfa(PROGRAMS["identity"], 1)
+        result = run_config("cps", PROGRAMS["identity"], k=1)
         assert result.num_states() <= result.num_configs() <= result.num_elements()
 
     def test_flows_to_values_are_lambdas(self):
-        flows = analyse_zerocfa(PROGRAMS["mj09"]).flows_to()
+        flows = run_config("cps", PROGRAMS["mj09"], addressing="zerocfa").flows_to()
         for lams in flows.values():
             assert all(isinstance(value, Lam) for value in lams)
 
     def test_global_store_has_bindings(self):
-        result = analyse_kcfa(PROGRAMS["identity"], 1)
+        result = run_config("cps", PROGRAMS["identity"], k=1)
         assert result.store_size() > 0
 
     def test_singleton_counts_requires_counting_store(self):
-        result = analyse_kcfa(PROGRAMS["identity"], 1)
+        result = run_config("cps", PROGRAMS["identity"], k=1)
         with pytest.raises(TypeError):
             result.singleton_counts()
 
     def test_zerocfa_addresses_are_bare_variables(self):
-        result = analyse_zerocfa(PROGRAMS["identity"])
+        result = run_config("cps", PROGRAMS["identity"], addressing="zerocfa")
         addrs = set(result.store_like.addresses(result.global_store()))
         assert all(isinstance(a, str) for a in addrs)
 
     def test_kcfa_addresses_are_bindings(self):
-        result = analyse_kcfa(PROGRAMS["identity"], 1)
+        result = run_config("cps", PROGRAMS["identity"], k=1)
         addrs = set(result.store_like.addresses(result.global_store()))
         assert all(isinstance(a, Binding) for a in addrs)

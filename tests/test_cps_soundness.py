@@ -10,13 +10,7 @@ live there is represented in the abstract flows.
 
 import pytest
 
-from repro.cps.analysis import (
-    analyse_concrete_collecting,
-    analyse_kcfa,
-    analyse_shared,
-    analyse_with_gc,
-    analyse_zerocfa,
-)
+from config_helpers import run_config
 from repro.cps.concrete import ConcreteCPSInterface, interpret_trace
 from repro.cps.semantics import inject, mnext
 from repro.corpus.cps_programs import PROGRAMS, id_chain
@@ -49,20 +43,26 @@ def assert_covers(abstract_flows, concrete):
 @pytest.mark.parametrize("name", TERMINATING)
 def test_zerocfa_covers_concrete(name):
     program = PROGRAMS[name]
-    assert_covers(analyse_zerocfa(program).flows_to(), concrete_flows(program))
+    assert_covers(
+        run_config("cps", program, addressing="zerocfa").flows_to(),
+        concrete_flows(program),
+    )
 
 
 @pytest.mark.parametrize("name", TERMINATING)
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_kcfa_covers_concrete(name, k):
     program = PROGRAMS[name]
-    assert_covers(analyse_kcfa(program, k).flows_to(), concrete_flows(program))
+    assert_covers(run_config("cps", program, k=k).flows_to(), concrete_flows(program))
 
 
 @pytest.mark.parametrize("name", TERMINATING)
 def test_shared_store_covers_concrete(name):
     program = PROGRAMS[name]
-    assert_covers(analyse_shared(program, 1).flows_to(), concrete_flows(program))
+    assert_covers(
+        run_config("cps", program, k=1, widening="store").flows_to(),
+        concrete_flows(program),
+    )
 
 
 @pytest.mark.parametrize("name", TERMINATING)
@@ -83,7 +83,7 @@ def test_gc_covers_live_concrete_bindings(name):
             if var in state.env and state.env[var] in interface.heap:
                 value = interface.heap[state.env[var]]
                 live_flows.setdefault(var, set()).add(value.lam)
-    abstract = analyse_with_gc(program, 1).flows_to()
+    abstract = run_config("cps", program, k=1, gc=True).flows_to()
     for var, lams in live_flows.items():
         assert var in abstract
         assert lams <= abstract[var]
@@ -95,7 +95,7 @@ def test_concrete_trace_states_covered(k):
     for name in TERMINATING:
         program = PROGRAMS[name]
         concrete_ctrls = {s.ctrl for s in interpret_trace(program)}
-        abstract_ctrls = {s.ctrl for s in analyse_kcfa(program, k).states()}
+        abstract_ctrls = {s.ctrl for s in run_config("cps", program, k=k).states()}
         assert concrete_ctrls <= abstract_ctrls
 
 
@@ -105,11 +105,14 @@ def test_concrete_collecting_covers_trace_exactly():
     for name in TERMINATING:
         program = PROGRAMS[name]
         concrete_ctrls = {s.ctrl for s in interpret_trace(program)}
-        collected = analyse_concrete_collecting(program)
+        collected = run_config("cps", program, addressing="concrete")
         abstract_ctrls = {s.ctrl for s in collected.states()}
         assert abstract_ctrls == concrete_ctrls
 
 
 def test_generated_chain_soundness():
     program = id_chain(3)
-    assert_covers(analyse_zerocfa(program).flows_to(), concrete_flows(program))
+    assert_covers(
+        run_config("cps", program, addressing="zerocfa").flows_to(),
+        concrete_flows(program),
+    )

@@ -14,16 +14,15 @@ import dataclasses
 
 import pytest
 
-from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine, analyse_cesk_shared
-from repro.core.addresses import KCFA
+from config_helpers import run_config
+from repro.config import AnalysisConfig, assemble
+from repro.core.analysis import EngineRequired
 from repro.core.fixpoint import ENGINES, STORE_IMPLS, global_store_explore
 from repro.core.store import BasicStore, CountingStore, RecordingStore, unwrap_store
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
-from repro.cps.analysis import analyse, analyse_shared, analyse_with_engine
-from repro.fj.analysis import analyse_fj, analyse_fj_engine, analyse_fj_shared
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -36,8 +35,8 @@ class TestCPSEngineEquivalence:
     @pytest.mark.parametrize("impl", STORE_IMPLS)
     def test_engines_agree_with_kleene(self, name, k, impl):
         program = CPS_PROGRAMS[name]
-        reference = analyse_with_engine(program, "kleene", k=k)
-        result = analyse(KCFA(k), engine="depgraph", store_impl=impl).run(program)
+        reference = run_config("cps", program, k=k, engine="kleene")
+        result = run_config("cps", program, k=k, engine="depgraph", store_impl=impl)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
@@ -46,23 +45,24 @@ class TestCPSEngineEquivalence:
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
         """The ``kleene`` engine is exactly the paper's 8.2 widened analysis."""
         program = CPS_PROGRAMS[name]
-        legacy = analyse_shared(program, 1)
-        engine = analyse_with_engine(program, "kleene", k=1)
+        legacy = run_config("cps", program, k=1, widening="store")
+        engine = run_config("cps", program, k=1, engine="kleene")
         assert engine.fp == legacy.fp
 
     def test_depgraph_on_generated_family(self):
         program = id_chain(6)
-        reference = analyse_with_engine(program, "kleene", k=1)
-        stats = {}
-        result = analyse_with_engine(program, "depgraph", k=1, stats=stats)
+        reference = run_config("cps", program, k=1, engine="kleene")
+        analysis = assemble(AnalysisConfig(language="cps", k=1, engine="depgraph"))
+        result = analysis.run(program)
+        stats = analysis.last_stats
         assert result.flows_to() == reference.flows_to()
         assert stats["evaluations"] >= stats["configurations"] > 0
 
     def test_counting_store_works_under_kleene_engine(self):
         """Counting composes with the kleene engine (= the legacy shared path)."""
         program = CPS_PROGRAMS["mj09"]
-        plain = analyse_with_engine(program, "kleene", k=1)
-        counted = analyse_with_engine(program, "kleene", k=1, counting=True)
+        plain = run_config("cps", program, k=1, engine="kleene")
+        counted = run_config("cps", program, k=1, engine="kleene", counting=True)
         assert counted.flows_to() == plain.flows_to()
         assert counted.configs() == plain.configs()
 
@@ -75,8 +75,8 @@ class TestCESKEngineEquivalence:
     @pytest.mark.parametrize("impl", STORE_IMPLS)
     def test_engines_agree_with_kleene(self, name, k, impl):
         expr = LAM_PROGRAMS[name]
-        reference = analyse_cesk_engine(expr, "kleene", k=k)
-        result = analyse_cesk(KCFA(k), engine="depgraph", store_impl=impl).run(expr)
+        reference = run_config("lam", expr, k=k, engine="kleene")
+        result = run_config("lam", expr, k=k, engine="depgraph", store_impl=impl)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
@@ -84,13 +84,13 @@ class TestCESKEngineEquivalence:
     @pytest.mark.parametrize("name", LAM_NAMES)
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
         expr = LAM_PROGRAMS[name]
-        legacy = analyse_cesk_shared(expr, 1)
-        engine = analyse_cesk_engine(expr, "kleene", k=1)
+        legacy = run_config("lam", expr, k=1, widening="store")
+        engine = run_config("lam", expr, k=1, engine="kleene")
         assert engine.fp == legacy.fp
 
     def test_final_values_agree(self):
         expr = LAM_PROGRAMS["mj09"]
-        results = {e: analyse_cesk_engine(expr, e) for e in ENGINES}
+        results = {e: run_config("lam", expr, engine=e) for e in ENGINES}
         finals = {e: r.final_values() for e, r in results.items()}
         assert finals["kleene"] == finals["depgraph"]
 
@@ -101,10 +101,8 @@ class TestFJEngineEquivalence:
     @pytest.mark.parametrize("impl", STORE_IMPLS)
     def test_engines_agree_with_kleene(self, name, k, impl):
         program = FJ_PROGRAMS[name]
-        reference = analyse_fj_engine(program, "kleene", k=k)
-        result = analyse_fj(
-            program, KCFA(k), engine="depgraph", store_impl=impl
-        ).run(program)
+        reference = run_config("fj", program, k=k, engine="kleene")
+        result = run_config("fj", program, k=k, engine="depgraph", store_impl=impl)
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.class_flows() == reference.class_flows()
@@ -112,13 +110,15 @@ class TestFJEngineEquivalence:
     @pytest.mark.parametrize("name", FJ_NAMES)
     def test_kleene_engine_is_the_shared_store_analysis(self, name):
         program = FJ_PROGRAMS[name]
-        legacy = analyse_fj_shared(program, 1)
-        engine = analyse_fj_engine(program, "kleene", k=1)
+        legacy = run_config("fj", program, k=1, widening="store")
+        engine = run_config("fj", program, k=1, engine="kleene")
         assert engine.fp == legacy.fp
 
     def test_final_classes_agree(self):
         program = FJ_PROGRAMS["animals"]
-        finals = {e: analyse_fj_engine(program, e).final_classes() for e in ENGINES}
+        finals = {
+            e: run_config("fj", program, engine=e).final_classes() for e in ENGINES
+        }
         assert finals["kleene"] == finals["depgraph"]
 
 
@@ -137,8 +137,10 @@ class TestStoreImplEquivalence:
     @pytest.mark.parametrize("engine", ["depgraph"])
     def test_cps_corpus(self, name, engine):
         program = CPS_PROGRAMS[name]
-        persistent = analyse(KCFA(1), engine=engine).run(program)
-        versioned = analyse(KCFA(1), engine=engine, store_impl="versioned").run(program)
+        persistent = run_config("cps", program, k=1, engine=engine)
+        versioned = run_config(
+            "cps", program, k=1, engine=engine, store_impl="versioned"
+        )
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
@@ -146,8 +148,8 @@ class TestStoreImplEquivalence:
     @pytest.mark.parametrize("engine", ["depgraph"])
     def test_lam_corpus(self, name, engine):
         expr = LAM_PROGRAMS[name]
-        persistent = analyse_cesk(KCFA(1), engine=engine).run(expr)
-        versioned = analyse_cesk(KCFA(1), engine=engine, store_impl="versioned").run(expr)
+        persistent = run_config("lam", expr, k=1, engine=engine)
+        versioned = run_config("lam", expr, k=1, engine=engine, store_impl="versioned")
         assert versioned.fp == persistent.fp
         assert versioned.flows_to() == persistent.flows_to()
 
@@ -155,27 +157,32 @@ class TestStoreImplEquivalence:
     @pytest.mark.parametrize("engine", ["depgraph"])
     def test_fj_corpus(self, name, engine):
         program = FJ_PROGRAMS[name]
-        persistent = analyse_fj(program, KCFA(1), engine=engine).run(program)
-        versioned = analyse_fj(program, KCFA(1), engine=engine, store_impl="versioned").run(program)
+        persistent = run_config("fj", program, k=1, engine=engine)
+        versioned = run_config(
+            "fj", program, k=1, engine=engine, store_impl="versioned"
+        )
         assert versioned.fp == persistent.fp
         assert versioned.class_flows() == persistent.class_flows()
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_versioned_agrees_with_kleene(self, k):
         program = CPS_PROGRAMS["mj09"]
-        kleene = analyse_with_engine(program, "kleene", k=k)
-        versioned = analyse_with_engine(
-            program, "depgraph", k=k, store_impl="versioned"
+        kleene = run_config("cps", program, k=k, engine="kleene")
+        versioned = run_config(
+            "cps", program, k=k, engine="depgraph", store_impl="versioned"
         )
         assert versioned.fp == kleene.fp
 
     def test_versioned_on_generated_family(self):
         program = id_chain(8)
-        stats = {}
-        persistent = analyse_with_engine(program, "depgraph", k=1)
-        versioned = analyse_with_engine(
-            program, "depgraph", k=1, stats=stats, store_impl="versioned"
+        persistent = run_config("cps", program, k=1, engine="depgraph")
+        analysis = assemble(
+            AnalysisConfig(
+                language="cps", k=1, engine="depgraph", store_impl="versioned"
+            )
         )
+        versioned = analysis.run(program)
+        stats = analysis.last_stats
         assert versioned.fp == persistent.fp
         assert stats["evaluations"] >= stats["configurations"] > 0
 
@@ -183,36 +190,38 @@ class TestStoreImplEquivalence:
         assert STORE_IMPLS == ("persistent", "versioned")
 
     def test_kleene_rejects_versioned(self):
-        from repro.core.addresses import KCFA
-
         with pytest.raises(ValueError, match="kleene"):
-            analyse(KCFA(1), engine="kleene", store_impl="versioned")
+            assemble(
+                AnalysisConfig(
+                    language="cps", k=1, engine="kleene", store_impl="versioned"
+                )
+            )
 
     def test_unknown_store_impl_rejected(self):
-        from repro.core.addresses import KCFA
-
         with pytest.raises(ValueError, match="store impl"):
-            analyse(KCFA(1), engine="depgraph", store_impl="magnetic-tape")
+            assemble(
+                AnalysisConfig(
+                    language="cps", k=1, engine="depgraph", store_impl="magnetic-tape"
+                )
+            )
 
     def test_versioned_needs_an_engine(self):
-        from repro.core.addresses import KCFA
-
         with pytest.raises(ValueError, match="engine"):
-            analyse(KCFA(1), store_impl="versioned")
+            assemble(AnalysisConfig(language="cps", k=1, store_impl="versioned"))
 
     def test_counting_runs_on_versioned(self):
         """Counting stores have a versioned counterpart since the engines
         learned to saturate counts; the fixed point matches kleene."""
-        from repro.core.addresses import KCFA
-
         program = CPS_PROGRAMS["mj09"]
-        kleene = analyse(KCFA(1), store_like=CountingStore(), engine="kleene").run(program)
-        fast = analyse(
-            KCFA(1),
-            store_like=CountingStore(),
+        kleene = run_config("cps", program, k=1, counting=True, engine="kleene")
+        fast = run_config(
+            "cps",
+            program,
+            k=1,
+            counting=True,
             engine="depgraph",
             store_impl="versioned",
-        ).run(program)
+        )
         assert fast.fp == kleene.fp
 
 
@@ -245,8 +254,8 @@ class TestInternedVsPlain:
         plain = _uninterned(program)
         assert plain == program and plain is not program
         for engine in ENGINES:
-            interned_result = analyse_with_engine(program, engine, k=1)
-            plain_result = analyse_with_engine(plain, engine, k=1)
+            interned_result = run_config("cps", program, k=1, engine=engine)
+            plain_result = run_config("cps", plain, k=1, engine=engine)
             assert interned_result.fp == plain_result.fp, engine
 
     def test_lam_spot_check(self):
@@ -254,8 +263,8 @@ class TestInternedVsPlain:
         plain = _uninterned(expr)
         for engine in ENGINES:
             assert (
-                analyse_cesk_engine(expr, engine, k=1).fp
-                == analyse_cesk_engine(plain, engine, k=1).fp
+                run_config("lam", expr, k=1, engine=engine).fp
+                == run_config("lam", plain, k=1, engine=engine).fp
             ), engine
 
     def test_fj_spot_check(self):
@@ -263,8 +272,8 @@ class TestInternedVsPlain:
         plain = _uninterned(program)
         for engine in ENGINES:
             assert (
-                analyse_fj_engine(program, engine, k=1).fp
-                == analyse_fj_engine(plain, engine, k=1).fp
+                run_config("fj", program, k=1, engine=engine).fp
+                == run_config("fj", plain, k=1, engine=engine).fp
             ), engine
 
 
@@ -302,24 +311,43 @@ class TestRecordingStore:
 
 
 class TestEngineGuards:
-    def test_unknown_engine_rejected(self):
-        from repro.core.addresses import KCFA
+    @pytest.mark.parametrize("option", ["warm_start", "capture", "trace"])
+    def test_run_options_need_an_engine(self, option):
+        analysis = assemble(AnalysisConfig(language="cps", k=1, widening="store"))
+        with pytest.raises(EngineRequired, match="engine-backed"):
+            analysis.run(CPS_PROGRAMS["mj09"], **{option: []})
 
+    @pytest.mark.parametrize(
+        "language,program",
+        [
+            ("cps", CPS_PROGRAMS["mj09"]),
+            ("lam", LAM_PROGRAMS["mj09"]),
+            ("fj", FJ_PROGRAMS["animals"]),
+        ],
+    )
+    def test_shared_domains_ignore_worklist(self, language, program):
+        """Every language takes the same ``run``: the store-widened domain
+        iterates ``exploreFP`` whatever ``worklist`` says."""
+        config = AnalysisConfig(language=language, k=1, widening="store")
+        analysis = assemble(config, program=program)
+        widened = analysis.run(program, worklist=False).fp
+        assert analysis.run(program, worklist=True).fp == widened
+
+    def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            analyse(KCFA(1), engine="magic")
+            assemble(AnalysisConfig(language="cps", k=1, engine="magic"))
 
     def test_gc_allowed_on_kleene_engine(self):
-        from repro.core.addresses import KCFA
-
-        analysis = analyse(KCFA(1), gc=True, engine="kleene")
+        analysis = assemble(
+            AnalysisConfig(language="cps", k=1, gc=True, engine="kleene")
+        )
         result = analysis.run(CPS_PROGRAMS["mj09"])
         assert result.num_states() > 0
 
     def test_depgraph_requires_recording_store(self):
         """Calling the raw engine on an unwrapped domain fails loudly."""
-        from repro.core.addresses import KCFA
-
-        analysis = analyse(KCFA(1), shared=True)  # no engine: plain store
+        # no engine: plain store
+        analysis = assemble(AnalysisConfig(language="cps", k=1, widening="store"))
         with pytest.raises(TypeError, match="RecordingStore"):
             global_store_explore(
                 analysis.collecting,
@@ -351,49 +379,54 @@ class TestGCEngineEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_cps_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        reference = analyse(KCFA(1), gc=True, engine="kleene").run(program)
-        result = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
+        reference = run_config("cps", program, k=1, gc=True, engine="kleene")
+        result = run_config(
+            "cps", program, k=1, gc=True, engine=engine, store_impl=impl
+        )
         assert result.fp == reference.fp
 
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_lam_spot_check(self, engine, impl):
         expr = LAM_PROGRAMS["mj09"]
-        reference = analyse_cesk(KCFA(1), gc=True, engine="kleene").run(expr)
-        result = analyse_cesk(KCFA(1), gc=True, engine=engine, store_impl=impl).run(expr)
+        reference = run_config("lam", expr, k=1, gc=True, engine="kleene")
+        result = run_config("lam", expr, k=1, gc=True, engine=engine, store_impl=impl)
         assert result.fp == reference.fp
 
     @pytest.mark.parametrize("name", FJ_NAMES)
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_fj_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
-        reference = analyse_fj(program, KCFA(1), gc=True, engine="kleene").run(program)
-        result = analyse_fj(program, KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
+        reference = run_config("fj", program, k=1, gc=True, engine="kleene")
+        result = run_config("fj", program, k=1, gc=True, engine=engine, store_impl=impl)
         assert result.fp == reference.fp
 
     def test_gc_sweeps_dead_bindings_out_of_the_global_store(self):
         """The GC'd global store is a subset of the unswept one."""
-        from repro.core.addresses import KCFA
-
         program = LAM_PROGRAMS["church-two-two"]
-        plain = analyse_cesk(KCFA(1), engine="depgraph", store_impl="versioned").run(program)
-        swept = analyse_cesk(
-            KCFA(1), gc=True, engine="depgraph", store_impl="versioned"
-        ).run(program)
+        plain = run_config(
+            "lam", program, k=1, engine="depgraph", store_impl="versioned"
+        )
+        swept = run_config(
+            "lam", program, k=1, gc=True, engine="depgraph", store_impl="versioned"
+        )
         plain_addrs = set(plain.global_store().keys())
         swept_addrs = set(swept.global_store().keys())
         assert swept_addrs <= plain_addrs
 
     def test_gc_engine_stats_report_fewer_evaluations_than_kleene(self):
-        from repro.core.addresses import KCFA
         from repro.corpus.cps_programs import id_chain
 
         program = id_chain(12)
         kleene_stats: dict = {}
         fast_stats: dict = {}
-        kleene = analyse(KCFA(1), gc=True, engine="kleene")
+        kleene = assemble(AnalysisConfig(language="cps", k=1, gc=True, engine="kleene"))
         kleene.run(program)
         kleene_stats = kleene.last_stats
-        fast = analyse(KCFA(1), gc=True, engine="depgraph", store_impl="versioned")
+        fast = assemble(
+            AnalysisConfig(
+                language="cps", k=1, gc=True, engine="depgraph", store_impl="versioned"
+            )
+        )
         fast.run(program)
         fast_stats = fast.last_stats
         assert fast_stats["evaluations"] < kleene_stats["evaluations"]
@@ -415,63 +448,58 @@ class TestCountingEngineEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_cps_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        reference = analyse_with_engine(program, "kleene", k=1, counting=True)
-        result = analyse(
-            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
-        ).run(program)
+        reference = run_config("cps", program, k=1, engine="kleene", counting=True)
+        result = run_config(
+            "cps", program, k=1, counting=True, engine=engine, store_impl=impl
+        )
         assert result.fp == reference.fp
 
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_lam_spot_check(self, engine, impl):
         expr = LAM_PROGRAMS["church-two-two"]
-        reference = analyse_cesk(
-            KCFA(1), store_like=CountingStore(), engine="kleene"
-        ).run(expr)
-        result = analyse_cesk(
-            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
-        ).run(expr)
+        reference = run_config("lam", expr, k=1, counting=True, engine="kleene")
+        result = run_config(
+            "lam", expr, k=1, counting=True, engine=engine, store_impl=impl
+        )
         assert result.fp == reference.fp
 
     @pytest.mark.parametrize("name", FJ_NAMES)
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_fj_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
-        reference = analyse_fj(
-            program, KCFA(1), store_like=CountingStore(), engine="kleene"
-        ).run(program)
-        result = analyse_fj(
-            program,
-            KCFA(1),
-            store_like=CountingStore(),
-            engine=engine,
-            store_impl=impl,
-        ).run(program)
+        reference = run_config("fj", program, k=1, counting=True, engine="kleene")
+        result = run_config(
+            "fj", program, k=1, counting=True, engine=engine, store_impl=impl
+        )
         assert result.fp == reference.fp
 
     def test_seed_bindings_keep_their_counts(self):
         """Saturation only touches step-written addresses: the halt
         continuation, bound once when the store is seeded, stays ONE."""
         from repro.cesk.machine import HALT_ADDRESS
-        from repro.core.addresses import KCFA
         from repro.core.lattice import AbsNat
 
         expr = LAM_PROGRAMS["id-simple"]
-        result = analyse_cesk(
-            KCFA(1), store_like=CountingStore(), engine="depgraph", store_impl="versioned"
-        ).run(expr)
+        result = run_config(
+            "lam", expr, k=1, counting=True, engine="depgraph", store_impl="versioned"
+        )
         assert result.store_like.count(result.global_store(), HALT_ADDRESS) is AbsNat.ONE
 
     def test_gc_and_counting_compose_on_worklist_engines(self):
-        from repro.core.addresses import KCFA
-
         program = CPS_PROGRAMS["mj09"]
-        reference = analyse(
-            KCFA(1), store_like=CountingStore(), gc=True, engine="kleene"
-        ).run(program)
+        reference = run_config(
+            "cps", program, k=1, counting=True, gc=True, engine="kleene"
+        )
         for engine, impl in self.ENGINE_IMPLS:
-            result = analyse(
-                KCFA(1), store_like=CountingStore(), gc=True, engine=engine, store_impl=impl
-            ).run(program)
+            result = run_config(
+                "cps",
+                program,
+                k=1,
+                counting=True,
+                gc=True,
+                engine=engine,
+                store_impl=impl,
+            )
             assert result.fp == reference.fp, (engine, impl)
 
 
@@ -495,29 +523,29 @@ class TestFusedTransitionMatrix:
     @pytest.mark.parametrize("name", CPS_NAMES)
     def test_cps_corpus(self, name):
         program = CPS_PROGRAMS[name]
-        reference = analyse_with_engine(program, "kleene", k=1)
+        reference = run_config("cps", program, k=1, engine="kleene")
         for engine, impl in self.ENGINE_IMPLS:
-            result = analyse_with_engine(
-                program, engine, k=1, store_impl=impl, transition="fused"
+            result = run_config(
+                "cps", program, k=1, engine=engine, store_impl=impl, transition="fused"
             )
             assert result.fp == reference.fp, (engine, impl)
 
     @pytest.mark.parametrize("name", LAM_NAMES)
     def test_lam_corpus(self, name):
         expr = LAM_PROGRAMS[name]
-        reference = analyse_cesk_engine(expr, "kleene", k=1)
+        reference = run_config("lam", expr, k=1, engine="kleene")
         for engine, impl in self.ENGINE_IMPLS:
-            result = analyse_cesk_engine(
-                expr, engine, k=1, store_impl=impl, transition="fused"
+            result = run_config(
+                "lam", expr, k=1, engine=engine, store_impl=impl, transition="fused"
             )
             assert result.fp == reference.fp, (engine, impl)
 
     @pytest.mark.parametrize("name", FJ_NAMES)
     def test_fj_corpus(self, name):
         program = FJ_PROGRAMS[name]
-        reference = analyse_fj_engine(program, "kleene", k=1)
+        reference = run_config("fj", program, k=1, engine="kleene")
         for engine, impl in self.ENGINE_IMPLS:
-            result = analyse_fj_engine(
-                program, engine, k=1, store_impl=impl, transition="fused"
+            result = run_config(
+                "fj", program, k=1, engine=engine, store_impl=impl, transition="fused"
             )
             assert result.fp == reference.fp, (engine, impl)

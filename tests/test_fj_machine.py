@@ -2,14 +2,8 @@
 
 import pytest
 
+from config_helpers import run_config
 from repro.core.lattice import AbsNat
-from repro.fj.analysis import (
-    analyse_fj_counting,
-    analyse_fj_gc,
-    analyse_fj_kcfa,
-    analyse_fj_shared,
-    analyse_fj_zerocfa,
-)
 from repro.fj.class_table import ClassTable
 from repro.fj.concrete import FJTimeout, evaluate_fj, evaluate_fj_trace, evaluate_fj_with_heap
 from repro.fj.parser import parse_program
@@ -87,21 +81,23 @@ class TestConcreteMachine:
 
 class TestAbstractFJ:
     def test_animals_zerocfa_merges_dispatch(self):
-        r = analyse_fj_zerocfa(PROGRAMS["animals"])
+        r = run_config("fj", PROGRAMS["animals"], addressing="zerocfa")
         assert r.final_classes() == frozenset(["Bark", "Meow"])
 
     def test_animals_onecfa_exact(self):
-        r = analyse_fj_kcfa(PROGRAMS["animals"], 1)
+        r = run_config("fj", PROGRAMS["animals"], k=1)
         assert r.final_classes() == frozenset(["Bark"])
 
     def test_final_classes_cover_concrete(self):
         for name in TERMINATING:
             concrete = evaluate_fj(PROGRAMS[name]).cls
             for k in (0, 1):
-                assert concrete in analyse_fj_kcfa(PROGRAMS[name], k).final_classes()
+                assert concrete in run_config("fj", PROGRAMS[name], k=k).final_classes()
 
     def test_class_flows_shape(self):
-        flows = analyse_fj_zerocfa(PROGRAMS["animals"]).class_flows()
+        flows = run_config(
+            "fj", PROGRAMS["animals"], addressing="zerocfa"
+        ).class_flows()
         assert flows["a"] == frozenset(["Dog", "Cat"])
 
     def test_infinite_recursion_terminates_abstractly(self):
@@ -113,23 +109,23 @@ class TestAbstractFJ:
             new Loop().go()
             """
         )
-        r = analyse_fj_zerocfa(p)
+        r = run_config("fj", p, addressing="zerocfa")
         assert r.num_states() > 1
         assert not r.final_classes()
 
     def test_shared_covers_per_state(self):
         for name in ("pair", "animals"):
-            per_state = analyse_fj_kcfa(PROGRAMS[name], 1)
-            shared = analyse_fj_shared(PROGRAMS[name], 1)
+            per_state = run_config("fj", PROGRAMS[name], k=1)
+            shared = run_config("fj", PROGRAMS[name], k=1, widening="store")
             for key, classes in per_state.class_flows().items():
                 assert classes <= shared.class_flows().get(key, frozenset())
 
     def test_dispatch_chain_polyvariance(self):
         program = dispatch_chain(3)
-        flows0 = analyse_fj_zerocfa(program).class_flows()
+        flows0 = run_config("fj", program, addressing="zerocfa").class_flows()
         # monovariant: the shared id parameter merges all three payloads
         assert flows0["x"] == frozenset(["P0", "P1", "P2"])
-        r1 = analyse_fj_kcfa(program, 1)
+        r1 = run_config("fj", program, k=1)
         per_addr_x = [
             frozenset(v.cls for v in r1.store_like.fetch(r1.global_store(), a))
             for a in r1.store_like.addresses(r1.global_store())
@@ -139,50 +135,52 @@ class TestAbstractFJ:
 
     def test_gc_shrinks_or_preserves_store(self):
         for name in ("pair", "animals"):
-            plain = analyse_fj_kcfa(PROGRAMS[name], 1)
-            gc = analyse_fj_gc(PROGRAMS[name], 1)
+            plain = run_config("fj", PROGRAMS[name], k=1)
+            gc = run_config("fj", PROGRAMS[name], k=1, gc=True)
             assert gc.store_size() <= plain.store_size()
             concrete = evaluate_fj(PROGRAMS[name]).cls
             assert concrete in gc.final_classes()
 
     def test_counting_straightline_singletons(self):
-        r = analyse_fj_counting(PROGRAMS["pair"], 1)
+        r = run_config("fj", PROGRAMS["pair"], k=1, counting=True)
         store = r.global_store()
         counting = r.store_like
         counts = [counting.count(store, a) for a in counting.addresses(store)]
         assert AbsNat.ONE in counts
 
     def test_counting_preserves_class_flows(self):
-        plain = analyse_fj_kcfa(PROGRAMS["animals"], 1).class_flows()
-        counted = analyse_fj_counting(PROGRAMS["animals"], 1).class_flows()
+        plain = run_config("fj", PROGRAMS["animals"], k=1).class_flows()
+        counted = run_config(
+            "fj", PROGRAMS["animals"], k=1, counting=True
+        ).class_flows()
         assert plain == counted
 
     def test_list_walk_recursion(self):
         program = PROGRAMS["list-walk"]
         assert evaluate_fj(program).cls == "Nil"
-        r = analyse_fj_kcfa(program, 1)
+        r = run_config("fj", program, k=1)
         # the traversal's recursive dispatch makes Cons a possible result
         # abstractly (the tail address merges), but Nil must be covered
         assert "Nil" in r.final_classes()
 
     def test_list_walk_heap_structure(self):
         program = PROGRAMS["list-walk"]
-        flows = analyse_fj_kcfa(program, 1).class_flows()
+        flows = run_config("fj", program, k=1).class_flows()
         # the Cons.tail field holds both list spines
         assert flows["Cons.tail"] >= frozenset(["Nil"])
 
     def test_church_bool_dispatch_precision(self):
         program = PROGRAMS["church-bool"]
         assert evaluate_fj(program).cls == "Yes"
-        r0 = analyse_fj_zerocfa(program)
-        r1 = analyse_fj_kcfa(program, 1)
+        r0 = run_config("fj", program, addressing="zerocfa")
+        r1 = run_config("fj", program, k=1)
         assert r0.final_classes() == frozenset(["Yes", "No"])
         assert r1.final_classes() == frozenset(["Yes"])
 
     def test_cast_safety_analysis(self):
         table = ClassTable.of(PROGRAMS["safe-cast"])
-        safe = analyse_fj_kcfa(PROGRAMS["safe-cast"], 1)
+        safe = run_config("fj", PROGRAMS["safe-cast"], k=1)
         assert not safe.possible_cast_failures(table)
         table_bad = ClassTable.of(PROGRAMS["bad-cast"])
-        bad = analyse_fj_kcfa(PROGRAMS["bad-cast"], 1)
+        bad = run_config("fj", PROGRAMS["bad-cast"], k=1)
         assert ("A", "B") in bad.possible_cast_failures(table_bad)

@@ -25,17 +25,14 @@ The preset matrix in ``tests/test_config.py`` additionally pins the
 
 import pytest
 
-from repro.cesk.analysis import analyse_cesk, analyse_cesk_engine
-from repro.config import TRANSITIONS, AnalysisConfig, assemble
-from repro.core.addresses import ConcreteAddressing, KCFA
+from config_helpers import run_config
+from repro.config import TRANSITIONS, AnalysisConfig, assemble, request_config
 from repro.core.fused import FusedTransition, build_fused
-from repro.core.store import CountingStore, RecordingStore
+from repro.core.store import RecordingStore
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
-from repro.cps.analysis import analyse, analyse_with_engine
-from repro.fj.analysis import analyse_fj, analyse_fj_engine
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -86,15 +83,15 @@ class TestTransitionAxis:
 
 class TestFusedCalling:
     def test_analysis_step_is_a_fused_transition(self):
-        analysis = analyse(preset="1cfa")
+        analysis = assemble(request_config("cps", "1cfa"))
         assert isinstance(analysis.step(), FusedTransition)
-        generic = analyse(preset="1cfa", transition="generic")
+        generic = assemble(request_config("cps", "1cfa", {"transition": "generic"}))
         assert generic.step().__class__ is not FusedTransition
 
     def test_build_fused_resolves_all_three_languages(self):
         for preset, make in (
-            ("1cfa", lambda: analyse(preset="1cfa")),
-            ("1cfa", lambda: analyse_cesk(preset="1cfa")),
+            ("1cfa", lambda: assemble(request_config("cps", "1cfa"))),
+            ("1cfa", lambda: assemble(request_config("lam", "1cfa"))),
         ):
             analysis = make()
             staged = build_fused(
@@ -112,9 +109,19 @@ class TestFusedCalling:
         from repro.cps.semantics import inject, mnext
 
         program = CPS_PROGRAMS["mj09"]
-        generic = analyse(KCFA(1), engine="depgraph", store_impl="persistent")
-        fused = analyse(
-            KCFA(1), engine="depgraph", store_impl="persistent", transition="fused"
+        generic = assemble(
+            AnalysisConfig(
+                language="cps", k=1, engine="depgraph", store_impl="persistent"
+            )
+        )
+        fused = assemble(
+            AnalysisConfig(
+                language="cps",
+                k=1,
+                engine="depgraph",
+                store_impl="persistent",
+                transition="fused",
+            )
         )
         pstate = inject(program)
         store = generic.interface.store_like.empty()
@@ -130,8 +137,10 @@ class TestCPSFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        generic = analyse_with_engine(program, engine, k=1, store_impl=impl)
-        fused = analyse(KCFA(1), engine=engine, store_impl=impl, transition="fused").run(program)
+        generic = run_config("cps", program, k=1, engine=engine, store_impl=impl)
+        fused = run_config(
+            "cps", program, k=1, engine=engine, store_impl=impl, transition="fused"
+        )
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
 
@@ -139,33 +148,40 @@ class TestCPSFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus_k0(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        generic = analyse_with_engine(program, engine, k=0, store_impl=impl)
-        fused = analyse_with_engine(
-            program, engine, k=0, store_impl=impl, transition="fused"
+        generic = run_config("cps", program, k=0, engine=engine, store_impl=impl)
+        fused = run_config(
+            "cps", program, k=0, engine=engine, store_impl=impl, transition="fused"
         )
         assert fused.fp == generic.fp
 
     def test_generated_family(self):
         program = id_chain(40)
-        generic = analyse_with_engine(program, "depgraph", k=1, store_impl="versioned")
-        fused = analyse_with_engine(
-            program, "depgraph", k=1, store_impl="versioned", transition="fused"
+        generic = run_config(
+            "cps", program, k=1, engine="depgraph", store_impl="versioned"
+        )
+        fused = run_config(
+            "cps",
+            program,
+            k=1,
+            engine="depgraph",
+            store_impl="versioned",
+            transition="fused",
         )
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", CPS_NAMES)
     def test_per_state_domain(self, name):
         program = CPS_PROGRAMS[name]
-        generic = analyse(KCFA(1)).run(program, worklist=True)
-        fused = analyse(KCFA(1), transition="fused").run(program, worklist=True)
+        generic = run_config("cps", program, k=1)
+        fused = run_config("cps", program, k=1, transition="fused")
         assert fused.fp == generic.fp
 
     def test_concrete_reference_semantics(self):
         for name in ("id-id", "identity", "mj09", "self-apply"):
             program = CPS_PROGRAMS[name]
-            generic = analyse(ConcreteAddressing()).run(program, worklist=True)
-            fused = analyse(ConcreteAddressing(), transition="fused").run(
-                program, worklist=True
+            generic = run_config("cps", program, addressing="concrete")
+            fused = run_config(
+                "cps", program, addressing="concrete", transition="fused"
             )
             assert fused.fp == generic.fp, name
 
@@ -175,8 +191,10 @@ class TestLamFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus(self, name, engine, impl):
         expr = LAM_PROGRAMS[name]
-        generic = analyse_cesk_engine(expr, engine, k=1, store_impl=impl)
-        fused = analyse_cesk(KCFA(1), engine=engine, store_impl=impl, transition="fused").run(expr)
+        generic = run_config("lam", expr, k=1, engine=engine, store_impl=impl)
+        fused = run_config(
+            "lam", expr, k=1, engine=engine, store_impl=impl, transition="fused"
+        )
         assert fused.fp == generic.fp
         assert fused.flows_to() == generic.flows_to()
         assert fused.final_values() == generic.final_values()
@@ -185,16 +203,16 @@ class TestLamFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus_k0(self, name, engine, impl):
         expr = LAM_PROGRAMS[name]
-        generic = analyse_cesk_engine(expr, engine, k=0, store_impl=impl)
-        fused = analyse_cesk_engine(
-            expr, engine, k=0, store_impl=impl, transition="fused"
+        generic = run_config("lam", expr, k=0, engine=engine, store_impl=impl)
+        fused = run_config(
+            "lam", expr, k=0, engine=engine, store_impl=impl, transition="fused"
         )
         assert fused.fp == generic.fp
 
     def test_per_state_domain(self):
         expr = LAM_PROGRAMS["mj09"]
-        generic = analyse_cesk(KCFA(1)).run(expr)
-        fused = analyse_cesk(KCFA(1), transition="fused").run(expr)
+        generic = run_config("lam", expr, k=1)
+        fused = run_config("lam", expr, k=1, transition="fused")
         assert fused.fp == generic.fp
 
 
@@ -203,10 +221,10 @@ class TestFJFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
-        generic = analyse_fj_engine(program, engine, k=1, store_impl=impl)
-        fused = analyse_fj(
-            program, KCFA(1), engine=engine, store_impl=impl, transition="fused"
-        ).run(program)
+        generic = run_config("fj", program, k=1, engine=engine, store_impl=impl)
+        fused = run_config(
+            "fj", program, k=1, engine=engine, store_impl=impl, transition="fused"
+        )
         assert fused.fp == generic.fp
         assert fused.class_flows() == generic.class_flows()
         assert fused.final_classes() == generic.final_classes()
@@ -215,16 +233,16 @@ class TestFJFusedEquivalence:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_corpus_k0(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
-        generic = analyse_fj_engine(program, engine, k=0, store_impl=impl)
-        fused = analyse_fj_engine(
-            program, engine, k=0, store_impl=impl, transition="fused"
+        generic = run_config("fj", program, k=0, engine=engine, store_impl=impl)
+        fused = run_config(
+            "fj", program, k=0, engine=engine, store_impl=impl, transition="fused"
         )
         assert fused.fp == generic.fp
 
     def test_per_state_domain(self):
         program = FJ_PROGRAMS["visitor"]
-        generic = analyse_fj(program, KCFA(1)).run(program)
-        fused = analyse_fj(program, KCFA(1), transition="fused").run(program)
+        generic = run_config("fj", program, k=1)
+        fused = run_config("fj", program, k=1, transition="fused")
         assert fused.fp == generic.fp
 
 
@@ -235,26 +253,36 @@ class TestFusedWithRefinements:
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_cps_gc_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        generic = analyse(KCFA(1), gc=True, engine=engine, store_impl=impl).run(program)
-        fused = analyse(
-            KCFA(1), gc=True, engine=engine, store_impl=impl, transition="fused"
-        ).run(program)
+        generic = run_config(
+            "cps", program, k=1, gc=True, engine=engine, store_impl=impl
+        )
+        fused = run_config(
+            "cps",
+            program,
+            k=1,
+            gc=True,
+            engine=engine,
+            store_impl=impl,
+            transition="fused",
+        )
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", CPS_NAMES)
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_cps_counting_corpus(self, name, engine, impl):
         program = CPS_PROGRAMS[name]
-        generic = analyse(
-            KCFA(1), store_like=CountingStore(), engine=engine, store_impl=impl
-        ).run(program)
-        fused = analyse(
-            KCFA(1),
-            store_like=CountingStore(),
+        generic = run_config(
+            "cps", program, k=1, counting=True, engine=engine, store_impl=impl
+        )
+        fused = run_config(
+            "cps",
+            program,
+            k=1,
+            counting=True,
             engine=engine,
             store_impl=impl,
             transition="fused",
-        ).run(program)
+        )
         assert fused.fp == generic.fp
         # singleton (must-alias) facts agree too; go through the
         # store-like so persistent and versioned counting compare alike
@@ -265,40 +293,38 @@ class TestFusedWithRefinements:
     @pytest.mark.parametrize("name", LAM_NAMES)
     def test_lam_gc_fast_path(self, name):
         expr = LAM_PROGRAMS[name]
-        generic = analyse_cesk(
-            KCFA(1), gc=True, engine="depgraph", store_impl="versioned"
-        ).run(expr)
-        fused = analyse_cesk(
-            KCFA(1),
+        generic = run_config(
+            "lam", expr, k=1, gc=True, engine="depgraph", store_impl="versioned"
+        )
+        fused = run_config(
+            "lam",
+            expr,
+            k=1,
             gc=True,
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
-        ).run(expr)
+        )
         assert fused.fp == generic.fp
 
     @pytest.mark.parametrize("name", FJ_NAMES)
     @pytest.mark.parametrize("engine,impl", ENGINE_IMPLS)
     def test_fj_gc_and_counting_corpus(self, name, engine, impl):
         program = FJ_PROGRAMS[name]
-        for kwargs in (dict(gc=True), dict(store_like=CountingStore())):
-            generic = analyse_fj(
-                program, KCFA(1), engine=engine, store_impl=impl, **kwargs
+        for fields in (dict(gc=True), dict(counting=True)):
+            config = AnalysisConfig(
+                language="fj", k=1, engine=engine, store_impl=impl, **fields
+            )
+            generic = assemble(config, program=program).run(program)
+            fused = assemble(
+                config.replace(transition="fused"), program=program
             ).run(program)
-            fused = analyse_fj(
-                program,
-                KCFA(1),
-                engine=engine,
-                store_impl=impl,
-                transition="fused",
-                **kwargs,
-            ).run(program)
-            assert fused.fp == generic.fp, tuple(kwargs)
+            assert fused.fp == generic.fp, tuple(fields)
 
     def test_cps_per_state_gc(self):
         program = CPS_PROGRAMS["mj09"]
-        generic = analyse(KCFA(1), gc=True).run(program, worklist=True)
-        fused = analyse(KCFA(1), gc=True, transition="fused").run(program, worklist=True)
+        generic = run_config("cps", program, k=1, gc=True)
+        fused = run_config("cps", program, k=1, gc=True, transition="fused")
         assert fused.fp == generic.fp
 
     def test_noop_collector_is_a_noop_on_the_fused_path(self):
@@ -312,7 +338,9 @@ class TestFusedWithRefinements:
         program = CPS_PROGRAMS["mj09"]
         results = {}
         for transition in ("generic", "fused"):
-            analysis = analyse(KCFA(1), transition=transition)
+            analysis = assemble(
+                AnalysisConfig(language="cps", k=1, transition=transition)
+            )
             noop = GarbageCollector(analysis.interface.monad)
             analysis.collecting = PerStateStoreCollecting(
                 analysis.interface.monad,
@@ -340,12 +368,15 @@ class TestFusedReadWriteParity:
         program = CPS_PROGRAMS["mj09"]
         footprints = {}
         for transition in ("generic", "fused"):
-            analysis = analyse(
-                KCFA(1),
-                gc=gc or None,
-                engine="depgraph",
-                store_impl="versioned",
-                transition=transition,
+            analysis = assemble(
+                AnalysisConfig(
+                    language="cps",
+                    k=1,
+                    gc=gc,
+                    engine="depgraph",
+                    store_impl="versioned",
+                    transition=transition,
+                )
             )
             recorder = analysis.interface.store_like
             assert isinstance(recorder, RecordingStore)
@@ -374,16 +405,17 @@ class TestFusedReadWriteParity:
         program = id_chain(25)
         stats = {}
         for transition in ("generic", "fused"):
-            counters: dict = {}
-            analyse_with_engine(
-                program,
-                "depgraph",
-                k=1,
-                store_impl="versioned",
-                stats=counters,
-                transition=transition,
+            analysis = assemble(
+                AnalysisConfig(
+                    language="cps",
+                    k=1,
+                    engine="depgraph",
+                    store_impl="versioned",
+                    transition=transition,
+                )
             )
-            stats[transition] = counters
+            analysis.run(program)
+            stats[transition] = analysis.last_stats
         assert stats["fused"] == stats["generic"]
 
 

@@ -38,7 +38,7 @@ class TestConstruction:
             assert graph.successors(t) in ([], [t])
 
     def test_mj09_matches_worklist_reachability(self):
-        from repro.core.driver import run_analysis_worklist
+        from repro.core.fixpoint import worklist_explore
 
         addressing = KCFA(1)
         store = BasicStore()
@@ -46,7 +46,9 @@ class TestConstruction:
         collecting = PerStateStoreCollecting(interface.monad, store, addressing.tau0())
         step = lambda ps: mnext(interface, ps)
         graph = transition_graph(collecting, step, inject(PROGRAMS["mj09"]))
-        fp = run_analysis_worklist(collecting, step, inject(PROGRAMS["mj09"]))
+        fp = worklist_explore(
+            collecting, step, inject(PROGRAMS["mj09"]), collecting.successors_of
+        )
         assert frozenset(graph.nodes) == fp
 
     def test_omega_has_a_cycle(self):

@@ -80,6 +80,49 @@ class TestParser:
             parse_program("fn f(x, x) { return x; } return f(1);")
 
 
+#: Flat shapes that parse without nesting but lower to terms ``n`` deep.
+CHAINS = {
+    "plus": lambda n: "return " + " + ".join(["1"] * n) + ";",
+    "and": lambda n: "return " + " and ".join(["true"] * n) + ";",
+    "calls": lambda n: "fn g(x) { return x; }\nreturn g" + "(g)" * n + ";",
+    "lets": lambda n: "".join(f"let x{i} = 1;\n" for i in range(n)) + "return x0;",
+}
+
+
+def longest_accepted(make) -> int:
+    """The largest ``n`` whose ``make(n)`` program the parser accepts."""
+    low, high = 1, 3000  # accepted, rejected
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            parse_program(make(mid))
+            low = mid
+        except ImpParseError:
+            high = mid
+    return low
+
+
+class TestTermDepthLimit:
+    """Chains and blocks deeper than ``MAX_TERM_DEPTH`` once lowered are a
+    typed parse error, not a ``RecursionError`` inside the lowering."""
+
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_3000_long_chain_is_a_parse_error(self, shape):
+        from repro.imp.parser import MAX_TERM_DEPTH
+
+        with pytest.raises(ImpParseError, match=f"deeper than {MAX_TERM_DEPTH}"):
+            lower_source(CHAINS[shape](3000))
+
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_at_limit_chain_lowers(self, shape):
+        from repro.imp.parser import MAX_TERM_DEPTH, term_depth
+
+        make = CHAINS[shape]
+        n = longest_accepted(make)
+        assert MAX_TERM_DEPTH - 1 <= term_depth(parse_program(make(n))) <= MAX_TERM_DEPTH
+        assert free_vars(lower_source(make(n))) == frozenset()
+
+
 class TestLoweringScope:
     def test_lowered_corpus_is_closed(self):
         for name, source in SOURCES.items():

@@ -12,19 +12,19 @@ must satisfy:
 
 import pytest
 
-from repro.core.addresses import BoundedNat, KCFA, LContext, ZeroCFA
-from repro.core.store import BasicStore, CountingStore
+from repro.config import AnalysisConfig, assemble
 
+#: Addressing as config fields (``addressing`` defaults to ``kcfa``).
 ADDRESSINGS = [
-    pytest.param(lambda: ZeroCFA(), id="0cfa"),
-    pytest.param(lambda: KCFA(1), id="1cfa"),
-    pytest.param(lambda: KCFA(2), id="2cfa"),
-    pytest.param(lambda: LContext(2), id="lctx2"),
-    pytest.param(lambda: BoundedNat(16), id="bound16"),
+    pytest.param(dict(addressing="zerocfa"), id="0cfa"),
+    pytest.param(dict(k=1), id="1cfa"),
+    pytest.param(dict(k=2), id="2cfa"),
+    pytest.param(dict(addressing="lcontext", k=2), id="lctx2"),
+    pytest.param(dict(addressing="boundednat", k=16), id="bound16"),
 ]
 STORES = [
-    pytest.param(lambda: BasicStore(), id="basic"),
-    pytest.param(lambda: CountingStore(), id="counting"),
+    pytest.param(False, id="basic"),
+    pytest.param(True, id="counting"),
 ]
 SHAPES = [
     pytest.param((False, False), id="per-state"),
@@ -34,96 +34,98 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("make_addressing", ADDRESSINGS)
-@pytest.mark.parametrize("make_store", STORES)
+def cell(language, addressing, counting, shape):
+    """The matrix cell's config."""
+    shared, gc = shape
+    return AnalysisConfig(
+        language=language,
+        widening="store" if shared else "none",
+        gc=gc,
+        counting=counting,
+        **addressing,
+    )
+
+
+@pytest.mark.parametrize("addressing", ADDRESSINGS)
+@pytest.mark.parametrize("counting", STORES)
 @pytest.mark.parametrize("shape", SHAPES)
 class TestCPSMatrix:
-    def test_cps_cell(self, make_addressing, make_store, shape):
-        from repro.cps.analysis import analyse
+    def test_cps_cell(self, addressing, counting, shape):
         from repro.cps.concrete import interpret
         from repro.corpus.cps_programs import PROGRAMS
 
-        shared, gc = shape
         program = PROGRAMS["mj09"]
         interpret(program)  # sanity: the program terminates concretely
-        analysis = analyse(
-            make_addressing(), store_like=make_store(), shared=shared, gc=gc
-        )
-        result = analysis.run(program, worklist=not shared)
+        analysis = assemble(cell("cps", addressing, counting, shape))
+        result = analysis.run(program, worklist=not shape[0])
         assert result.num_states() >= 3
         # the Exit control point is reached in every configuration
         assert result.reaching_exit()
 
 
-@pytest.mark.parametrize("make_addressing", ADDRESSINGS)
-@pytest.mark.parametrize("make_store", STORES)
+@pytest.mark.parametrize("addressing", ADDRESSINGS)
+@pytest.mark.parametrize("counting", STORES)
 @pytest.mark.parametrize("shape", SHAPES)
 class TestCESKMatrix:
-    def test_cesk_cell(self, make_addressing, make_store, shape):
-        from repro.cesk.analysis import analyse_cesk
+    def test_cesk_cell(self, addressing, counting, shape):
         from repro.cesk.concrete import evaluate
         from repro.corpus.lam_programs import PROGRAMS
 
-        shared, gc = shape
         program = PROGRAMS["mj09"]
         concrete = evaluate(program)
-        analysis = analyse_cesk(
-            make_addressing(), store_like=make_store(), shared=shared, gc=gc
-        )
-        result = analysis.run(program, worklist=not shared)
+        analysis = assemble(cell("lam", addressing, counting, shape))
+        result = analysis.run(program, worklist=not shape[0])
         assert concrete.lam in result.final_values()
 
 
-@pytest.mark.parametrize("make_addressing", ADDRESSINGS)
-@pytest.mark.parametrize("make_store", STORES)
+@pytest.mark.parametrize("addressing", ADDRESSINGS)
+@pytest.mark.parametrize("counting", STORES)
 @pytest.mark.parametrize("shape", SHAPES)
 class TestFJMatrix:
-    def test_fj_cell(self, make_addressing, make_store, shape):
-        from repro.fj.analysis import analyse_fj
+    def test_fj_cell(self, addressing, counting, shape):
         from repro.fj.concrete import evaluate_fj
         from repro.corpus.fj_programs import PROGRAMS
 
-        shared, gc = shape
         program = PROGRAMS["animals"]
         concrete = evaluate_fj(program)
-        analysis = analyse_fj(
-            program, make_addressing(), store_like=make_store(), shared=shared, gc=gc
-        )
-        result = analysis.run(program, worklist=not shared)
+        analysis = assemble(cell("fj", addressing, counting, shape), program=program)
+        result = analysis.run(program, worklist=not shape[0])
         assert concrete.cls in result.final_classes()
 
 
 class TestMatrixCoherence:
     """Cross-cell relationships that must hold regardless of configuration."""
 
-    @pytest.mark.parametrize("make_addressing", ADDRESSINGS)
-    def test_shared_covers_per_state_everywhere(self, make_addressing):
-        from repro.cps.analysis import analyse
+    @pytest.mark.parametrize("addressing", ADDRESSINGS)
+    def test_shared_covers_per_state_everywhere(self, addressing):
         from repro.corpus.cps_programs import PROGRAMS
 
         program = PROGRAMS["mj09"]
-        per_state = analyse(make_addressing()).run(program)
-        shared = analyse(make_addressing(), shared=True).run(program)
+        per_state = assemble(AnalysisConfig(language="cps", **addressing)).run(program)
+        shared = assemble(
+            AnalysisConfig(language="cps", widening="store", **addressing)
+        ).run(program)
         for var, lams in per_state.flows_to().items():
             assert lams <= shared.flows_to().get(var, frozenset())
 
-    @pytest.mark.parametrize("make_store", STORES)
-    def test_store_choice_does_not_change_flows(self, make_store):
-        from repro.cps.analysis import analyse
-        from repro.core.addresses import KCFA
+    @pytest.mark.parametrize("counting", STORES)
+    def test_store_choice_does_not_change_flows(self, counting):
         from repro.corpus.cps_programs import PROGRAMS
 
         program = PROGRAMS["mj09"]
-        reference = analyse(KCFA(1)).run(program).flows_to()
-        result = analyse(KCFA(1), store_like=make_store()).run(program).flows_to()
-        assert result == reference
+        reference = assemble(AnalysisConfig(language="cps", k=1)).run(program)
+        result = assemble(
+            AnalysisConfig(language="cps", k=1, counting=counting)
+        ).run(program)
+        assert result.flows_to() == reference.flows_to()
 
-    @pytest.mark.parametrize("make_addressing", ADDRESSINGS)
-    def test_gc_only_shrinks_stores(self, make_addressing):
-        from repro.cps.analysis import analyse
+    @pytest.mark.parametrize("addressing", ADDRESSINGS)
+    def test_gc_only_shrinks_stores(self, addressing):
         from repro.corpus.cps_programs import PROGRAMS
 
         program = PROGRAMS["mj09"]
-        plain = analyse(make_addressing()).run(program)
-        swept = analyse(make_addressing(), gc=True).run(program)
+        plain = assemble(AnalysisConfig(language="cps", **addressing)).run(program)
+        swept = assemble(
+            AnalysisConfig(language="cps", gc=True, **addressing)
+        ).run(program)
         assert swept.store_size() <= plain.store_size()

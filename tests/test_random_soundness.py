@@ -16,9 +16,8 @@ budget only filters omega-like loops).
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cesk.analysis import analyse_cesk_shared
+from config_helpers import run_config
 from repro.cesk.concrete import CESKTimeout, evaluate
-from repro.cps.analysis import analyse_shared as analyse_cps_shared
 from repro.cps.concrete import InterpreterTimeout, interpret_with_heap
 from repro.lam.cps_transform import cps_convert
 from repro.lam.syntax import App, Expr, Lam, Let, Var, free_vars
@@ -74,7 +73,7 @@ def test_cesk_abstract_covers_concrete(program: Expr):
         concrete = evaluate(program, max_steps=2_000)
     except CESKTimeout:
         return  # divergent sample
-    abstract = analyse_cesk_shared(program, 0).final_values()
+    abstract = run_config("lam", program, k=0, widening="store").final_values()
     assert concrete.lam in abstract
 
 
@@ -102,7 +101,7 @@ def test_transform_preserves_and_cps_covers(program: Expr):
     cps_value = heap[final.env["r"]]
     assert user_params(cps_value.lam) == concrete.lam.params
 
-    result = analyse_cps_shared(cps_program, 0)
+    result = run_config("cps", cps_program, k=0, widening="store")
     answers = result.flows_to().get("r", frozenset())
     assert user_params(concrete.lam) in {user_params(a) for a in answers} or any(
         user_params(a) == concrete.lam.params for a in answers
@@ -116,7 +115,7 @@ def test_transform_preserves_and_cps_covers(program: Expr):
 )
 @given(closed_programs())
 def test_precision_monotone_on_random_programs(program: Expr):
-    f0 = analyse_cesk_shared(program, 0).flows_to()
-    f1 = analyse_cesk_shared(program, 1).flows_to()
+    f0 = run_config("lam", program, k=0, widening="store").flows_to()
+    f1 = run_config("lam", program, k=1, widening="store").flows_to()
     for var, lams in f1.items():
         assert lams <= f0.get(var, lams)

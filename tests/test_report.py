@@ -1,5 +1,6 @@
 """The measurement/reporting layer behind the benchmark harness."""
 
+from config_helpers import run_config
 from repro.analysis.report import (
     AnalysisMetrics,
     fmt_table,
@@ -8,7 +9,6 @@ from repro.analysis.report import (
     precision_summary,
     timed,
 )
-from repro.cps.analysis import analyse_zerocfa
 from repro.corpus.cps_programs import PROGRAMS
 
 
@@ -30,7 +30,7 @@ class TestPrecisionSummary:
         assert summary["max_flow"] == 2
 
     def test_on_real_result(self):
-        result = analyse_zerocfa(PROGRAMS["mj09"])
+        result = run_config("cps", PROGRAMS["mj09"], addressing="zerocfa")
         summary = precision_summary(result.flows_to())
         assert summary["vars"] > 0
         assert summary["max_flow"] == 2
@@ -38,14 +38,16 @@ class TestPrecisionSummary:
 
 class TestMetrics:
     def test_metrics_of_reduces_result(self):
-        result = analyse_zerocfa(PROGRAMS["identity"])
+        result = run_config("cps", PROGRAMS["identity"], addressing="zerocfa")
         m = metrics_of(result, "smoke", 0.5, note="hello")
         assert m.label == "smoke"
         assert m.states == result.num_states()
         assert m.extra["note"] == "hello"
 
     def test_measure_cps_times(self):
-        m = measure_cps(lambda: analyse_zerocfa(PROGRAMS["identity"]), "id")
+        m = measure_cps(
+            lambda: run_config("cps", PROGRAMS["identity"], addressing="zerocfa"), "id"
+        )
         assert m.seconds >= 0
         assert m.states > 0
 
