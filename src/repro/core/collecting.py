@@ -110,9 +110,7 @@ class PerStateStoreCollecting(Collecting):
         results = self.monad.run(self._instrumented(step)(pstate), guts, store)
         return frozenset(results)
 
-    def run_config_pairs(
-        self, step: Callable[[Any], Any], config: tuple, instrument: bool = True
-    ) -> list:
+    def run_config_pairs(self, step: Callable[[Any], Any], config: tuple) -> list:
         """One monadic step, returning only the ``(pstate, guts)`` pairs.
 
         The delta-driven engine threads one shared
@@ -120,21 +118,15 @@ class PerStateStoreCollecting(Collecting):
         store is the same object and all store growth is read off its
         changelog; only the successor pairs are informative.
 
-        ``instrument=False`` skips the woven-in garbage collector: the
-        versioned engine performs GC itself (an in-monad ``filterStore``
-        would build a fresh store object as the inner state, and the
-        engine -- which only looks at successor pairs here -- would
-        never see it).
+        The woven-in garbage collector is always skipped: the versioned
+        engine performs GC itself (an in-monad ``filterStore`` would
+        build a fresh store object as the inner state, and the engine --
+        which only looks at successor pairs here -- would never see it).
         """
         (pstate, guts), store = config
         if isinstance(step, FusedTransition):
-            results = step(pstate, guts, store)
-            if instrument and self.collector is not None:
-                results = self._swept_fused(results)
-            return [pair for pair, _store in results]
-        stepped = self._instrumented(step) if instrument else step
-        results = self.monad.run(stepped(pstate), guts, store)
-        return [pair for pair, _store in results]
+            return [pair for pair, _store in step(pstate, guts, store)]
+        return [pair for pair, _store in self.monad.run(step(pstate), guts, store)]
 
     def apply_step(self, step: Callable[[Any], Any], fp: frozenset) -> frozenset:
         out: set = set()

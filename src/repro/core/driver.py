@@ -18,9 +18,8 @@ their counters and trace span.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.collecting import SharedStoreCollecting
 from repro.core.fused import FusedTransition
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_tracer
@@ -83,125 +82,78 @@ def run_engine_analysis(
 ) -> tuple:
     """Run an assembled analysis under its configured engine.
 
-    ``analysis`` is an assembled :class:`~repro.core.analysis.Analysis`:
-    it carries ``engine``, ``collecting``, ``step()`` and a
-    ``last_stats`` dict that is refreshed with the run's evaluation
-    counts.  ``warm_start`` and
-    ``capture`` pass straight through to
-    :func:`~repro.core.fixpoint.global_store_explore` (incremental
-    re-analysis; see :mod:`repro.service.incremental`).
-    ``trace`` collects the evaluation order (see
-    ``global_store_explore``).
+    ``analysis`` is an assembled :class:`~repro.core.analysis.Analysis`
+    carrying ``engine``, ``collecting``, ``step()`` and ``last_stats``.
+    The two :data:`~repro.core.fixpoint.ENGINES` are interchangeable
+    strategies over the same global-store domain, both returning the
+    fixed point in the shared shape ``(configs, store)``:
+
+    * ``kleene``    -- whole-domain Kleene rounds (``exploreFP``);
+    * ``depgraph``  -- frontier worklist, dependency-tracked re-evaluation
+      (:func:`~repro.core.fixpoint.global_store_explore`).
+
+    ``last_stats`` is refreshed with ``evaluations`` (single-configuration
+    step applications, the unit of work both engines share) plus the
+    worklist engine's retrigger/dependency counters.  ``warm_start`` and
+    ``capture`` (incremental re-analysis; see
+    :mod:`repro.service.incremental`) and ``trace`` (the evaluation
+    order) are depgraph only: kleene has no per-configuration
+    evaluations to replay, record or trace.
 
     Observability sits here, *around* the engines, never inside them:
     one ``fixpoint`` span per analysis, and the run's ``last_stats``
     counters folded into the process registry afterwards -- O(1) per
     analysis, zero work in the per-evaluation hot loop.
     """
-    analysis.last_stats = {}
-    with current_tracer().span(
-        "fixpoint", cat="engine", engine=analysis.engine
+    engine = analysis.engine
+    if engine == "kleene" and (
+        warm_start is not None or capture is not None or trace is not None
     ):
-        fp = run_with_engine(
-            analysis.engine,
-            analysis.collecting,
-            analysis.step(),
-            initial_state,
-            max_steps=max_steps,
-            stats=analysis.last_stats,
-            warm_start=warm_start,
-            capture=capture,
-            trace=trace,
+        raise ValueError(
+            "the kleene engine re-applies the functional to whole-domain "
+            "snapshots; warm starts, evaluation capture and tracing need "
+            "the per-configuration depgraph engine"
         )
-    _fold_engine_stats(analysis.engine, analysis.last_stats)
-    return fp
+    stats = analysis.last_stats = {}
+    with current_tracer().span("fixpoint", cat="engine", engine=engine):
+        step = analysis.step()
+        if engine == "depgraph":
+            fp = global_store_explore(
+                analysis.collecting,
+                step,
+                initial_state,
+                max_evals=max_steps,
+                stats=stats,
+                warm_start=warm_start,
+                capture=capture,
+                trace=trace,
+            )
+        else:
+            evaluations = 0
 
+            def counted(*args: Any) -> Any:
+                nonlocal evaluations
+                evaluations += 1
+                return step(*args)
 
-def _fold_engine_stats(engine: str, stats: dict) -> None:
-    """Mirror one finished run's counters into the process registry.
-
-    The engines keep filling their plain ``stats`` dict (the per-run
-    report surface); this fold is what makes the same numbers visible
-    as cumulative process-wide series (``repro stats``, benchmarks).
-    """
+            # staged steps carry the desugared calling convention; wrap
+            # without losing the marker the collecting domains dispatch on
+            counted_step: Any = (
+                FusedTransition(counted, step.language)
+                if isinstance(step, FusedTransition)
+                else counted
+            )
+            fp = explore_fp(
+                analysis.collecting, counted_step, initial_state, max_steps=max_steps
+            )
+            stats.update(evaluations=evaluations, configurations=len(fp[0]))
+    # mirror the run's counters into the process registry: ``last_stats``
+    # is the per-run report surface, the registry the cumulative
+    # process-wide series (``repro stats``, benchmarks)
     registry = default_registry()
     registry.counter("engine_analyses_total", engine=engine).inc()
     for key in ("evaluations", "retriggers", "reused", "dedup_hits"):
         value = stats.get(key) or 0
         if value:
             registry.counter(f"engine_{key}_total", engine=engine).inc(value)
-
-
-def run_with_engine(
-    engine: str,
-    collecting: SharedStoreCollecting,
-    step: Callable[[Any], Any],
-    initial_state: Any,
-    max_steps: int = 1_000_000,
-    stats: dict | None = None,
-    warm_start: Any = None,
-    capture: Any = None,
-    trace: list | None = None,
-) -> tuple:
-    """Compute the store-widened collecting semantics under a named engine.
-
-    The two :data:`~repro.core.fixpoint.ENGINES` are interchangeable
-    evaluation strategies over the same global-store domain:
-
-    * ``kleene``    -- whole-domain Kleene rounds (``exploreFP``);
-    * ``depgraph``  -- frontier worklist, dependency-tracked re-evaluation.
-
-    Both return the fixed point in the shared shape ``(configs, store)``.
-    ``stats`` is filled with ``evaluations`` (single-configuration step
-    applications, the unit of work both engines share) plus the
-    worklist engine's retrigger/dependency counters.  ``warm_start`` and
-    ``capture`` (depgraph only -- kleene has no per-configuration
-    evaluations to record or replay) are documented on
-    :func:`~repro.core.fixpoint.global_store_explore`.  The engine name
-    was checked by :meth:`repro.config.AnalysisConfig.validated`.
-    """
-    if engine == "kleene":
-        if warm_start is not None or capture is not None:
-            raise ValueError(
-                "the kleene engine re-applies the functional to whole-domain "
-                "snapshots; warm starts and evaluation capture need the "
-                "per-configuration depgraph engine"
-            )
-        if trace is not None:
-            raise ValueError(
-                "tracing records worklist pops; the kleene engine "
-                "has no per-configuration evaluation order to trace"
-            )
-        evaluations = 0
-
-        if isinstance(step, FusedTransition):
-            # staged steps carry the desugared calling convention; wrap
-            # without losing the marker the collecting domains dispatch on
-            def counted_fused(pstate: Any, guts: Any, store: Any) -> list:
-                nonlocal evaluations
-                evaluations += 1
-                return step(pstate, guts, store)
-
-            counted_step: Any = FusedTransition(counted_fused, step.language)
-        else:
-
-            def counted_step(state: Any) -> Any:
-                nonlocal evaluations
-                evaluations += 1
-                return step(state)
-
-        fp = explore_fp(collecting, counted_step, initial_state, max_steps=max_steps)
-        if stats is not None:
-            stats.update(evaluations=evaluations, configurations=len(fp[0]))
-        return fp
-    return global_store_explore(
-        collecting,
-        step,
-        initial_state,
-        max_evals=max_steps,
-        stats=stats,
-        warm_start=warm_start,
-        capture=capture,
-        trace=trace,
-    )
-
+    return fp

@@ -22,11 +22,12 @@ interface and the monad.  This module provides
   store-widened domain ``P(PSigma x guts) x Store`` evaluated by a
   worklist instead of whole-domain Kleene rounds, with per-configuration
   dependency tracking so that a store change only re-evaluates the
-  configurations that actually read a changed address.  Against a
-  :class:`~repro.core.store.VersionedStore` (or
-  :class:`~repro.core.store.VersionedCountingStore`) the same engine
-  runs its O(delta) loop: one mutable store, growth read off a
-  changelog, no persistent-map joins on the hot path.
+  configurations that actually read a changed address.  One loop
+  serves both store representations; only its *store merge* differs.
+  Against a :class:`~repro.core.store.VersionedStore` (or
+  :class:`~repro.core.store.VersionedCountingStore`) the merge is
+  O(delta): one mutable store, growth read off a changelog, no
+  persistent-map joins on the hot path.
 
 The two interchangeable strategies over the widened domain are named by
 :data:`ENGINES`: ``kleene`` (whole-domain rounds, the paper-literal
@@ -40,21 +41,20 @@ the generic monadic step (run through ``monad.run`` by the collecting
 domain) or a staged :class:`~repro.core.fused.FusedTransition` (called
 directly).  The dispatch lives in the collecting domain's
 ``run_config``/``run_config_pairs`` -- the only places a step is ever
-executed -- so the loops below, including the O(delta)
-:func:`_versioned_explore` path and the GC overlay/sweep machinery, run
-either transition unchanged; the read/write-log bracketing they rely on
+executed -- so the loops below, including both depgraph store merges
+and the GC overlay/sweep machinery, run either transition unchanged; the read/write-log bracketing they rely on
 is identical because a fused step routes every store operation through
 the same (possibly recording) ``store_like``.
 
 Two precision refinements that used to be Kleene-only run on the
 worklist engine as well:
 
-* **abstract GC** (6.4): on the persistent path each branch's result
+* **abstract GC** (6.4): with the persistent merge each branch's result
   store arrives already swept (the collector is woven into the monadic
   step), so joining result stores into the global store is exactly the
   grow-only image of the Kleene+GC iteration -- which is monotone on
-  every corpus program, hence the same least fixed point.  On the
-  versioned path writes cannot land in the shared mutable store
+  every corpus program, hence the same least fixed point.  With the
+  versioned merge, writes cannot land in the shared mutable store
   directly (dead bindings would leak into every configuration's view),
   so each evaluation runs against a
   :class:`~repro.core.store.GCOverlay`; the engine then sweeps
@@ -70,7 +70,7 @@ worklist engine as well:
   recording store's write log and saturates those counts once, after
   convergence -- the identical fixed point without the re-evaluations.
 
-## The versioning invariant (what the O(delta) loop relies on)
+## The versioning invariant (what the O(delta) merge relies on)
 
 A :class:`~repro.core.store.MutableStore` bumps ``versions[addr]`` and
 appends ``addr`` to its ``changelog`` exactly when the value set at
@@ -91,8 +91,8 @@ The worklist engine requires the store to be wrapped in a
 :class:`~repro.core.store.RecordingStore` and brackets each evaluation
 with ``begin_log``/``end_log``.  Everything that must influence
 re-triggering has to happen inside the bracket: the monadic step, the
-woven-in GC sweep (persistent path) and the engine-side GC sweep
-(versioned path).  ``end_log`` runs in a ``finally`` so a raising step
+woven-in GC sweep (persistent merge) and the engine-side GC sweep
+(versioned merge).  ``end_log`` runs in a ``finally`` so a raising step
 cannot leave the log open (``begin_log`` refuses re-entry), and the
 returned ``(reads, writes)`` are consumed immediately: reads feed the
 dependency map, writes feed growth detection and the counting
@@ -125,7 +125,8 @@ ENGINES = ("kleene", "depgraph")
 #: ``persistent`` threads immutable PMap stores and compares growth
 #: through the store lattice; ``versioned`` threads one mutable
 #: :class:`~repro.core.store.MutableStore` and reads growth off its
-#: changelog in O(delta).
+#: changelog in O(delta).  Both drive the one depgraph loop of
+#: :func:`global_store_explore`; only its store merge differs.
 STORE_IMPLS = ("persistent", "versioned")
 
 
@@ -447,23 +448,22 @@ def global_store_explore(
     ``(frozenset(configs), store)``.  ``stats``, when supplied, is filled
     with evaluation counts for benchmarking.
 
-    Two store representations back the loop (:data:`STORE_IMPLS`): with a
-    persistent store the engine joins result stores through the store
-    lattice and compares growth address-by-address; when the collecting
-    domain's store is a :class:`~repro.core.store.VersionedStore` (or
-    :class:`~repro.core.store.VersionedCountingStore`) the engine
-    switches to :func:`_versioned_explore`, which mutates one shared
-    store in place and reads growth off its changelog in O(delta).
-    Either way the returned store is an immutable PMap and the fixed
-    point is identical (checked across the corpus by the store-impl
-    equivalence tests).
+    Two store representations back the one loop (:data:`STORE_IMPLS`);
+    only the *store merge* differs.  :class:`_PersistentMerge` joins
+    result stores through the store lattice and compares growth
+    address-by-address; over a :class:`~repro.core.store.VersionedStore`
+    (or :class:`~repro.core.store.VersionedCountingStore`)
+    :class:`_VersionedMerge` mutates one shared store in place and reads
+    growth off its changelog in O(delta).  Either way the returned store
+    is an immutable PMap and the fixed point is identical (checked across
+    the corpus by the store-impl equivalence tests).
 
-    Abstract GC and counting compose with both representations: on this
-    (persistent) path GC arrives pre-woven into the step (each branch's
-    result store is already swept, so the joins below only ever admit
-    live bindings), and counting stores have their step-written counts
-    saturated after convergence (see the module docstring for why that
-    reproduces the Kleene counting fixed point exactly).
+    Abstract GC and counting compose with both merges: the persistent one
+    receives GC pre-woven into the step (each branch's result store is
+    already swept), the versioned one sweeps itself, and counting stores
+    have their step-written counts saturated after convergence (see the
+    module docstring for why that reproduces the Kleene counting fixed
+    point exactly).
 
     ``warm_start`` seeds the run from a previous fixed point (see
     :class:`WarmStart`: the seeded store is joined in, and configurations
@@ -497,38 +497,22 @@ def global_store_explore(
             "per-evaluation sweep and the count saturation are effects "
             "an evaluation record cannot replay"
         )
-    if isinstance(base_store, (VersionedStore, VersionedCountingStore)):
-        return _versioned_explore(
-            collecting,
-            step,
-            initial_state,
-            base_store,
-            recorder,
-            max_evals=max_evals,
-            stats=stats,
-            warm_start=warm_start,
-            capture=capture,
-            trace=trace,
-        )
-    store_lattice = recorder.lattice()
-    value_lattice = recorder.value_lattice
-
     seed_configs, seed_store = collecting.inject(initial_state)
-    global_store = seed_store
+    versioned = isinstance(base_store, (VersionedStore, VersionedCountingStore))
+    merge = (_VersionedMerge if versioned else _PersistentMerge)(
+        inner, base_store, seed_store, warm_start
+    )
     warm_records = None
     live_writes: set = set()
+    dirty: set = set()
     if warm_start is not None:
-        warm_store = warm_start.store
-        if isinstance(warm_store, StoreSnapshot):
-            warm_store = warm_store.data
-        global_store = store_lattice.join(global_store, warm_store)
         warm_records = warm_start.records
         live_writes = set(seed_store.keys())
+        dirty = merge.seeded_growth()
     seen: set = set(seed_configs)
     worklist = FifoWorklist(seen)
     deps: dict = {}
     written_all: set = set()
-    dirty: set = set()
     evals = 0
     retriggers = 0
     reused = 0
@@ -568,7 +552,7 @@ def global_store_explore(
 
         recorder.begin_log()
         try:
-            results = inner.run_config(step, (config, global_store))
+            pairs = merge.evaluate(step, config)
         finally:
             # always close the bracket: a step that raises must not
             # leave the recorder logging (begin_log refuses reentry)
@@ -580,40 +564,24 @@ def global_store_explore(
         if warm_records is not None:
             live_writes |= writes
 
-        new_store = global_store
-        for _pair, result_store in results:
-            new_store = store_lattice.join(new_store, result_store)
-        for pair, _result_store in results:
+        for pair in pairs:
             if pair not in seen:
                 seen.add(pair)
                 worklist.discovered(pair)
         if capture is not None:
             capture.records[config] = EvalRecord(
-                reads=reads,
-                writes=writes,
-                successors=tuple(dict.fromkeys(pair for pair, _ in results)),
+                reads=reads, writes=writes, successors=tuple(dict.fromkeys(pairs))
             )
 
-        if new_store is global_store:
-            continue
-        # re-enqueue only the readers of addresses whose value set grew;
-        # the comparison goes through ``fetch`` because that is all a
-        # re-evaluation can observe (counting stores: count-only drift
-        # is invisible to fetch, so it never retriggers)
-        for addr in writes:
-            old_d = recorder.fetch(global_store, addr)
-            new_d = recorder.fetch(new_store, addr)
-            if value_lattice.leq(new_d, old_d):
-                continue
+        # re-enqueue only the readers of addresses whose value set grew
+        for addr in merge.commit(writes):
             if warm_records is not None:
                 dirty.add(addr)
             for reader in deps.get(addr, ()):
                 if worklist.retrigger(reader):
                     retriggers += 1
-        global_store = new_store
 
-    if counting:
-        global_store = base_store.saturate(global_store, written_all)
+    global_store = merge.result(written_all)
     if warm_records is not None:
         # drop seeded cells no surviving configuration wrote: a donor
         # configuration that is unreachable in this program must not
@@ -629,6 +597,61 @@ def global_store_explore(
             dedup_hits=worklist.dedup_hits,
         )
     return (frozenset(seen), global_store)
+
+
+class _PersistentMerge:
+    """The depgraph store merge over immutable PMap stores.
+
+    Every evaluation runs against the current global store and returns
+    one result store per branch (with abstract GC each arrives already
+    swept: the collector is woven into the step); :meth:`commit` joins
+    them through the store lattice and compares growth address by
+    address.
+    """
+
+    def __init__(self, inner, base_store, seed_store, warm_start):
+        self._inner = inner
+        self._recorder = recorder = inner.store_like
+        self._base_store = base_store
+        self._store_lattice = recorder.lattice()
+        self._value_lattice = recorder.value_lattice
+        self._results: Iterable = ()
+        self.store = seed_store
+        if warm_start is not None:
+            warm_store = warm_start.store
+            if isinstance(warm_store, StoreSnapshot):
+                warm_store = warm_store.data
+            self.store = self._store_lattice.join(seed_store, warm_store)
+
+    def seeded_growth(self) -> set:
+        """Nothing has grown past a joined-in seed yet."""
+        return set()
+
+    def evaluate(self, step: Callable[[Any], Any], config: Hashable) -> list:
+        """Step ``config`` against the global store; the successor pairs."""
+        self._results = self._inner.run_config(step, (config, self.store))
+        return [pair for pair, _result_store in self._results]
+
+    def commit(self, writes: Iterable) -> list:
+        """Join the last evaluation's result stores; the addresses that grew."""
+        old_store = self.store
+        new_store = old_store
+        for _pair, result_store in self._results:
+            new_store = self._store_lattice.join(new_store, result_store)
+        if new_store is old_store:
+            return []
+        self.store = new_store
+        # the comparison goes through ``fetch`` because that is all a
+        # re-evaluation can observe (counting stores: count-only drift
+        # is invisible to fetch, so it never retriggers)
+        fetch, leq = self._recorder.fetch, self._value_lattice.leq
+        return [a for a in writes if not leq(fetch(new_store, a), fetch(old_store, a))]
+
+    def result(self, written: set) -> Any:
+        """The fixed-point store, with step-written counts saturated."""
+        if isinstance(self._base_store, ACounter):
+            return self._base_store.saturate(self.store, written)
+        return self.store
 
 
 def _successor_live_addresses(
@@ -658,19 +681,8 @@ def _successor_live_addresses(
     )
 
 
-def _versioned_explore(
-    collecting: Any,
-    step: Callable[[Any], Any],
-    initial_state: Any,
-    base_store: Any,
-    recorder: RecordingStore,
-    max_evals: int,
-    stats: dict | None,
-    warm_start: WarmStart | None = None,
-    capture: FixpointCapture | None = None,
-    trace: list | None = None,
-) -> tuple:
-    """The O(delta) hot loop behind :func:`global_store_explore`.
+class _VersionedMerge:
+    """The O(delta) depgraph store merge over one mutable store.
 
     Same fixed point, different bookkeeping: the engine owns one
     :class:`~repro.core.store.MutableStore` which every evaluation
@@ -693,128 +705,57 @@ def _versioned_explore(
     counts are saturated after convergence (module docstring).
 
     The result is frozen back to a PMap, so callers see the exact shape
-    (and value) the persistent path produces.
+    (and value) the persistent merge produces.
     """
-    inner = collecting.inner
-    collector = getattr(inner, "collector", None)
-    gc_on = collector is not None
-    counting = isinstance(base_store, ACounter)
-    if gc_on:
-        touching = collector.touching
 
-    seed_configs, seed_store = collecting.inject(initial_state)
-    warm_records = None
-    if warm_start is not None:
-        # resume the mutable store from the seeded snapshot: restore()
-        # leaves the changelog empty, so changed_since() below reports
-        # exactly the growth past the seed -- which is also the dirty
-        # set that invalidates evaluation records
-        mstore = MutableStore.restore(StoreSnapshot.of_mapping(warm_start.store))
-        for addr in seed_store.keys():
-            base_store.bind(mstore, addr, seed_store.get(addr))
-        warm_records = warm_start.records
-        live_writes: set = set(seed_store.keys())
-    else:
-        mstore = base_store.thaw(seed_store)
-        live_writes = set()
-    seen: set = set(seed_configs)
-    worklist = FifoWorklist(seen)
-    deps: dict = {}
-    written_all: set = set()
-    dirty: set = set(mstore.changed_since(0)) if warm_start is not None else set()
-    evals = 0
-    retriggers = 0
-    reused = 0
+    def __init__(self, inner, base_store, seed_store, warm_start):
+        self._inner = inner
+        self._base_store = base_store
+        collector = getattr(inner, "collector", None)
+        self._touching = collector.touching if collector is not None else None
+        self._mark = 0
+        if warm_start is not None:
+            # resume the mutable store from the seeded snapshot: restore()
+            # leaves the changelog empty, so changed_since() reports
+            # exactly the growth past the seed -- which is also the dirty
+            # set that invalidates evaluation records
+            self.store = MutableStore.restore(StoreSnapshot.of_mapping(warm_start.store))
+            for addr in seed_store.keys():
+                base_store.bind(self.store, addr, seed_store.get(addr))
+        else:
+            self.store = base_store.thaw(seed_store)
 
-    while worklist:
-        config = worklist.pop()
+    def seeded_growth(self) -> set:
+        """The addresses the injection grew past the restored seed."""
+        return set(self.store.changed_since(0))
 
-        if warm_records is not None:
-            record = warm_records.get(config)
-            if record is not None and dirty.isdisjoint(record.reads):
-                # replay (see the persistent path above): clean reads mean
-                # the evaluation would reproduce the recorded successors,
-                # and its writes are already in the seeded store
-                reused += 1
-                live_writes |= record.writes
-                for addr in record.reads:
-                    deps.setdefault(addr, set()).add(config)
-                for pair in record.successors:
-                    if pair not in seen:
-                        seen.add(pair)
-                        worklist.discovered(pair)
-                if capture is not None:
-                    capture.records[config] = record
-                continue
-
-        evals += 1
-        if evals > max_evals:
-            raise FixpointDiverged(
-                f"no fixed point within {max_evals} configuration evaluations"
-            )
-        if trace is not None:
-            trace.append(config)
-
-        mark = mstore.mark()
-        run_store = GCOverlay(mstore) if gc_on else mstore
-        recorder.begin_log()
-        try:
-            pairs = inner.run_config_pairs(step, (config, run_store), instrument=False)
-            if gc_on:
-                # the sweep must stay inside the bracket: its reads
-                # (even of addresses bound after the log opened) are
-                # the GC roots of the dependency map
-                live = _successor_live_addresses(recorder, run_store, pairs, touching)
-        finally:
-            # always close the bracket: a step that raises must not
-            # leave the recorder logging (begin_log refuses reentry)
-            reads, writes = recorder.end_log()
-        for addr in reads:
-            deps.setdefault(addr, set()).add(config)
-        if counting:
-            written_all |= writes
-        if warm_records is not None:
-            live_writes |= writes
-
-        if gc_on:
-            # merge the live writes; dead bindings never reach the store
-            for addr, entry in run_store.written().items():
-                if addr in live:
-                    base_store.merge_entry(mstore, addr, entry)
-
-        for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                worklist.discovered(pair)
-        if capture is not None:
-            capture.records[config] = EvalRecord(
-                reads=reads, writes=writes, successors=tuple(dict.fromkeys(pairs))
-            )
-
-        grown = mstore.changed_since(mark)
-        if not grown:
-            continue
-        if warm_records is not None:
-            dirty.update(grown)
-        for addr in set(grown):
-            for reader in deps.get(addr, ()):
-                if worklist.retrigger(reader):
-                    retriggers += 1
-
-    if counting:
-        base_store.saturate(mstore, written_all)
-    frozen = base_store.freeze(mstore)
-    if warm_records is not None:
-        # drop seeded cells no surviving configuration wrote (see the
-        # persistent path: the cold-equality contract of warm starts)
-        frozen = frozen.restrict(live_writes.__contains__)
-    if stats is not None:
-        stats.update(
-            evaluations=evals,
-            retriggers=retriggers,
-            configurations=len(seen),
-            tracked_addresses=len(deps),
-            reused=reused,
-            dedup_hits=worklist.dedup_hits,
+    def evaluate(self, step: Callable[[Any], Any], config: Hashable) -> list:
+        """Step ``config`` against the shared store; the successor pairs."""
+        self._mark = self.store.mark()
+        if self._touching is None:
+            return self._inner.run_config_pairs(step, (config, self.store))
+        overlay = GCOverlay(self.store)
+        pairs = self._inner.run_config_pairs(step, (config, overlay))
+        # the sweep must stay inside the bracket: its reads (even of
+        # addresses bound after the log opened) are the GC roots of the
+        # dependency map
+        live = _successor_live_addresses(
+            self._inner.store_like, overlay, pairs, self._touching
         )
-    return (frozenset(seen), frozen)
+        # merge the live writes straight into the mutable store (not
+        # through the recorder, so the logs are unaffected); dead
+        # bindings never reach the store
+        for addr, entry in overlay.written().items():
+            if addr in live:
+                self._base_store.merge_entry(self.store, addr, entry)
+        return pairs
+
+    def commit(self, writes: Iterable) -> set:
+        """The addresses whose value sets grew since :meth:`evaluate` began."""
+        return set(self.store.changed_since(self._mark))
+
+    def result(self, written: set) -> Any:
+        """The fixed-point store, saturated and frozen back to a PMap."""
+        if isinstance(self._base_store, ACounter):
+            self._base_store.saturate(self.store, written)
+        return self._base_store.freeze(self.store)

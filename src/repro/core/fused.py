@@ -69,7 +69,7 @@ class FusedTransition:
 
     Instances are just a callable plus a language tag; the class is the
     *marker* the collecting domains (:mod:`repro.core.collecting`) and
-    the kleene evaluation counter (:func:`repro.core.driver.run_with_engine`)
+    the kleene evaluation counter (:func:`repro.core.driver.run_engine_analysis`)
     dispatch on to bypass ``monad.run``.
     """
 

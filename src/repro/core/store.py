@@ -26,7 +26,7 @@ Four instances:
   counts; a count of 1 licenses *strong updates* via :meth:`StoreLike.update`;
 * :class:`VersionedCountingStore` -- the counting co-domain over a
   :class:`MutableStore`, so abstract counting runs on the depgraph
-  engine's O(delta) loop too (the engine saturates step-written counts
+  engine's O(delta) store merge too (the engine saturates step-written counts
   on convergence, reproducing the Kleene counting fixed point -- see
   :func:`repro.core.fixpoint.global_store_explore`).
 
@@ -474,9 +474,9 @@ class VersionedStore(StoreLike):
     counter only when a bind actually grows the value set, so the engine
     learns "did anything change" and "which addresses grew" from the
     changelog in O(delta) -- see
-    :func:`repro.core.fixpoint.global_store_explore`, which switches to
-    the delta-driven loop when it finds one of these underneath the
-    collecting domain.
+    :func:`repro.core.fixpoint.global_store_explore`, whose one loop
+    switches to the delta-driven store merge when it finds one of these
+    underneath the collecting domain.
 
     Because mutation is join-only, threading one shared store through
     every monadic branch is exactly the global-store widening the

@@ -17,7 +17,9 @@ Constructors are synthesized (FJ's canonical constructor is pure
 boilerplate), so class bodies contain only field and method
 declarations.  Comments: ``//`` to end of line.  Expressions nested
 deeper than :data:`MAX_NESTING` are an :class:`FJParseError`, not a
-``RecursionError``.
+``RecursionError``; so is a term deeper than :data:`MAX_TERM_DEPTH`
+(long selector chains ``e.m().m()...`` or ``this.f.f...`` parse flat
+but build deep terms).
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ KEYWORDS = {"class", "extends", "return", "new"}
 #: the limit parses, typechecks and analyses well within the default
 #: recursion limit of 1000.
 MAX_NESTING = 128
+
+#: Deepest term the parser accepts: every selector (``.f`` or
+#: ``.m(...)``), cast and ``new`` with arguments wraps one level around
+#: its operands.  A selector chain parses in a loop, but the
+#: typechecker, the interpreter and the analyses recurse once per level
+#: -- near 1000 selectors overflow the default recursion limit -- so
+#: this keeps the worst shape well clear of it.
+MAX_TERM_DEPTH = 256
 
 _TOKEN_RE = re.compile(
     r"""
@@ -78,6 +88,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        #: term depth of the expression :meth:`expr` returned last
+        self.term_depth = 0
 
     def peek(self, ahead: int = 0) -> str | None:
         index = self.pos + ahead
@@ -167,12 +179,19 @@ class _Parser:
             )
         self.depth += 1
         try:
-            return self._expr()
+            e = self._expr()
         finally:
             self.depth -= 1
+        if self.term_depth > MAX_TERM_DEPTH:
+            raise FJParseError(
+                f"expression nested {self.term_depth} levels deep, deeper than "
+                f"{MAX_TERM_DEPTH}: split long selector chains"
+            )
+        return e
 
     def _expr(self) -> Expr:
         e = self.primary()
+        depth = self.term_depth
         while self.peek() == ".":
             self.next()
             member = self.ident()
@@ -181,8 +200,11 @@ class _Parser:
                 args = self.args()
                 self.expect(")")
                 e = intern(Invoke(e, member, args))
+                depth = max(depth, self.term_depth)
             else:
                 e = intern(FieldAccess(e, member))
+            depth += 1
+        self.term_depth = depth
         return e
 
     def primary(self) -> Expr:
@@ -193,6 +215,7 @@ class _Parser:
             self.expect("(")
             args = self.args()
             self.expect(")")
+            self.term_depth += bool(args)
             return intern(New(cls, args))
         if token == "(":
             # '(' ID ')' expr-start  => cast; otherwise a parenthesized expr
@@ -209,20 +232,28 @@ class _Parser:
                 self.next()
                 cls = self.ident()
                 self.expect(")")
-                return intern(Cast(cls, self.expr()))
+                cast = intern(Cast(cls, self.expr()))
+                self.term_depth += 1
+                return cast
             self.next()
             inner = self.expr()
             self.expect(")")
             return inner
+        self.term_depth = 0
         return intern(VarE(self.ident()))
 
     def args(self) -> tuple[Expr, ...]:
+        """Comma-separated arguments; ``term_depth`` becomes the deepest's."""
         if self.peek() == ")":
+            self.term_depth = 0
             return ()
         out = [self.expr()]
+        depth = self.term_depth
         while self.peek() == ",":
             self.next()
             out.append(self.expr())
+            depth = max(depth, self.term_depth)
+        self.term_depth = depth
         return tuple(out)
 
 

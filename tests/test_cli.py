@@ -555,3 +555,23 @@ class TestNestingLimits:
         self._check_at_limit(tmp_path, "fj", _fj_nest(MAX_NESTING))
         self._check_past_limit(tmp_path, "fj", _fj_nest(MAX_NESTING + 1), MAX_NESTING)
 
+    @pytest.mark.parametrize("shape", ["calls", "fields"])
+    def test_fj_term_depth_at_and_past_the_limit(self, tmp_path, shape):
+        """Long selector chains parse flat but build deep terms: at
+        ``MAX_TERM_DEPTH`` they analyse and run, at 2000 both commands
+        fail with a typed error instead of a ``RecursionError``."""
+        from test_fj_frontend import fj_call_chain, fj_field_chain
+
+        from repro.fj.parser import MAX_TERM_DEPTH
+
+        make = fj_call_chain if shape == "calls" else fj_field_chain
+        self._check_at_limit(tmp_path, "fj", make(MAX_TERM_DEPTH))
+        path = tmp_path / "long.fj"
+        path.write_text(make(2000))
+        for command in ("analyze", "run"):
+            proc = run_repro(command, "--lang", "fj", str(path))
+            assert proc.returncode != 0
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert f"nested 2000 levels deep, deeper than {MAX_TERM_DEPTH}" in proc.stderr
+

@@ -110,6 +110,58 @@ class TestProgramParser:
             dispatch_chain(0)
 
 
+def fj_call_chain(n: int) -> str:
+    """``new A()`` followed by ``n`` ``.id()`` calls: a term ``n`` deep."""
+    return "class A extends Object { A id() { return this; } }\nnew A()" + ".id()" * n
+
+
+def fj_field_chain(n: int) -> str:
+    """A method body ``this.f.f...`` with ``n`` field selectors."""
+    return (
+        "class A extends Object { A f; A g() { return this" + ".f" * n + "; } }\n"
+        "class B extends Object { }\nnew B()"
+    )
+
+
+class TestTermDepthLimit:
+    """Selector chains parse in a loop but build deep terms: past
+    ``MAX_TERM_DEPTH`` they are an ``FJParseError``, not a later
+    ``RecursionError`` in the typechecker."""
+
+    @pytest.mark.parametrize("make", [fj_call_chain, fj_field_chain])
+    def test_at_the_limit_parses(self, make):
+        from repro.fj.parser import MAX_TERM_DEPTH
+
+        parse_program(make(MAX_TERM_DEPTH))
+
+    @pytest.mark.parametrize("make", [fj_call_chain, fj_field_chain])
+    @pytest.mark.parametrize("extra", [1, 2000])
+    def test_past_the_limit_rejected(self, make, extra):
+        from repro.fj.parser import MAX_TERM_DEPTH
+
+        n = MAX_TERM_DEPTH + extra
+        with pytest.raises(FJParseError, match=f"nested {n} levels deep, deeper than"):
+            parse_program(make(n))
+
+    def test_depth_is_exact_across_nesting(self):
+        """Casts, ``new`` with arguments and selector arguments each add
+        one level; parentheses add none."""
+        from repro.fj.parser import MAX_TERM_DEPTH
+
+        def nested(chain: int) -> str:
+            inner = "new A()" + ".id()" * chain
+            for _ in range(10):
+                inner = f"((A) new B({inner}).f)"
+            return (
+                "class A extends Object { A id() { return this; } }\n"
+                "class B extends Object { A f; }\n" + inner
+            )
+
+        parse_program(nested(MAX_TERM_DEPTH - 30))
+        with pytest.raises(FJParseError, match="deeper than"):
+            parse_program(nested(MAX_TERM_DEPTH - 29))
+
+
 class TestFreeVars:
     def test_this_is_free(self):
         assert free_vars(parse_expr_fj("this.f")) == frozenset(["this"])

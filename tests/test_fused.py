@@ -391,8 +391,7 @@ class TestFusedReadWriteParity:
             recorder.begin_log()
             try:
                 inner.run_config_pairs(
-                    analysis.step(), (next(iter(seed_configs)), mstore),
-                    instrument=False,
+                    analysis.step(), (next(iter(seed_configs)), mstore)
                 )
             finally:
                 reads, writes = recorder.end_log()

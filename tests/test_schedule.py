@@ -188,7 +188,7 @@ class _FakeInner:
         successors, store = step(config, store)
         return [(successor, store) for successor in (config, *successors)]
 
-    def run_config_pairs(self, step, config_pair, instrument=True):
+    def run_config_pairs(self, step, config_pair):
         # versioned path: the step has already mutated the shared store
         config, store = config_pair
         successors, _ = step(config, store)

@@ -29,7 +29,7 @@ import pickle
 import pytest
 
 from repro.config import LANGUAGES, PRESETS, assemble, preset_config
-from repro.core.fixpoint import FixpointCapture, WarmStart
+from repro.core.fixpoint import STORE_IMPLS, FixpointCapture, WarmStart
 from repro.corpus import corpus_program
 from repro.corpus.cps_programs import id_chain, id_chain_edited
 from repro.service.batch import BatchJob, jobs_for, run_batch
@@ -287,26 +287,41 @@ class TestRealEditWarmStart:
 class TestWarmStartRefusals:
     """Configurations the warm path cannot serve fail loudly, not wrongly."""
 
-    def test_gc_config_refuses_warm_start(self):
-        config = preset_config("1cfa-gc", "cps")
+    # the refusal sits once in the depgraph loop, in front of both store
+    # merges: each store representation must hit it
+    @pytest.mark.parametrize("store_impl", STORE_IMPLS)
+    def test_gc_config_refuses_warm_start(self, store_impl):
+        config = preset_config("1cfa-gc", "cps").replace(store_impl=store_impl)
         analysis = assemble(config)
         seed = WarmStart(store={}, records={})
         with pytest.raises(TypeError, match="GC or counting"):
             analysis.run(id_chain(4), warm_start=seed)
 
-    def test_counting_config_refuses_capture(self):
-        config = preset_config("kcfa-counting-fast", "cps")
+    @pytest.mark.parametrize("store_impl", STORE_IMPLS)
+    def test_counting_config_refuses_capture(self, store_impl):
+        config = preset_config("kcfa-counting-fast", "cps").replace(
+            store_impl=store_impl
+        )
         analysis = assemble(config)
         with pytest.raises(TypeError, match="GC or counting"):
             analysis.run(id_chain(4), capture=FixpointCapture())
 
-    def test_kleene_refuses_warm_start(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"warm_start": WarmStart(store={}, records={})},
+            {"capture": FixpointCapture()},
+            {"trace": []},
+        ],
+        ids=["warm_start", "capture", "trace"],
+    )
+    def test_kleene_refuses_per_configuration_hooks(self, kwargs):
         config = preset_config("1cfa", "cps").replace(
             engine="kleene", store_impl="persistent"
         )
         analysis = assemble(config)
         with pytest.raises(ValueError, match="kleene"):
-            analysis.run(id_chain(4), warm_start=WarmStart(store={}, records={}))
+            analysis.run(id_chain(4), **kwargs)
 
     def test_per_state_run_refuses_warm_start(self):
         analysis = assemble(preset_config("1cfa-per-state", "cps"))

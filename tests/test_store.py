@@ -499,7 +499,7 @@ class TestRecordingStoreGCRoots:
             collector = Collector()
             a_evals = 0
 
-            def run_config_pairs(self, step, config, instrument=True):
+            def run_config_pairs(self, step, config):
                 (pstate, guts), store = config
                 if pstate == "A":
                     Inner.a_evals += 1
