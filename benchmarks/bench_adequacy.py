@@ -7,8 +7,6 @@ configuration sets as the hand-written pre-monadic transition of section
 overhead is the price of the abstraction, measured here.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.core.addresses import KCFA
 from repro.core.collecting import PerStateStoreCollecting
@@ -38,7 +36,7 @@ def direct_reachable(program, addressing):
     return reachable([seed], step)
 
 
-def test_e10_three_formulations_agree(benchmark):
+def test_e10_three_formulations_agree():
     names = ["identity", "mj09", "omega", "self-apply"]
 
     def run():
@@ -52,13 +50,13 @@ def test_e10_three_formulations_agree(benchmark):
             )
         return out
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, (monadic, do_notation, direct) in results.items():
         assert monadic == direct, name
         assert monadic == do_notation, name
 
 
-def test_e10_monadic_overhead(benchmark):
+def test_e10_monadic_overhead():
     program = id_chain(8)
 
     def best_of(thunk, repeats=3):
@@ -70,7 +68,7 @@ def test_e10_monadic_overhead(benchmark):
         t_direct = best_of(lambda: direct_reachable(program, KCFA(1)))
         return t_monadic, t_do, t_direct
 
-    t_monadic, t_do, t_direct = run_once(benchmark, run)
+    t_monadic, t_do, t_direct = run()
     print()
     print(
         fmt_table(
@@ -89,7 +87,7 @@ def test_e10_monadic_overhead(benchmark):
     assert t_monadic > 0 and t_do > 0 and t_direct > 0
 
 
-def test_e10_agreement_scales(benchmark):
+def test_e10_agreement_scales():
     program = id_chain(4)
 
     def run():
@@ -98,6 +96,6 @@ def test_e10_agreement_scales(benchmark):
             direct_reachable(program, KCFA(1)),
         )
 
-    monadic, direct = run_once(benchmark, run)
+    monadic, direct = run()
     assert monadic == direct
     assert len(monadic) >= 10

@@ -5,8 +5,6 @@ semantics enumerates exactly the concrete control points -- no merging
 -- and every abstraction's result covers it.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, precision_summary
 from repro.config import AnalysisConfig, assemble
 from repro.cps.concrete import interpret_trace
@@ -18,11 +16,11 @@ TERMINATING = ["identity", "id-id", "mj09", "self-apply"]
 COLLECTING = AnalysisConfig(language="cps", addressing="concrete")
 
 
-def test_e2_collecting_semantics_corpus(benchmark):
+def test_e2_collecting_semantics_corpus():
     def run():
         return {name: assemble(COLLECTING).run(PROGRAMS[name]) for name in TERMINATING}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for name, result in results.items():
         concrete_ctrls = {s.ctrl for s in interpret_trace(PROGRAMS[name])}
@@ -37,23 +35,23 @@ def test_e2_collecting_semantics_corpus(benchmark):
     assert all(row[2] == 1 for row in rows)
 
 
-def test_e2_collecting_scaling(benchmark):
+def test_e2_collecting_scaling():
     programs = {n: id_chain(n) for n in (2, 4, 8)}
 
     def run():
         return {n: assemble(COLLECTING).run(p).num_states() for n, p in programs.items()}
 
-    states = run_once(benchmark, run)
+    states = run()
     assert states[8] > states[4] > states[2]
 
 
-def test_e2_abstraction_covers_collecting(benchmark):
+def test_e2_abstraction_covers_collecting():
     program = PROGRAMS["mj09"]
 
     def run():
         zero = AnalysisConfig(language="cps", k=0)
         return assemble(COLLECTING).run(program), assemble(zero).run(program)
 
-    exact, abstract = run_once(benchmark, run)
+    exact, abstract = run()
     for var, lams in exact.flows_to().items():
         assert lams <= abstract.flows_to().get(var, frozenset())

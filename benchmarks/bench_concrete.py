@@ -6,8 +6,6 @@ every abstraction.  The rows report machine steps per program and the
 interpreter's throughput.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table
 from repro.cps.concrete import interpret, interpret_trace
 from repro.lam.cps_transform import cps_convert
@@ -18,11 +16,11 @@ from repro.corpus.lam_programs import church_add_program
 TERMINATING = ["identity", "id-id", "mj09", "self-apply"]
 
 
-def test_e1_interpret_corpus(benchmark):
+def test_e1_interpret_corpus():
     def run():
         return {name: interpret(PROGRAMS[name]) for name in TERMINATING}
 
-    finals = run_once(benchmark, run)
+    finals = run()
     assert all(state.is_final() for state in finals.values())
     rows = [
         (name, len(interpret_trace(PROGRAMS[name])), "exit")
@@ -32,25 +30,25 @@ def test_e1_interpret_corpus(benchmark):
     print(fmt_table(["program", "steps", "result"], rows))
 
 
-def test_e1_interpret_id_chain_scaling(benchmark):
+def test_e1_interpret_id_chain_scaling():
     programs = {n: id_chain(n) for n in (4, 16, 64)}
 
     def run():
         return {n: len(interpret_trace(p)) for n, p in programs.items()}
 
-    steps = run_once(benchmark, run)
+    steps = run()
     assert steps[64] > steps[16] > steps[4]
     print()
     print(fmt_table(["chain n", "steps"], sorted(steps.items())))
 
 
-def test_e1_interpret_call_tower(benchmark):
+def test_e1_interpret_call_tower():
     program = deep_call_tower(32)
-    final = run_once(benchmark, lambda: interpret(program))
+    final = interpret(program)
     assert final.is_final()
 
 
-def test_e1_cps_transform_agrees_with_cesk(benchmark):
+def test_e1_cps_transform_agrees_with_cesk():
     """The concrete anchor across the transform: cps(e) and e agree."""
     program = church_add_program(2, 3)
 
@@ -59,6 +57,6 @@ def test_e1_cps_transform_agrees_with_cesk(benchmark):
         final = interpret(cps_convert(program))
         return direct, final
 
-    direct, final = run_once(benchmark, run)
+    direct, final = run()
     assert final.is_final()
     assert direct.lam.params == ("q",)

@@ -6,8 +6,6 @@ straight-line bindings (the must-alias/environment-analysis payload),
 and (c) reports MANY exactly where rebinding happens (loops).
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table
 from repro.config import AnalysisConfig, assemble
 from repro.core.lattice import AbsNat
@@ -20,7 +18,7 @@ PLAIN = AnalysisConfig(language="cps", k=1)
 COUNTING = PLAIN.replace(counting=True)
 
 
-def test_e5_counting_preserves_flows(benchmark):
+def test_e5_counting_preserves_flows():
     def run():
         return {
             name: (
@@ -30,16 +28,16 @@ def test_e5_counting_preserves_flows(benchmark):
             for name in TERMINATING
         }
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, (plain, counted) in results.items():
         assert plain == counted, name
 
 
-def test_e5_singleton_certification(benchmark):
+def test_e5_singleton_certification():
     def run():
         return {name: assemble(COUNTING).run(PROGRAMS[name]) for name in TERMINATING}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for name, result in results.items():
         store = result.global_store()
@@ -54,19 +52,19 @@ def test_e5_singleton_certification(benchmark):
         assert singles == total, name
 
 
-def test_e5_loops_counted_many(benchmark):
+def test_e5_loops_counted_many():
     def run():
         return assemble(COUNTING.replace(k=0)).run(PROGRAMS["omega"])
 
-    result = run_once(benchmark, run)
+    result = run()
     store = result.global_store()
     counting = result.store_like
     counts = {a: counting.count(store, a) for a in counting.addresses(store)}
     assert AbsNat.MANY in counts.values()  # omega rebinds forever
 
 
-def test_e5_counting_overhead(benchmark):
+def test_e5_counting_overhead():
     """The counting store's bookkeeping cost on a larger workload."""
     program = id_chain(6)
-    result = run_once(benchmark, lambda: assemble(COUNTING).run(program))
+    result = assemble(COUNTING).run(program)
     assert result.singleton_counts()

@@ -8,8 +8,6 @@ monadically-parameterized semantics for Java or for the lambda calculus,
 it yields the expected analysis."
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table
 from repro.config import AnalysisConfig, assemble
 from repro.core.addresses import KCFA, ZeroCFA
@@ -43,7 +41,7 @@ def merge_width_fj(fields, policy):
     return max(widths)
 
 
-def test_e8_same_monad_same_verdict(benchmark):
+def test_e8_same_monad_same_verdict():
     rows = (
         ("0CFA", dict(addressing="zerocfa"), ZeroCFA),
         ("1CFA", dict(k=1), lambda: KCFA(1)),
@@ -60,7 +58,7 @@ def test_e8_same_monad_same_verdict(benchmark):
             )
         return table
 
-    table = run_once(benchmark, run)
+    table = run()
     rows = [(label, *widths) for label, widths in table.items()]
     print()
     print(
@@ -74,7 +72,7 @@ def test_e8_same_monad_same_verdict(benchmark):
     assert table["1CFA"] == (1, 1, 1)
 
 
-def test_e8_components_are_literally_shared(benchmark):
+def test_e8_components_are_literally_shared():
     from repro.core.monads import StorePassing
     from repro.core.store import BasicStore
     from repro.cps.analysis import AbstractCPSInterface
@@ -91,14 +89,14 @@ def test_e8_components_are_literally_shared(benchmark):
             AbstractFJInterface(table, addressing, BasicStore()),
         )
 
-    cps_iface, cesk_iface, fj_iface = run_once(benchmark, run)
+    cps_iface, cesk_iface, fj_iface = run()
     assert cps_iface.addressing is cesk_iface.addressing is fj_iface.addressing
     assert all(
         isinstance(i.monad, StorePassing) for i in (cps_iface, cesk_iface, fj_iface)
     )
 
 
-def test_e8_fj_dispatch_chain(benchmark):
+def test_e8_fj_dispatch_chain():
     """The FJ rendition of the id-chain polyvariance curve."""
     program = fj_programs.dispatch_chain(4)
 
@@ -110,7 +108,7 @@ def test_e8_fj_dispatch_chain(benchmark):
             assemble(AnalysisConfig(language="fj", k=1), program=program).run(program),
         )
 
-    r0, r1 = run_once(benchmark, run)
+    r0, r1 = run()
     assert len(r0.class_flows()["x"]) == 4
     store = r1.global_store()
     widths = [

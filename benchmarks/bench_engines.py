@@ -11,8 +11,6 @@ address.
 
 import os
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.config import AnalysisConfig, assemble
 from repro.core.fixpoint import ENGINES
@@ -55,7 +53,7 @@ def _print_rows(title, results):
     print(fmt_table(["engine", "time", "states", "evaluations", "retriggers"], rows))
 
 
-def test_e10_cps_engines_agree(benchmark):
+def test_e10_cps_engines_agree():
     program = id_chain(8)
 
     def run():
@@ -65,14 +63,14 @@ def test_e10_cps_engines_agree(benchmark):
             )
         )
 
-    results = run_once(benchmark, run)
+    results = run()
     _print_rows("CPS id_chain(8), k=1", results)
     kleene, depgraph = results["kleene"][0], results["depgraph"][0]
     assert depgraph.flows_to() == kleene.flows_to()
     assert depgraph.configs() == kleene.configs()
 
 
-def test_e10_cesk_engines_agree(benchmark):
+def test_e10_cesk_engines_agree():
     expr = LAM_PROGRAMS["church-two-two"]
 
     def run():
@@ -82,14 +80,14 @@ def test_e10_cesk_engines_agree(benchmark):
             )
         )
 
-    results = run_once(benchmark, run)
+    results = run()
     _print_rows("lam church-two-two, k=1", results)
     kleene, depgraph = results["kleene"][0], results["depgraph"][0]
     assert depgraph.flows_to() == kleene.flows_to()
     assert depgraph.configs() == kleene.configs()
 
 
-def test_e10_fj_engines_agree(benchmark):
+def test_e10_fj_engines_agree():
     program = FJ_PROGRAMS["visitor"]
 
     def run():
@@ -99,14 +97,14 @@ def test_e10_fj_engines_agree(benchmark):
             )
         )
 
-    results = run_once(benchmark, run)
+    results = run()
     _print_rows("FJ visitor, k=1", results)
     kleene, depgraph = results["kleene"][0], results["depgraph"][0]
     assert depgraph.class_flows() == kleene.class_flows()
     assert depgraph.configs() == kleene.configs()
 
 
-def test_e10_depgraph_does_least_work_everywhere(benchmark):
+def test_e10_depgraph_does_least_work_everywhere():
     """Dependency tracking evaluates the fewest configurations on every
     language's workload.
 
@@ -140,7 +138,7 @@ def test_e10_depgraph_does_least_work_everywhere(benchmark):
             out[lang] = (t_kleene, t_depgraph, stats_k, stats_d)
         return out
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = [
         (
             lang,
@@ -165,7 +163,7 @@ def test_e10_depgraph_does_least_work_everywhere(benchmark):
         assert stats_d["evaluations"] == stats_d["configurations"] + stats_d["retriggers"], lang
 
 
-def test_versioned_store_speedup_on_chain(benchmark):
+def test_versioned_store_speedup_on_chain():
     """The tentpole claim: the versioned (mutable, change-versioned) store
     makes the depgraph engine's hot loop O(delta) instead of O(|store|).
 
@@ -192,9 +190,7 @@ def test_versioned_store_speedup_on_chain(benchmark):
         )
         return persistent, t_persistent, versioned, t_versioned, stats_p, stats_v
 
-    persistent, t_persistent, versioned, t_versioned, stats_p, stats_v = run_once(
-        benchmark, run
-    )
+    persistent, t_persistent, versioned, t_versioned, stats_p, stats_v = run()
     print()
     print(
         fmt_table(
@@ -213,7 +209,7 @@ def test_versioned_store_speedup_on_chain(benchmark):
     )
 
 
-def test_fused_transition_speedup_on_chain(benchmark):
+def test_fused_transition_speedup_on_chain():
     """The staging claim: compiling the monad stack out of the step makes
     each evaluation cheap.
 
@@ -223,8 +219,8 @@ def test_fused_transition_speedup_on_chain(benchmark):
     dispatch per bind on every evaluation, the fused path runs the
     staged first-order step (``repro/core/fused.py``).  Locally the
     chain workload shows >3x; CI runners are noisy, so the enforced
-    bound there is a conservative 1.5x.  (`benchmarks/record.py --check`
-    gates the fuller 2x claim over best-of-N timings.)
+    bound there is a conservative 1.5x.  (`benchmarks/bench_gates.py`
+    gates the fuller 2x claim over interleaved best-of-N timings.)
     """
     program = id_chain(200)
     threshold = 1.5 if os.environ.get("CI") else 2.5
@@ -249,7 +245,7 @@ def test_fused_transition_speedup_on_chain(benchmark):
         )
         return generic, t_generic, fused, t_fused, stats_g, stats_f
 
-    generic, t_generic, fused, t_fused, stats_g, stats_f = run_once(benchmark, run)
+    generic, t_generic, fused, t_fused, stats_g, stats_f = run()
     print()
     print(
         fmt_table(

@@ -8,15 +8,13 @@ same holds one level up for the global-store engines: kleene and the
 dependency-tracked worklist agree on the widened domain.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.config import AnalysisConfig, assemble
 from repro.core.fixpoint import ENGINES
 from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 
-def test_e9_kleene_equals_worklist(benchmark):
+def test_e9_kleene_equals_worklist():
     names = ["identity", "mj09", "omega", "self-apply"]
 
     def run():
@@ -29,12 +27,12 @@ def test_e9_kleene_equals_worklist(benchmark):
             )
         return out
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, (kleene_fp, worklist_fp) in results.items():
         assert kleene_fp == worklist_fp, name
 
 
-def test_e9_strategy_cost_comparison(benchmark):
+def test_e9_strategy_cost_comparison():
     program = id_chain(5)
 
     def run():
@@ -43,7 +41,7 @@ def test_e9_strategy_cost_comparison(benchmark):
         worklist, t_worklist = timed(lambda: analysis.run(program, worklist=True))
         return kleene, t_kleene, worklist, t_worklist
 
-    kleene, t_kleene, worklist, t_worklist = run_once(benchmark, run)
+    kleene, t_kleene, worklist, t_worklist = run()
     print()
     print(
         fmt_table(
@@ -60,7 +58,7 @@ def test_e9_strategy_cost_comparison(benchmark):
     assert t_worklist <= t_kleene * 1.5
 
 
-def test_e9_global_store_engine_comparison(benchmark):
+def test_e9_global_store_engine_comparison():
     """The two global-store engines: same fixed point, ranked costs."""
     program = id_chain(8)
 
@@ -72,7 +70,7 @@ def test_e9_global_store_engine_comparison(benchmark):
             out[engine] = (result, seconds, analysis.last_stats)
         return out
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = [
         (
             engine,
@@ -92,7 +90,7 @@ def test_e9_global_store_engine_comparison(benchmark):
     assert depgraph[2]["evaluations"] <= kleene[2]["evaluations"]
 
 
-def test_e9_widened_iteration_is_sound(benchmark):
+def test_e9_widened_iteration_is_sound():
     """A widening operator slots into the same loop (kleene_iterate_widened)."""
     from repro.core.fixpoint import kleene_iterate, kleene_iterate_widened
     from repro.core.lattice import PowersetLattice
@@ -110,6 +108,6 @@ def test_e9_widened_iteration_is_sound(benchmark):
         widened = kleene_iterate_widened(ps, functional, widen)
         return exact, widened
 
-    exact, widened = run_once(benchmark, run)
+    exact, widened = run()
     assert ps.leq(exact, widened)  # widening only over-approximates
     assert functional(widened) <= widened  # and lands on a post-fixed point

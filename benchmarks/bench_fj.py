@@ -5,8 +5,6 @@ dispatch precision (animals), and the cast-safety client built on the
 class-flow results.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.config import AnalysisConfig, assemble
 from repro.fj.class_table import ClassTable
@@ -24,11 +22,11 @@ def fixpoint(config, program):
     return assemble(config, program=program).run(program)
 
 
-def test_fj_corpus_sweep(benchmark):
+def test_fj_corpus_sweep():
     def run():
         return {name: fixpoint(ONE_CFA, PROGRAMS[name]) for name in NAMES}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for name, result in results.items():
         concrete = evaluate_fj(PROGRAMS[name]).cls
@@ -39,13 +37,13 @@ def test_fj_corpus_sweep(benchmark):
     print(fmt_table(["program", "states", "store", "final classes (1CFA)"], rows))
 
 
-def test_fj_dispatch_precision(benchmark):
+def test_fj_dispatch_precision():
     program = PROGRAMS["animals"]
 
     def run():
         return fixpoint(ZERO_CFA, program), fixpoint(ONE_CFA, program)
 
-    r0, r1 = run_once(benchmark, run)
+    r0, r1 = run()
     print()
     print(
         fmt_table(
@@ -60,7 +58,7 @@ def test_fj_dispatch_precision(benchmark):
     assert r1.final_classes() == frozenset(["Bark"])
 
 
-def test_fj_chain_scaling(benchmark):
+def test_fj_chain_scaling():
     def run():
         out = {}
         for n in (2, 4, 6):
@@ -70,14 +68,14 @@ def test_fj_chain_scaling(benchmark):
             out[n] = (result.num_states(), seconds)
         return out
 
-    table = run_once(benchmark, run)
+    table = run()
     rows = [(n, states, f"{secs:.3f}s") for n, (states, secs) in sorted(table.items())]
     print()
     print(fmt_table(["chain n", "states", "time"], rows))
     assert table[6][0] > table[2][0]
 
 
-def test_fj_cast_safety_client(benchmark):
+def test_fj_cast_safety_client():
     def run():
         safe_table = ClassTable.of(PROGRAMS["safe-cast"])
         safe = fixpoint(ONE_CFA, PROGRAMS["safe-cast"]).possible_cast_failures(safe_table)
@@ -85,6 +83,6 @@ def test_fj_cast_safety_client(benchmark):
         bad = fixpoint(ONE_CFA, PROGRAMS["bad-cast"]).possible_cast_failures(bad_table)
         return safe, bad
 
-    safe, bad = run_once(benchmark, run)
+    safe, bad = run()
     assert not safe  # proved safe
     assert ("A", "B") in bad  # possible failure found

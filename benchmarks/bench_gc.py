@@ -8,8 +8,6 @@ increase in precision as well as a corresponding drop in analysis time";
 the chain family below shows both directions measurably.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.cesk.concrete import evaluate
 from repro.config import AnalysisConfig, assemble
@@ -23,7 +21,7 @@ PLAIN = AnalysisConfig(language="cps", k=1)
 GC = PLAIN.replace(gc=True)
 
 
-def test_e6_gc_shrinks_stores(benchmark):
+def test_e6_gc_shrinks_stores():
     def run():
         out = {}
         for name in TERMINATING:
@@ -32,7 +30,7 @@ def test_e6_gc_shrinks_stores(benchmark):
             out[name] = (plain.store_size(), gc.store_size())
         return out
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = [(name, plain, gc) for name, (plain, gc) in results.items()]
     print()
     print(fmt_table(["program", "store (plain)", "store (gc)"], rows))
@@ -40,7 +38,7 @@ def test_e6_gc_shrinks_stores(benchmark):
     assert any(gc < plain for _name, plain, gc in rows)
 
 
-def test_e6_gc_time_and_space_on_chains(benchmark):
+def test_e6_gc_time_and_space_on_chains():
     def run():
         out = {}
         for n in (4, 8):
@@ -50,7 +48,7 @@ def test_e6_gc_time_and_space_on_chains(benchmark):
             out[n] = (plain.num_elements(), t_plain, gc.num_elements(), t_gc)
         return out
 
-    table = run_once(benchmark, run)
+    table = run()
     rows = [
         (n, ps, f"{tp:.3f}s", gs, f"{tg:.3f}s")
         for n, (ps, tp, gs, tg) in sorted(table.items())
@@ -61,16 +59,16 @@ def test_e6_gc_time_and_space_on_chains(benchmark):
         assert gc_elems <= plain_elems
 
 
-def test_e6_gc_never_loses_the_concrete_answer(benchmark):
+def test_e6_gc_never_loses_the_concrete_answer():
     def run():
         return {name: assemble(GC).run(PROGRAMS[name]) for name in TERMINATING}
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, result in results.items():
         assert result.reaching_exit(), name
 
 
-def test_e6_gc_on_cesk(benchmark):
+def test_e6_gc_on_cesk():
     """The same collector machinery drives the direct-style machine."""
     program = eta_chain(3)
 
@@ -78,6 +76,6 @@ def test_e6_gc_on_cesk(benchmark):
         plain = PLAIN.replace(language="lam")
         return assemble(plain).run(program), assemble(plain.replace(gc=True)).run(program)
 
-    plain, gc = run_once(benchmark, run)
+    plain, gc = run()
     assert gc.store_size() <= plain.store_size()
     assert evaluate(program).lam in gc.final_values()

@@ -6,8 +6,6 @@ context-sensitive programs (mj09, id-chains); (3) state counts and time
 grow with k.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, precision_summary, timed
 from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import PROGRAMS, id_chain
@@ -17,13 +15,13 @@ PER_STATE = AnalysisConfig(language="cps")
 SHARED = PER_STATE.replace(widening="store")
 
 
-def test_e3_k_sweep_mj09(benchmark):
+def test_e3_k_sweep_mj09():
     program = PROGRAMS["mj09"]
 
     def run():
         return {k: assemble(PER_STATE.replace(k=k)).run(program) for k in (0, 1, 2)}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for k, result in sorted(results.items()):
         flows = result.flows_to()
@@ -35,7 +33,7 @@ def test_e3_k_sweep_mj09(benchmark):
     assert rows[0][2] == 2 and rows[1][2] == 1 and rows[2][2] == 1
 
 
-def test_e3_k_sweep_id_chain(benchmark):
+def test_e3_k_sweep_id_chain():
     # id-chains under monovariant *per-state* stores clone exponentially
     # (continuation merging times heap cloning), so this sweep uses the
     # single-threaded store -- standard practice, and sound (E4).
@@ -44,7 +42,7 @@ def test_e3_k_sweep_id_chain(benchmark):
     def run():
         return {k: assemble(SHARED.replace(k=k)).run(program) for k in (0, 1)}
 
-    results = run_once(benchmark, run)
+    results = run()
     f0 = precision_summary(results[0].flows_to())
     f1 = precision_summary(results[1].flows_to())
     print()
@@ -62,7 +60,7 @@ def test_e3_k_sweep_id_chain(benchmark):
     assert f1["mean_flow"] < f0["mean_flow"]
 
 
-def test_e3_cost_grows_with_k(benchmark):
+def test_e3_cost_grows_with_k():
     program = id_chain(5)
 
     def run():
@@ -74,7 +72,7 @@ def test_e3_cost_grows_with_k(benchmark):
             out[k] = (result.num_elements(), seconds)
         return out
 
-    costs = run_once(benchmark, run)
+    costs = run()
     rows = [(f"k={k}", elements, f"{seconds:.4f}s") for k, (elements, seconds) in sorted(costs.items())]
     print()
     print(fmt_table(["analysis", "fixed-point size", "time"], rows))
@@ -82,7 +80,7 @@ def test_e3_cost_grows_with_k(benchmark):
     assert costs[2][0] >= costs[1][0] >= costs[0][0] > 0
 
 
-def test_e3_depgraph_engine_speedup_k1(benchmark):
+def test_e3_depgraph_engine_speedup_k1():
     # the global-store worklist with dependency tracking computes the same
     # widened fixed point as Kleene iteration but re-evaluates only the
     # configurations whose store reads changed; at k=1 on the id-chain
@@ -95,7 +93,7 @@ def test_e3_depgraph_engine_speedup_k1(benchmark):
         depgraph, t_depgraph = timed(lambda: analysis.run(program))
         return kleene, t_kleene, depgraph, t_depgraph, analysis.last_stats
 
-    kleene, t_kleene, depgraph, t_depgraph, stats = run_once(benchmark, run)
+    kleene, t_kleene, depgraph, t_depgraph, stats = run()
     print()
     print(
         fmt_table(
@@ -116,7 +114,7 @@ def test_e3_depgraph_engine_speedup_k1(benchmark):
     assert t_depgraph * 2 <= t_kleene, f"depgraph {t_depgraph:.3f}s vs kleene {t_kleene:.3f}s"
 
 
-def test_e3_precision_monotone_in_k_everywhere(benchmark):
+def test_e3_precision_monotone_in_k_everywhere():
     names = ["identity", "mj09", "id-id", "self-apply", "omega"]
 
     def run():
@@ -128,7 +126,7 @@ def test_e3_precision_monotone_in_k_everywhere(benchmark):
             for name in names
         }
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, (r0, r1) in results.items():
         f0, f1 = r0.flows_to(), r1.flows_to()
         for var, lams in f1.items():

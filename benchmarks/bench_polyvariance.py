@@ -7,8 +7,6 @@ id-chain family matches expectations (contexts that separate call
 sites recover exactness; monovariance merges).
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, precision_summary
 from repro.config import AnalysisConfig, assemble
 from repro.cps.concrete import ConcreteCPSInterface, inject
@@ -45,13 +43,13 @@ def concrete_flows(program):
     return flows
 
 
-def test_e7_policy_sweep_mj09(benchmark):
+def test_e7_policy_sweep_mj09():
     program = PROGRAMS["mj09"]
 
     def run():
         return {name: assemble(config).run(program) for name, config in POLICIES}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for name, result in results.items():
         summary = precision_summary(result.flows_to())
@@ -65,14 +63,14 @@ def test_e7_policy_sweep_mj09(benchmark):
         assert by_name[contextual][3] <= by_name["0CFA"][3]
 
 
-def test_e7_policy_sweep_id_chain(benchmark):
+def test_e7_policy_sweep_id_chain():
     # the widened (shared-store) domain keeps monovariant chains tractable
     program = id_chain(5)
 
     def run():
         return {name: assemble(config).run(program) for name, config in POLICIES}
 
-    results = run_once(benchmark, run)
+    results = run()
     rows = []
     for name, result in results.items():
         merged = precision_summary(result.flows_to())["max_flow"]
@@ -88,7 +86,7 @@ def test_e7_policy_sweep_id_chain(benchmark):
     assert by_name["boundN(32)"] == 1  # "sufficiently big N" is exact (3.4)
 
 
-def test_e7_all_policies_sound(benchmark):
+def test_e7_all_policies_sound():
     program = PROGRAMS["mj09"]
     reference = concrete_flows(program)
 
@@ -97,7 +95,7 @@ def test_e7_all_policies_sound(benchmark):
             name: assemble(config).run(program).flows_to() for name, config in POLICIES
         }
 
-    results = run_once(benchmark, run)
+    results = run()
     for name, flows in results.items():
         for var, lams in reference.items():
             assert lams <= flows.get(var, frozenset()), f"{name}:{var}"

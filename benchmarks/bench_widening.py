@@ -7,8 +7,6 @@ as ``alpha . applyStep . gamma`` over the Galois connection of equation
 result still covers the per-state result.
 """
 
-from conftest import run_once
-
 from repro.analysis.report import fmt_table, timed
 from repro.config import AnalysisConfig, assemble
 from repro.corpus.cps_programs import heap_clone
@@ -18,7 +16,7 @@ PER_STATE = AnalysisConfig(language="cps", k=1)
 SHARED = PER_STATE.replace(widening="store")
 
 
-def test_e4_heap_cloning_blowup(benchmark):
+def test_e4_heap_cloning_blowup():
     sizes = (2, 4, 6, 8)
 
     def run():
@@ -30,7 +28,7 @@ def test_e4_heap_cloning_blowup(benchmark):
             out[n] = (per_state.num_elements(), t_ps, shared.num_elements(), t_sh)
         return out
 
-    table = run_once(benchmark, run)
+    table = run()
     rows = [
         (n, ps, f"{tps:.3f}s", sh, f"{tsh:.3f}s")
         for n, (ps, tps, sh, tsh) in sorted(table.items())
@@ -48,24 +46,24 @@ def test_e4_heap_cloning_blowup(benchmark):
     assert table[8][2] - table[6][2] <= 8
 
 
-def test_e4_shared_covers_per_state(benchmark):
+def test_e4_shared_covers_per_state():
     program = heap_clone(5)
 
     def run():
         return assemble(PER_STATE).run(program), assemble(SHARED).run(program)
 
-    per_state, shared = run_once(benchmark, run)
+    per_state, shared = run()
     for var, lams in per_state.flows_to().items():
         assert lams <= shared.flows_to().get(var, frozenset())
     assert per_state.states() <= shared.states()
 
 
-def test_e4_widening_is_the_cheap_direction(benchmark):
+def test_e4_widening_is_the_cheap_direction():
     """At the blowup sizes the widened analysis wins outright."""
     program = heap_clone(10)
 
     def run():
         return timed(lambda: assemble(SHARED).run(program))
 
-    _result, seconds = run_once(benchmark, run)
+    _result, seconds = run()
     assert seconds < 30  # the per-state analysis at n=10 is ~2^10 configs

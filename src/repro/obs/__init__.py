@@ -17,7 +17,7 @@ surfaces converge:
   thread-local :func:`~repro.obs.trace.current_tracer` whose default is
   a no-op :class:`~repro.obs.trace.NullTracer` cheap enough to leave in
   the per-phase call sites permanently (the overhead is benchmark-gated
-  in ``benchmarks/record.py``).
+  in ``benchmarks/bench_gates.py``).
 
 The counting *discipline* stays where it was: sites that already expose
 byte-stable counter documents (the cache's ``lifetime`` block, the

@@ -25,7 +25,7 @@ in the resident server's worker threads), then the process default
 no-op context manager -- the untraced cost of an instrumented site is a
 thread-local read, an attribute load, and two trivial calls, which is
 why the call sites can stay in the code permanently (the benchmark gate
-in ``benchmarks/record.py`` holds the no-op path to <=3% on the hot
+in ``benchmarks/bench_gates.py`` holds the no-op path to <=3% on the hot
 workload).
 
 Two serialization shapes, chosen by filename:

@@ -1,12 +1,12 @@
 """Shared workload/preset resolution for the measurement harnesses.
 
-``tools/profile_analysis.py`` and ``benchmarks/record.py`` grew the same
-plumbing independently: look a workload up by ``(language, name)`` --
-a corpus program, or the synthetic CPS ``id-chain-N`` family -- and
-turn a preset plus fine-grained override flags into a validated
+``tools/profile_analysis.py`` and ``benchmarks/bench_gates.py`` share
+the same plumbing: look a workload up by ``(language, name)`` -- a
+corpus program, or the synthetic CPS ``id-chain-N`` family -- and turn
+a preset plus fine-grained override flags into a validated
 :class:`~repro.config.AnalysisConfig`.  This module is the one home for
-both, so the profiler and the benchmark recorder can never resolve the
-same name to different programs or the same flags to different configs.
+both, so the profiler and the time gates can never resolve the same
+name to different programs or the same flags to different configs.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Coverage here:
 
 The preset matrix in ``tests/test_config.py`` additionally pins the
 ``*-fused`` presets against their generic Kleene references, and
-``benchmarks/record.py --check`` gates the speedup this buys.
+``benchmarks/bench_gates.py`` gates the speedup this buys.
 """
 
 import pytest

@@ -7,7 +7,6 @@ is imported with its own directory on ``sys.path``, as its runner does.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,11 +23,4 @@ def test_script_imports(path, monkeypatch):
     name = f"_script_{path.parent.name}_{path.stem}"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        # forget the script's sibling imports (benchmarks' ``conftest``)
-        for key, loaded in list(sys.modules.items()):
-            origin = getattr(loaded, "__file__", None) or ""
-            if Path(origin).parent == path.parent:
-                del sys.modules[key]
+    spec.loader.exec_module(module)

@@ -62,7 +62,7 @@ def resolve_workload(lang: str, name: str):
     """A corpus program by name; CPS also accepts synthetic ``id-chain-N``.
 
     Resolution itself lives in :mod:`repro.util.workloads` (shared with
-    ``benchmarks/record.py``); this wrapper only turns the library
+    ``benchmarks/bench_gates.py``); this wrapper only turns the library
     ``ValueError`` into a tool exit.
     """
     from repro.util.workloads import resolve_workload as resolve
