@@ -142,7 +142,7 @@ class Analysis:
         """View a fixed point (freshly computed or cache-loaded) uniformly.
 
         The fixpoint cache (:mod:`repro.service.cache`) stores bare fixed
-        points; rehydrated loads are wrapped back through here so callers
+        points; loads are wrapped back through here so callers
         see the exact object :meth:`run` would have returned.
         """
         return self.language.result(

@@ -421,8 +421,9 @@ class MutableStore:
         seeded address, making the whole seed look freshly changed).
         """
         dup = cls()
-        dup.data = dict(snapshot.data)
-        dup.versions = dict(snapshot.versions)
+        # to_dict copies the backing dicts with their stored key hashes
+        dup.data = snapshot.data.to_dict()
+        dup.versions = snapshot.versions.to_dict()
         dup.changelog = []
         return dup
 
@@ -458,9 +459,9 @@ class StoreSnapshot:
             return store
         if isinstance(store, MutableStore):
             return store.snapshot()
-        return StoreSnapshot(
-            data=pmap(store), versions=pmap({addr: 1 for addr in store.keys()})
-        )
+        data = pmap(store)
+        # fromkeys over a plain dict reuses its stored key hashes
+        return StoreSnapshot(data=data, versions=pmap(dict.fromkeys(data.to_dict(), 1)))
 
 
 class VersionedStore(StoreLike):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.cps.parser import parse_cexp
 from repro.cps.syntax import Call, CExp, Exit, Lam, Ref
-from repro.util.intern import intern
 
 HALT = "(lambda (r) (exit))"
 
@@ -94,22 +93,16 @@ def id_chain(n: int) -> CExp:
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
-    # nodes are interned bottom-up, as the parsers intern theirs: a
-    # second build of the same chain is then pointer-equal to the first,
-    # so cache lookups never fall back to a structural comparison that
-    # recurses through the whole (depth-n) term
-    body: CExp = intern(Exit())
+    # nodes are canonical at birth (see repro.util.intern): a second
+    # build of the same chain is pointer-equal to the first, so cache
+    # lookups never fall back to a structural comparison that recurses
+    # through the whole (depth-n) term
+    body: CExp = Exit()
     for i in reversed(range(n)):
-        distinct_arg = intern(
-            Lam((f"u{i}", f"ju{i}"), Call(Ref(f"ju{i}"), (Ref(f"u{i}"),)))
-        )
-        body = intern(
-            Call(intern(Ref("id")), (distinct_arg, intern(Lam((f"r{i}",), body))))
-        )
-    identity = intern(Lam(("x", "j"), Call(Ref("j"), (Ref("x"),))))
-    return intern(
-        Call(intern(Lam(("id", "k"), body)), (identity, intern(Lam(("r",), Exit()))))
-    )
+        distinct_arg = Lam((f"u{i}", f"ju{i}"), Call(Ref(f"ju{i}"), (Ref(f"u{i}"),)))
+        body = Call(Ref("id"), (distinct_arg, Lam((f"r{i}",), body)))
+    identity = Lam(("x", "j"), Call(Ref("j"), (Ref("x"),)))
+    return Call(Lam(("id", "k"), body), (identity, Lam(("r",), Exit())))
 
 
 def id_chain_edited(n: int) -> CExp:
@@ -126,8 +119,8 @@ def id_chain_edited(n: int) -> CExp:
     PERFORMANCE.md, "Caching and warm starts").
     """
     base = id_chain(n)
-    extra = intern(Lam(("w0", "jw0"), Call(Ref("jw0"), (Ref("w0"),))))
-    return intern(Call(intern(Lam(("pre",), base)), (extra,)))
+    extra = Lam(("w0", "jw0"), Call(Ref("jw0"), (Ref("w0"),)))
+    return Call(Lam(("pre",), base), (extra,))
 
 
 def heap_clone(n: int) -> CExp:

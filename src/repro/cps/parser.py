@@ -17,7 +17,6 @@ offending token for debuggability.  Nesting deeper than
 from __future__ import annotations
 
 from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Ref
-from repro.util.intern import intern
 
 LAMBDA_KEYWORDS = ("lambda", "λ")
 
@@ -87,7 +86,7 @@ def _to_aexp(sexp) -> AExp:
     if isinstance(sexp, str):
         if sexp in LAMBDA_KEYWORDS or sexp == "exit":
             raise ParseError(f"keyword {sexp!r} is not an atomic expression")
-        return intern(Ref(sexp))
+        return Ref(sexp)
     if isinstance(sexp, list) and sexp and sexp[0] in LAMBDA_KEYWORDS:
         if len(sexp) != 3:
             raise ParseError(f"lambda needs a parameter list and a body: {sexp!r}")
@@ -96,7 +95,7 @@ def _to_aexp(sexp) -> AExp:
             raise ParseError(f"malformed parameter list: {params!r}")
         if len(set(params)) != len(params):
             raise ParseError(f"duplicate parameter in {params!r}")
-        return intern(Lam(tuple(params), _to_cexp(sexp[2])))
+        return Lam(tuple(params), _to_cexp(sexp[2]))
     raise ParseError(f"expected an atomic expression, got {sexp!r}")
 
 
@@ -104,12 +103,12 @@ def _to_cexp(sexp) -> CExp:
     if not isinstance(sexp, list) or not sexp:
         raise ParseError(f"a call expression must be a non-empty list: {sexp!r}")
     if sexp == ["exit"]:
-        return intern(Exit())
+        return Exit()
     if sexp[0] in LAMBDA_KEYWORDS and len(sexp) == 3:
         # A bare lambda in call position means the program is malformed;
         # calls must apply something.
         raise ParseError("a lambda is not a call expression; apply it to arguments")
-    return intern(Call(_to_aexp(sexp[0]), tuple(_to_aexp(arg) for arg in sexp[1:])))
+    return Call(_to_aexp(sexp[0]), tuple(_to_aexp(arg) for arg in sexp[1:]))
 
 
 def parse_cexp(source: str) -> CExp:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.util.intern import hash_consed
+from repro.util.intern import interned
 from typing import Iterator, Union
 
 Var = str
@@ -42,7 +42,7 @@ class CExp:
     __slots__ = ()
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Ref(AExp):
     """A variable reference."""
@@ -53,7 +53,7 @@ class Ref(AExp):
         return self.var
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Lam(AExp):
     """``(lambda (v1 ... vn) call)``: the only value-forming expression."""
@@ -65,7 +65,7 @@ class Lam(AExp):
         return pp(self)
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Call(CExp):
     """``(f ae1 ... aen)``: application of a function to arguments."""
@@ -77,7 +77,7 @@ class Call(CExp):
         return pp(self)
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Exit(CExp):
     """The terminal call expression."""

@@ -37,7 +37,6 @@ from repro.fj.syntax import (
     Program,
     VarE,
 )
-from repro.util.intern import intern
 
 KEYWORDS = {"class", "extends", "return", "new"}
 
@@ -199,10 +198,10 @@ class _Parser:
                 self.next()
                 args = self.args()
                 self.expect(")")
-                e = intern(Invoke(e, member, args))
+                e = Invoke(e, member, args)
                 depth = max(depth, self.term_depth)
             else:
-                e = intern(FieldAccess(e, member))
+                e = FieldAccess(e, member)
             depth += 1
         self.term_depth = depth
         return e
@@ -216,7 +215,7 @@ class _Parser:
             args = self.args()
             self.expect(")")
             self.term_depth += bool(args)
-            return intern(New(cls, args))
+            return New(cls, args)
         if token == "(":
             # '(' ID ')' expr-start  => cast; otherwise a parenthesized expr
             if (
@@ -232,7 +231,7 @@ class _Parser:
                 self.next()
                 cls = self.ident()
                 self.expect(")")
-                cast = intern(Cast(cls, self.expr()))
+                cast = Cast(cls, self.expr())
                 self.term_depth += 1
                 return cast
             self.next()
@@ -240,7 +239,7 @@ class _Parser:
             self.expect(")")
             return inner
         self.term_depth = 0
-        return intern(VarE(self.ident()))
+        return VarE(self.ident())
 
     def args(self) -> tuple[Expr, ...]:
         """Comma-separated arguments; ``term_depth`` becomes the deepest's."""

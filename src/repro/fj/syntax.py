@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.intern import hash_consed
+from repro.util.intern import interned
 from typing import Iterator
 
 OBJECT = "Object"
@@ -27,7 +27,7 @@ class Expr:
     __slots__ = ()
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class VarE(Expr):
     """A variable (including ``this``)."""
@@ -38,7 +38,7 @@ class VarE(Expr):
         return self.name
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class FieldAccess(Expr):
     """``e.f``."""
@@ -50,7 +50,7 @@ class FieldAccess(Expr):
         return f"{self.obj!r}.{self.fld}"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Invoke(Expr):
     """``e.m(e1, ..., en)``."""
@@ -64,7 +64,7 @@ class Invoke(Expr):
         return f"{self.obj!r}.{self.method}({args})"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class New(Expr):
     """``new C(e1, ..., en)``."""
@@ -77,7 +77,7 @@ class New(Expr):
         return f"new {self.cls}({args})"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Cast(Expr):
     """``(C) e``."""
@@ -89,7 +89,7 @@ class Cast(Expr):
         return f"({self.cls}) {self.obj!r}"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class MethodDef:
     """``T m(T1 x1, ..., Tn xn) { return e; }``."""
@@ -110,7 +110,7 @@ class MethodDef:
         return f"{self.ret_type} {self.name}({params}) {{ return {self.body!r}; }}"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class ClassDef:
     """``class C extends D { fields; methods }`` with the canonical constructor."""
@@ -130,7 +130,7 @@ class ClassDef:
         return f"class {self.name} extends {self.superclass}"
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Program:
     """An FJ program: class definitions plus a main expression."""

@@ -575,15 +575,14 @@ def lower_program(program: Program) -> Expr:
     """Lower a parsed ``imp`` program to a closed direct-style term.
 
     The result is ``uniquify``-renamed (distinct binders keep
-    monovariant analyses from merging unrelated prelude sites) and
-    :func:`repro.util.intern.rehydrate`-canonicalized, so it behaves
-    exactly like a parsed term: pool-pointer-equal subterms,
+    monovariant analyses from merging unrelated prelude sites).  Its
+    nodes are canonical at birth (:mod:`repro.util.intern`), so it
+    behaves exactly like a parsed term: pool-pointer-equal subterms,
     process-independent content digests for the fixpoint cache.
     """
     from repro.lam.syntax import uniquify
-    from repro.util.intern import rehydrate
 
-    return rehydrate(uniquify(_Lowerer().lower_program(program)))
+    return uniquify(_Lowerer().lower_program(program))
 
 
 def lower_source(source: str) -> Expr:

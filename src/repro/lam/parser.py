@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.cps.parser import ParseError, read_sexp, tokenize
 from repro.lam.syntax import App, Expr, Lam, Let, Var
-from repro.util.intern import intern
 
 LAMBDA_KEYWORDS = ("lambda", "λ")
 RESERVED = set(LAMBDA_KEYWORDS) | {"let", "let*"}
@@ -23,7 +22,7 @@ def _to_expr(sexp) -> Expr:
     if isinstance(sexp, str):
         if sexp in RESERVED:
             raise ParseError(f"keyword {sexp!r} is not an expression")
-        return intern(Var(sexp))
+        return Var(sexp)
     if not isinstance(sexp, list) or not sexp:
         raise ParseError(f"malformed expression: {sexp!r}")
     head = sexp[0]
@@ -35,7 +34,7 @@ def _to_expr(sexp) -> Expr:
             raise ParseError(f"malformed parameter list: {params!r}")
         if len(set(params)) != len(params):
             raise ParseError(f"duplicate parameter in {params!r}")
-        return intern(Lam(tuple(params), _to_expr(sexp[2])))
+        return Lam(tuple(params), _to_expr(sexp[2]))
     if head in ("let", "let*"):
         if len(sexp) != 3 or not isinstance(sexp[1], list):
             raise ParseError(f"malformed let: {sexp!r}")
@@ -50,9 +49,9 @@ def _to_expr(sexp) -> Expr:
                 or not isinstance(binding[0], str)
             ):
                 raise ParseError(f"malformed binding: {binding!r}")
-            body = intern(Let(binding[0], _to_expr(binding[1]), body))
+            body = Let(binding[0], _to_expr(binding[1]), body)
         return body
-    return intern(App(_to_expr(head), tuple(_to_expr(arg) for arg in sexp[1:])))
+    return App(_to_expr(head), tuple(_to_expr(arg) for arg in sexp[1:]))
 
 
 def parse_expr(source: str) -> Expr:

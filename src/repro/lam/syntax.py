@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.util.intern import hash_consed
+from repro.util.intern import interned
 from typing import Iterator
 
 
@@ -22,7 +22,7 @@ class Expr:
     __slots__ = ()
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Var(Expr):
     """A variable reference."""
@@ -33,7 +33,7 @@ class Var(Expr):
         return self.name
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Lam(Expr):
     """``(lambda (x1 ... xn) body)``."""
@@ -45,7 +45,7 @@ class Lam(Expr):
         return pp(self)
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class App(Expr):
     """``(f e1 ... en)``: call-by-value application."""
@@ -57,7 +57,7 @@ class App(Expr):
         return pp(self)
 
 
-@hash_consed
+@interned
 @dataclass(frozen=True)
 class Let(Expr):
     """``(let ((x e)) body)``: a single sequential binding."""

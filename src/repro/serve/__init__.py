@@ -1,7 +1,7 @@
 """The resident analysis server: a warm engine behind an async JSON front end.
 
 A CLI invocation pays interpreter boot, imports, parsing, and a cold (or
-disk-rehydrated) fixed point on every call.  A resident process pays them
+disk-loaded) fixed point on every call.  A resident process pays them
 once: the intern pool stays populated, the hot LRU keeps live fixed
 points, and the dispatch pipeline (:mod:`repro.service.jobs`) answers
 repeat requests from memory.  The package splits along the obvious seam:

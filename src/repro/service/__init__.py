@@ -8,7 +8,7 @@ store gives every run a change delta -- and turns them into throughput:
 
 * :mod:`repro.service.cache` -- a content-addressed on-disk fixpoint
   cache (structural program digest x ``AnalysisConfig.cache_key()``),
-  with rehydration so loaded terms are pool-canonical again;
+  whose loaded terms are pool-canonical by construction;
 * :mod:`repro.service.batch` -- ``run_batch``: fan a grid of
   ``(program, config)`` jobs across a spawn-safe ``multiprocessing``
   pool, consulting the cache before dispatch and emitting a

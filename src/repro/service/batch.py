@@ -12,11 +12,11 @@ orchestration:
   The default start method is ``spawn`` -- the strictest one (nothing
   inherited), and the only one available everywhere -- so anything that
   works here works under ``fork`` too.
-* **Rehydrated on receipt.**  Workers return frozen fixed points
-  (``frozenset``\\ s and PMaps) through pickle; the parent canonicalizes
-  them with :func:`repro.util.intern.rehydrate` before they meet any
-  locally parsed term (the fork/pickle hazard documented in
-  :mod:`repro.util.intern`).
+* **Canonical on receipt.**  Workers return frozen fixed points
+  (``frozenset``\\ s and PMaps) through pickle; unpickling rebuilds
+  every syntax node through its interning constructor, so the terms in
+  a received fixed point *are* the parent's locally parsed ones
+  (:mod:`repro.util.intern`, "canonical at birth").
 * **Cache first.**  With a :class:`~repro.service.cache.FixpointCache`
   attached, every job's content address is consulted before dispatch
   (:func:`repro.service.jobs.probe`); only misses reach the pool, and
@@ -82,7 +82,6 @@ from repro.service.jobs import (  # noqa: F401  (re-exported batch surface)
     resolve_program,
     run_cold,
 )
-from repro.util.intern import rehydrate
 
 #: The pool engages only when the probe-predicted serial cost of the
 #: remaining jobs clears this bar.  Spawning a worker costs a few
@@ -206,8 +205,7 @@ def run_batch(
     ``min_pool_seconds`` of remaining serial work do worker processes
     spawn (``start_method`` defaults to the spawn-safe strictest
     choice).  ``workers <= 1`` always runs misses inline, which skips
-    pickling entirely (one process, one intern pool -- nothing to
-    rehydrate).  ``cache`` or ``cache_dir`` attaches a fixpoint cache;
+    pickling entirely.  ``cache`` or ``cache_dir`` attaches a fixpoint cache;
     ``use_cache=False`` keeps a configured cache cold (the CLI's
     ``--no-cache``).
 
@@ -295,7 +293,7 @@ def run_batch(
                         for index, payload in packed:
                             try:
                                 raw = zlib.decompress(payload["object_blob"])
-                                fp = rehydrate(pickle.loads(raw)["fp"])
+                                fp = pickle.loads(raw)["fp"]
                             except Exception:
                                 # damaged transport for one job: fall
                                 # back for that job alone

@@ -17,13 +17,12 @@ The index is rendered with sorted keys and stable value types so two
 caches that saw the same traffic diff cleanly (the same property the
 batch reports have, via :mod:`repro.analysis.report`).
 
-Loading is more than unpickling: pickled terms arrive in a fresh process
-as non-canonical object graphs (the fork/pickle hazard documented in
-:mod:`repro.util.intern`), so :meth:`FixpointCache.get` rehydrates every
-load through :func:`repro.util.intern.rehydrate` -- after which
-``@hash_consed`` identity-fast equality holds against locally parsed
-programs again.  ``hit``/``miss``/``evict``/``store`` counts are kept
-per instance (:meth:`FixpointCache.stats`) and per entry (in the index).
+Loading is plain unpickling: syntax nodes are rebuilt through their
+interning constructors (:mod:`repro.util.intern`, "canonical at
+birth"), so a loaded term *is* the locally parsed one and identity-fast
+equality holds against it with no canonicalizing pass.
+``hit``/``miss``/``evict``/``store`` counts are kept per instance
+(:meth:`FixpointCache.stats`) and per entry (in the index).
 """
 
 from __future__ import annotations
@@ -42,16 +41,16 @@ from repro.analysis.report import render_json
 from repro.config import AnalysisConfig
 from repro.core.fixpoint import WarmStart
 from repro.obs.metrics import default_registry
-from repro.util.intern import decompose, rehydrate
+from repro.util.intern import decompose
 
 #: Bump when the pickle payload layout changes; mismatched entries are
 #: treated as misses (and evicted) instead of being misread.
 PAYLOAD_SCHEMA = 1
 
 #: Recursion headroom for (un)pickling fixed points.  ``pickle`` recurses
-#: once per nesting level and the ``@hash_consed`` ``__getstate__`` hook
-#: adds a Python frame per node, so a chain-shaped program of depth ``d``
-#: needs roughly ``3d`` frames -- far past the interpreter default of
+#: once per nesting level and the hash-consed ``__reduce__`` hook adds a
+#: Python frame per node, so a chain-shaped program of depth ``d`` needs
+#: roughly ``3d`` frames -- far past the interpreter default of
 #: 1000 for the corpus generator families.  20k supports chains several
 #: thousand calls deep while staying well inside an 8 MiB thread stack.
 DEEP_RECURSION_LIMIT = 20_000
@@ -92,7 +91,7 @@ def program_digest(program: Any) -> str:
     identity -- so the same source parsed in any process, any session,
     digests identically (pinned by the cache tests).  Structure comes
     from the shared :func:`repro.util.intern.decompose`, so digesting
-    can never diverge from rehydration or the warm-start subterm checks;
+    can never diverge from the warm-start subterm checks;
     order-free containers (frozensets; dict/PMap key-value pairs) digest
     order-independently.  Computed iteratively post-order with an
     identity memo: interned sharing makes it O(distinct subterms) and
@@ -151,7 +150,7 @@ def cache_key(program: Any, config: AnalysisConfig) -> str:
 
 @dataclass
 class CachedFixpoint:
-    """One loaded (and rehydrated) cache entry.
+    """One loaded cache entry.
 
     ``program`` is the term the entry was computed from (stored in the
     records sidecar): the donor-eligibility check in
@@ -296,7 +295,7 @@ class FixpointCache:
     def get(
         self, program: Any, config: AnalysisConfig, with_records: bool = True
     ) -> CachedFixpoint | None:
-        """Load the entry for ``(program, config)``, rehydrated, or ``None``."""
+        """Load the entry for ``(program, config)``, or ``None``."""
         key = cache_key(program, config)
         return self.get_key(key, with_records=with_records)
 
@@ -307,7 +306,7 @@ class FixpointCache:
 
         ``with_records=False`` skips the warm-start sidecar: callers that
         only need the fixed point (the batch runner's hit path) avoid
-        unpickling and rehydrating the per-configuration records, which
+        unpickling the per-configuration records, which
         usually outweigh the fixed point.  ``count=False`` keeps the
         hit/recency bookkeeping untouched (donor *probes*, which may be
         rejected, must not read as answered queries).  Hits touch nothing
@@ -351,9 +350,7 @@ class FixpointCache:
                 meta["has_records"] = False
             records = sidecar.get("records")
             program = sidecar.get("program")
-        # one rehydration pass over everything together, so fixed point,
-        # records and program share canonical representatives
-        fp, records, program = rehydrate((payload["fp"], records, program))
+        fp = payload["fp"]
         if count:
             self._count("hits")
             meta["hits"] = meta.get("hits", 0) + 1
@@ -428,7 +425,7 @@ class FixpointCache:
         pickle the exact on-disk shapes (``object_blob`` an encoding of
         ``{"schema": PAYLOAD_SCHEMA, "fp": fp}``, ``records_blob`` of
         the records sidecar) and the parent writes those bytes straight
-        through -- no parent-side unpickle/rehydrate/repickle of the
+        through -- no parent-side unpickle/repickle of the
         records, which usually outweigh the fixed point.  The disk
         format is byte-compatible with :meth:`put`; ``get``/``get_key``
         cannot tell the difference.

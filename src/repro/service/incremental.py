@@ -9,7 +9,7 @@ incremental pipeline over the fixpoint cache:
 
 1. **Digest hit** -- the edited source parses to a term whose structural
    digest is already cached (an identity edit, a revert, a duplicate
-   submission): the fixed point is loaded and rehydrated, zero
+   submission): the fixed point is loaded, zero
    evaluations.
 2. **Warm start** -- the digest is new but the cache holds a
    records-bearing entry for the same configuration (the predecessor's

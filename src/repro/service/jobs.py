@@ -172,7 +172,7 @@ def iter_subvalues(value: Any):
     Language-agnostic: walks whatever the shared
     :func:`repro.util.intern.decompose` recognizes (dataclass fields,
     tuples, sets, mappings), so subterm checks can never diverge from
-    content digesting or rehydration.  Shared (interned) sub-terms are
+    content digesting.  Shared (interned) sub-terms are
     visited once.
     """
     seen: set[int] = set()
@@ -227,12 +227,11 @@ class HotTier:
     """An in-memory LRU of live fixed points: the cache tier above disk.
 
     The resident server's reason to exist: a disk hit still pays open +
-    unpickle + rehydrate per request (~tens of milliseconds on real
-    fixed points), which a warm process should pay once.  Entries map a
-    content address (:func:`repro.service.cache.cache_key`) to the
-    *rehydrated, canonical* fixed point -- the same object every later
-    request under that key receives, so the interned identity fast path
-    holds across requests.
+    unpickle per request (~tens of milliseconds on real fixed points),
+    which a warm process should pay once.  Entries map a content address
+    (:func:`repro.service.cache.cache_key`) to the *loaded* fixed point
+    -- the same object every later request under that key receives, so
+    the interned identity fast path holds across requests.
 
     Eviction is strict LRU over ``max_entries``.  Eviction can never
     serve anything stale: an evicted key simply falls through to the

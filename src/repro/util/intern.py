@@ -1,61 +1,86 @@
-"""Hash-consing: cached structural hashes and a canonicalizing intern pool.
+"""Hash-consing: memoized structural hashes and canonical-at-birth syntax.
 
 The fixed-point engines spend their lives hashing machine configurations
 into ``seen``/``queued`` sets and dependency maps.  Configurations are
 tuples of frozen dataclasses (syntax nodes, environments, contexts), and
 a dataclass-generated ``__hash__`` rehashes the whole subtree on every
 call -- an O(term) cost paid millions of times on values that never
-change.  Two complementary remedies live here:
+change.  Two class decorators live here:
 
-* :func:`hash_consed` -- a class decorator for frozen dataclasses that
-  memoizes the structural hash on the instance (computed once, then an
-  attribute read) and short-circuits ``__eq__`` on object identity.
-  Nested decorated values make a parent's *first* hash O(children)
-  instead of O(subtree), and every later hash O(1).
+* :func:`hash_consed` -- for machine values (states, frames, closures,
+  contexts, addresses).  The structural hash is computed once, at
+  construction, and stored on the instance, so ``__hash__`` is an
+  attribute read; ``__eq__`` short-circuits on object identity and
+  falls back to structural equality.
 
-* :func:`intern` -- a global pool mapping each value to a canonical
-  representative, in the tradition of Lisp symbol interning and
-  hash-consed term representations.  The parsers intern every node they
-  build, so structurally equal subterms are pointer-equal and the
-  ``self is other`` fast path in ``__eq__`` fires throughout the
-  analyses (k-CFA contexts, for instance, are tuples *of the call terms
-  themselves*).
+* :func:`interned` -- for syntax nodes (``lam``, ``cps`` and ``fj``
+  ``syntax.py``).  On top of the memoized hash, the constructor *is* the
+  intern pool: it looks the node up by ``(class, *field values)`` and
+  returns the canonical node, in the tradition of Lisp symbol interning
+  and Filliatre & Conchon's "Type-Safe Modular Hash-Consing" (ML Workshop
+  2006).  Structurally equal subterms are therefore pointer-equal from
+  the moment they exist, and the ``self is other`` fast path in
+  ``__eq__`` fires throughout the analyses (k-CFA contexts, for
+  instance, are tuples *of the call terms themselves*).
 
 Both are semantics-free: hashing and equality remain structural, only
-their cost changes, which the interned-vs-plain equivalence tests pin
-down across all three languages.
+their cost changes, which ``tests/test_engines.py::TestInternedVsPlain``
+pins down across all three languages.
 
-## The fork/pickle hazard (and :func:`rehydrate`)
+## Canonical at birth
 
-The pool is per-process state.  A term pickled in one process and
-unpickled in another (a ``multiprocessing`` worker handing back an
-analysis result, a fixpoint cache loading yesterday's run) arrives as a
-*fresh object graph*: structurally equal to the locally parsed term --
-``__getstate__`` drops the memoized hash, so hashing and ``==`` stay
-correct under per-process hash randomization -- but **not pointer-equal
-to the pool's canonical representative**.  Nothing breaks loudly.  What
-breaks silently is the identity fast path: every ``__eq__`` between the
-unpickled term and a locally interned one falls back to a full
-structural descent, which on chain-shaped terms is the exact O(term)
-(and deep-recursion) cost this module exists to avoid, paid once per
-set/dict probe.  :func:`rehydrate` repairs this: it canonicalizes an
-unpickled value graph bottom-up through :func:`intern`, so every
-hash-consed node in it *is* the pool representative again.  The
-regression tests (``tests/test_intern.py``, spawn-based cross-process
-tests in ``tests/test_service_spawn.py``) pin both the hazard and the
-repair.
+No syntax node is ever built outside the pool.  Parsers, the corpus
+generators, the imp lowering and every syntax transformation construct
+nodes the ordinary way and get the canonical node back; there is no
+canonicalizing pass afterwards.  The copying protocols go through the
+same constructor: ``__reduce__`` returns ``(cls, field values)``, so an
+unpickled node -- a batch worker's result, a fixpoint loaded from the
+disk cache, a payload from another machine -- *is* the pool's node in
+the unpickling process, and its hash memo is recomputed there (string
+hashes are randomized per process, so a memo must never travel in a
+pickle).  ``dataclasses.replace`` and keyword construction bind their
+arguments to field order first; ``copy.copy``/``copy.deepcopy`` return
+the node itself, as for any immutable value.
+
+Machine values are deliberately **not** pooled.  A pool holds its values
+for the life of the process, and an analysis visits states by the
+hundred thousand: a prototype that pooled every hash-consed class kept
+every concrete-witness and abstract state alive and doubled perfbench
+``analyze``'s peak RSS (40.7 to 85.7 MB).  A weak-value pool kept the
+memory down but gave back most of the speed.  Syntax is small, finite
+per program and live for the whole run anyway, so pooling it is free.
+
+## Pool lifecycle
+
+The pools hold **strong references for the life of the process** --
+right for batch analyses over a fixed corpus, not for a service that
+parses unboundedly many distinct programs.  Such a host calls
+:func:`clear_intern_pool` (or :func:`maybe_clear_intern_pool`) between
+workloads and watches growth through :func:`intern_stats`.  Clearing is
+always safe: a node built after a clear is not pointer-equal to its
+structural twin built before it, but equality and hashing stay
+structural (``__eq__`` only short-circuits on identity, it never
+requires it), so mixed pre-/post-clear values compare and hash
+correctly, just without the identity fast path across the boundary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import threading
-from typing import Any, TypeVar
-
-T = TypeVar("T")
+from typing import Any
 
 #: Attribute under which a memoized hash is stashed on the instance.
 _HASH_SLOT = "_hc_hash"
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _hash(self: Any) -> int:
+    return self._hc_hash
 
 
 def hash_consed(cls: type) -> type:
@@ -77,10 +102,11 @@ def hash_consed(cls: type) -> type:
     hashing only ever recurses one level (the children's hashes are
     already memoized), where a first lazy hash of a deep term would
     recurse through the whole subtree and can blow the interpreter's
-    recursion limit on chain-shaped programs.
+    recursion limit on chain-shaped programs.  Unpickling goes back
+    through the constructor (``__reduce__``), so every instance carries
+    its memo and ``__hash__`` never has to look for it.
     """
     structural_hash = cls.__hash__
-    structural_eq = cls.__eq__
     structural_init = cls.__init__
     if structural_hash is None:  # pragma: no cover - decorator misuse
         raise TypeError(f"{cls.__name__} is unhashable; hash_consed needs frozen=True")
@@ -89,41 +115,40 @@ def hash_consed(cls: type) -> type:
         structural_init(self, *args, **kwargs)
         object.__setattr__(self, _HASH_SLOT, structural_hash(self))
 
-    def __hash__(self: Any) -> int:
-        try:
-            return object.__getattribute__(self, _HASH_SLOT)
-        except AttributeError:  # unpickled pre-memo instance: re-memoize
-            h = structural_hash(self)
-            object.__setattr__(self, _HASH_SLOT, h)
-            return h
+    cls.__init__ = __init__
+    _install_shared_methods(cls)
+    return cls
+
+
+def _install_shared_methods(cls: type) -> None:
+    """What both decorators share: memo hash, identity-first eq, pickling.
+
+    ``__reduce__`` sends a value back through its constructor, field
+    values only, so the memo never travels in a pickle and unpickling
+    recomputes it under the loading process's string-hash seed.
+    """
+    structural_eq = cls.__eq__
+    names = _field_names(cls)
 
     def __eq__(self: Any, other: Any) -> Any:
         if self is other:
             return True
         return structural_eq(self, other)
 
-    def __getstate__(self: Any) -> dict:
-        # Python randomizes string hashes per process, so a pickled memo
-        # would be stale in the unpickling process; drop it and let the
-        # lazy fallback in __hash__ re-memoize there.
-        state = dict(self.__dict__)
-        state.pop(_HASH_SLOT, None)
-        return state
+    def __reduce__(self: Any) -> tuple:
+        return cls, tuple(getattr(self, name) for name in names)
 
-    cls.__init__ = __init__
-    cls.__hash__ = __hash__
+    cls.__hash__ = _hash
     cls.__eq__ = __eq__
-    cls.__getstate__ = __getstate__
-    cls.__hash_consed__ = True
-    return cls
+    cls.__reduce__ = __reduce__
 
 
-#: The global intern pool: value -> its canonical representative.
-_POOL: dict = {}
+#: One pool per :func:`interned` class: field-value tuple -> canonical node.
+_POOLS: list[dict] = []
 
 #: Serializes pool growth.  Only misses take it: the server's worker
-#: threads may intern equal values at once, and two unlocked misses
-#: would each install their own "canonical" object.
+#: threads may build equal nodes at once, and two unlocked misses would
+#: each install their own "canonical" node.
 _POOL_LOCK = threading.Lock()
 
 #: Cumulative pool statistics (survive :func:`clear_intern_pool`).
@@ -131,72 +156,99 @@ _HITS = 0
 _MISSES = 0
 
 
-def intern(value: T) -> T:
-    """Return the canonical representative of ``value``.
+def interned(cls: type) -> type:
+    """Class decorator: build every instance through the intern pool.
 
-    The first structurally distinct value wins and is handed back for
-    every later equal value, so ``intern(x) is intern(y)`` exactly when
-    ``x == y``.  Values of different types never compare equal, so one
-    pool serves every interned class.
+    Apply *above* ``@dataclass(frozen=True)``, like :func:`hash_consed`.
+    ``cls(...)`` binds its arguments to the field values and looks them
+    up in the class's pool; a hit returns the canonical node, so
+    ``cls(*fields) is cls(*fields)``.  Only a miss allocates: it takes
+    the pool lock, re-checks (another thread may have installed an equal
+    node since the unlocked lookup), sets the fields and the hash memo,
+    and installs the node.  A miss is exactly one pool growth; every
+    other construction is a hit.
 
-    Pool lifecycle: the pool holds **strong references for the life of
-    the process** -- an unbounded global dict, which is the right trade
-    for batch analyses over a fixed corpus (canonical terms are live for
-    the whole run anyway), but not for a long-running service.  A host
-    that parses unboundedly many distinct programs should call
-    :func:`clear_intern_pool` between independent workloads and can
-    watch growth through :func:`intern_stats`.  Clearing is always safe:
-    it only forgets which representative is canonical, so values interned
-    *after* a clear stop being pointer-equal to values interned before
-    it -- but equality stays structural (``@hash_consed`` only
-    short-circuits ``__eq__`` on identity, it never requires it), so
-    mixed pre-/post-clear values still compare and hash correctly, just
-    without the identity fast path across the boundary.
+    The memo is ``hash(field values)``, which is what the dataclass's
+    structural ``__hash__`` computes.  Decorated classes are final: a
+    subclass would share, and poison, its parent's pool.
     """
-    global _HITS, _MISSES
-    try:
-        canonical = _POOL[value]
-    except KeyError:
-        with _POOL_LOCK:
-            # re-check: another thread may have installed an equal value
-            # since the lookup above (a miss is exactly one pool growth;
-            # re-interning the canonical object itself must count as a
-            # hit, which a setdefault identity test would get wrong)
-            if value not in _POOL:
-                _POOL[value] = value
-                _MISSES += 1
-                return value
-            canonical = _POOL[value]
-    _HITS += 1
-    return canonical
+    names = _field_names(cls)
+    arity = len(names)
+    signature = inspect.signature(cls.__init__)
+    pool: dict = {}
+    _POOLS.append(pool)
+    allocate = object.__new__
+    set_field = object.__setattr__
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        bound = signature.bind(None, *args, **kwargs)
+        bound.apply_defaults()
+        return tuple(bound.arguments.values())[1:]
+
+    def __new__(klass: type, *args: Any, **kwargs: Any) -> Any:
+        global _HITS, _MISSES
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        node = pool.get(args)
+        if node is None:
+            with _POOL_LOCK:
+                node = pool.get(args)
+                if node is None:
+                    node = allocate(klass)
+                    for name, value in zip(names, args):
+                        set_field(node, name, value)
+                    set_field(node, _HASH_SLOT, hash(args))
+                    pool[args] = node
+                    _MISSES += 1
+                    return node
+        _HITS += 1
+        return node
+
+    def __copy__(self: Any) -> Any:
+        return self
+
+    def __deepcopy__(self: Any, memo: dict) -> Any:
+        return self
+
+    cls.__new__ = __new__
+    # the fields are set by __new__; object.__init__ accepts (and ignores)
+    # the constructor arguments because __new__ is overridden
+    del cls.__init__
+    cls.__copy__ = __copy__
+    cls.__deepcopy__ = __deepcopy__
+    _install_shared_methods(cls)
+    return cls
 
 
 def intern_pool_size() -> int:
-    """How many canonical values the pool currently holds (for tests/stats)."""
-    return len(_POOL)
+    """How many canonical nodes the pools currently hold (for tests/stats)."""
+    return sum(len(pool) for pool in _POOLS)
 
 
 def intern_stats() -> dict:
     """Pool observability for long-running hosts.
 
     Returns ``{"size", "hits", "misses"}``: the current number of
-    canonical values, and the cumulative number of :func:`intern` calls
-    that found an existing representative (``hits``) versus installed a
-    new one (``misses``, which is also the pool's total historical
-    growth).  Hits and misses accumulate across
-    :func:`clear_intern_pool` calls, so a service can track interning
-    traffic over its whole life while bounding the pool itself.
+    canonical nodes, and the cumulative number of :func:`interned`
+    constructions the pool answered with an existing node (``hits``)
+    versus answered by installing a new one (``misses``, which is also
+    the pools' total historical growth).  Misses are counted under the
+    pool lock and are exact; hits are counted on the lock-free path and
+    may undercount while threads construct nodes concurrently.  Hits
+    and misses accumulate
+    across :func:`clear_intern_pool` calls, so a service can track
+    interning traffic over its whole life while bounding the pool itself.
     """
-    return {"size": len(_POOL), "hits": _HITS, "misses": _MISSES}
+    return {"size": intern_pool_size(), "hits": _HITS, "misses": _MISSES}
 
 
 def register_metrics(registry: Any) -> None:
     """Expose the pool to a metrics registry as pull gauges.
 
-    Callback gauges, not pushed counters: :func:`intern` is the hottest
-    call in the whole system (every parsed node goes through it), so the
-    pool must never pay a per-call metrics cost.  The registry reads the
-    module counters at snapshot/scrape time instead.
+    Callback gauges, not pushed counters: every syntax-node construction
+    goes through the pool, so it must never pay a per-call metrics cost.
+    The registry reads the module counters at snapshot/scrape time
+    instead.
     """
     registry.gauge("intern_pool_size", callback=intern_pool_size)
     registry.gauge("intern_pool_hits", callback=lambda: _HITS)
@@ -204,18 +256,20 @@ def register_metrics(registry: Any) -> None:
 
 
 def clear_intern_pool() -> None:
-    """Drop every canonical value (bounding pool growth in long-lived hosts).
+    """Drop every canonical node (bounding pool growth in long-lived hosts).
 
-    Safe at any point between workloads: existing values keep their
+    Safe at any point between workloads: existing nodes keep their
     memoized hashes and structural equality; only cross-boundary
-    pointer-equality (the ``__eq__`` identity fast path between a value
-    interned before the clear and one interned after) is lost.
+    pointer-equality (the ``__eq__`` identity fast path between a node
+    built before the clear and one built after) is lost.
     """
-    _POOL.clear()
+    with _POOL_LOCK:
+        for pool in _POOLS:
+            pool.clear()
 
 
 def maybe_clear_intern_pool(limit: int | None) -> bool:
-    """Clear the pool iff it holds more than ``limit`` canonical values.
+    """Clear the pool iff it holds more than ``limit`` canonical nodes.
 
     The lifecycle hook for resident hosts (the analysis server): the pool
     grows monotonically with every distinct program a long-lived process
@@ -227,14 +281,14 @@ def maybe_clear_intern_pool(limit: int | None) -> bool:
     path, the whole point of the hot tier, would not).  ``limit`` of
     ``None`` or ``0`` means unbounded: never clear.
     """
-    if not limit or len(_POOL) <= limit:
+    if not limit or intern_pool_size() <= limit:
         return False
-    _POOL.clear()
+    clear_intern_pool()
     return True
 
 
 # ---------------------------------------------------------------------------
-# Rehydration: canonicalizing unpickled value graphs
+# Structural decomposition (content addressing, warm-start gating)
 # ---------------------------------------------------------------------------
 
 def decompose(value: Any) -> tuple[str | None, list]:
@@ -249,10 +303,10 @@ def decompose(value: Any) -> tuple[str | None, list]:
     with :mod:`repro.util.pcollections`.
 
     This is the **one** decomposition every structural walk in the code
-    base shares -- :func:`rehydrate` here, the cache's
-    ``program_digest``, and the warm-start layer's subterm/edit-distance
-    checks -- so a new container shape in a syntax node cannot silently
-    desynchronize content addressing, rehydration, and donor gating.
+    base shares -- the cache's ``program_digest`` and the warm-start
+    layer's subterm/edit-distance checks -- so a new container shape in a
+    syntax node cannot silently desynchronize content addressing and
+    donor gating.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return "dataclass", [
@@ -270,70 +324,3 @@ def decompose(value: Any) -> tuple[str | None, list]:
     if hasattr(value, "items_sorted") and hasattr(value, "to_dict"):  # PMap
         return "pmap", [x for kv in value.to_dict().items() for x in kv]
     return None, []
-
-
-def _rebuild(value: Any, kind: str, children: list, originals: list) -> Any:
-    """Reassemble ``value`` from canonicalized ``children``.
-
-    When no child changed, the original object is kept (no copy); either
-    way a hash-consed dataclass is passed through :func:`intern` so the
-    result is the pool's canonical representative.
-    """
-    unchanged = all(a is b for a, b in zip(children, originals))
-    if kind == "dataclass":
-        built = value if unchanged else type(value)(*children)
-        if getattr(type(value), "__hash_consed__", False):
-            return intern(built)
-        return built
-    if unchanged:
-        return value
-    if kind == "tuple":
-        return tuple(children)
-    if kind == "frozenset":
-        return frozenset(children)
-    if kind == "list":
-        return children
-    if kind == "dict":
-        return dict(zip(children[0::2], children[1::2]))
-    # pmap: rebuild through the class of the original, keeping PMap out
-    # of this module's imports
-    return type(value)(dict(zip(children[0::2], children[1::2])))
-
-
-def rehydrate(value: T) -> T:
-    """Canonicalize an unpickled value graph through the intern pool.
-
-    Rebuilds ``value`` bottom-up -- tuples, frozensets, lists, dicts,
-    ``PMap``\\ s and (frozen) dataclasses -- interning every
-    :func:`hash_consed` node, so the result's terms are pointer-equal to
-    the pool's representatives and the ``__eq__`` identity fast path
-    fires against locally parsed programs again (see the module
-    docstring's fork/pickle hazard).  Structure the walk does not
-    recognize (plain objects, enums, atoms) passes through untouched.
-
-    The traversal is iterative with an explicit stack: unpickled fixed
-    points contain chain-shaped terms whose depth would otherwise race
-    the interpreter's recursion limit.  Shared sub-graphs are memoized by
-    object identity, so rehydrating a fixed point is O(distinct nodes).
-    """
-    memo: dict[int, Any] = {}
-    stack: list[tuple[Any, bool]] = [(value, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in memo:
-            continue
-        kind, children = decompose(node)
-        if kind is None:
-            memo[key] = node
-            continue
-        if expanded:
-            memo[key] = _rebuild(
-                node, kind, [memo[id(child)] for child in children], children
-            )
-        else:
-            stack.append((node, True))
-            for child in children:
-                if id(child) not in memo:
-                    stack.append((child, False))
-    return memo[id(value)]

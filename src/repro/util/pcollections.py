@@ -47,7 +47,12 @@ class PMap(Mapping[K, V]):
     __slots__ = ("_d", "_hash")
 
     def __init__(self, entries: Mapping[K, V] | Iterable[Tuple[K, V]] = ()):
-        self._d: dict[K, V] = dict(entries)
+        # copying another PMap's backing dict reuses its stored key
+        # hashes; dict(a_pmap) would take the Mapping protocol instead,
+        # one Python __getitem__ call and one rehash per key
+        self._d: dict[K, V] = (
+            entries._d.copy() if type(entries) is PMap else dict(entries)
+        )
         self._hash: int | None = None
 
     # -- Mapping protocol -------------------------------------------------

@@ -11,27 +11,26 @@ parent-side tests.
 
 import pickle
 
-from repro.util.intern import intern_pool_size, rehydrate
+from repro.util.intern import intern_pool_size
 from repro.util.pcollections import PMap, pmap
 
 
 def probe_term_identity(payload: bytes, source: str) -> dict:
     """Unpickle a CPS term in a fresh process and compare with a local parse.
 
-    Documents the fork/pickle hazard: the unpickled term is structurally
-    equal to the freshly parsed one but *not* the pool's canonical
-    object -- until :func:`repro.util.intern.rehydrate` maps it there.
+    Pins "canonical at birth" across the process boundary: unpickling
+    rebuilds every node through its interning constructor, so the
+    unpickled term *is* the child pool's node for the same source, and
+    its hash memo was computed in this process.
     """
     from repro.cps.parser import parse_program
 
     unpickled = pickle.loads(payload)
     parsed = parse_program(source)
-    rehydrated = rehydrate(unpickled)
     return {
         "equal": unpickled == parsed,
         "hash_equal": hash(unpickled) == hash(parsed),
-        "identical_before_rehydrate": unpickled is parsed,
-        "identical_after_rehydrate": rehydrated is parsed,
+        "identical": unpickled is parsed,
         "pool_size": intern_pool_size(),
     }
 
@@ -79,9 +78,37 @@ def probe_frozen_store(payload: bytes, chain_length: int, preset_name: str) -> d
     local_store = local.fp[1] if config.shared else local.store_like.lattice().join_all(
         store for _pair, store in local.fp
     )
-    rehydrated = rehydrate(unpickled)
     return {
         "equal": unpickled == local_store,
         "hash_equal": hash(unpickled) == hash(local_store),
-        "rehydrated_equal": rehydrated == local_store,
     }
+
+
+CESK_SOURCE = "(let ((id (lambda (x) x))) (id (lambda (y) y)))"
+
+
+def cesk_state():
+    """A CESK machine state with string-keyed parts (term, env, address)."""
+    from repro.cesk.machine import PState, inject
+    from repro.lam.parser import parse_expr
+
+    start = inject(parse_expr(CESK_SOURCE))
+    return PState(start.ctrl.body, start.env.set("id", ("id", "site")), start.ka)
+
+
+def probe_cesk_state_hash() -> None:
+    """Read a pickled CESK state on stdin; print how it compares locally.
+
+    Run as ``python -c`` in a child with its own ``PYTHONHASHSEED``.
+    """
+    import json
+    import sys
+
+    unpickled = pickle.loads(sys.stdin.buffer.read())
+    fresh = cesk_state()
+    print(json.dumps({
+        "equal": unpickled == fresh,
+        "hash_equal": hash(unpickled) == hash(fresh),
+        "usable_as_key": {unpickled: 1}.get(fresh) == 1,
+        "same_term": unpickled.ctrl is fresh.ctrl,
+    }))

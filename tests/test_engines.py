@@ -10,8 +10,6 @@ configurations, the global store's flow tables, and hence every derived
 metric -- across all three languages and context depths.
 """
 
-import dataclasses
-
 import pytest
 
 from config_helpers import run_config
@@ -23,6 +21,7 @@ from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
 from repro.corpus.cps_programs import id_chain
 from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
 from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
+from repro.util.intern import clear_intern_pool
 
 CPS_NAMES = sorted(CPS_PROGRAMS)
 LAM_NAMES = sorted(LAM_PROGRAMS)
@@ -225,55 +224,65 @@ class TestStoreImplEquivalence:
         assert fast.fp == kleene.fp
 
 
-def _uninterned(value):
-    """A structurally equal, pointer-fresh rebuild of a whole syntax tree."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _uninterned(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return type(value)(**fields)
-    if isinstance(value, tuple):
-        return tuple(_uninterned(item) for item in value)
-    return value
+def _parsed_after_clear(parse, source):
+    """Parse ``source`` into a freshly cleared intern pool.
+
+    The result is structurally equal to every earlier parse of the same
+    source but shares no node with it: the pool that made those
+    canonical is gone.
+    """
+    clear_intern_pool()
+    return parse(source)
 
 
 class TestInternedVsPlain:
     """Hash-consing is invisible to the analyses.
 
-    An interned (parser-canonicalized) program and a pointer-fresh
-    rebuild of the same tree are structurally equal, so every analysis
-    must produce equal fixed points for the two -- across languages and
-    engines.  This pins down that the cached-hash/identity-eq layer
-    changed only the cost of hashing, never its meaning.
+    A program parsed before :func:`clear_intern_pool` and the same
+    source parsed after it are structurally equal but not identical, so
+    every analysis must produce equal fixed points for the two -- across
+    languages and engines.  This pins down that node identity is only a
+    fast path: the cached-hash/identity-eq layer changed the cost of
+    hashing and equality, never their meaning.
     """
 
     @pytest.mark.parametrize("name", CPS_NAMES)
     def test_cps_corpus(self, name):
+        from repro.cps.parser import parse_program
+        from repro.cps.syntax import pp
+
         program = CPS_PROGRAMS[name]
-        plain = _uninterned(program)
-        assert plain == program and plain is not program
+        after = _parsed_after_clear(parse_program, pp(program))
+        assert after == program and after is not program
         for engine in ENGINES:
-            interned_result = run_config("cps", program, k=1, engine=engine)
-            plain_result = run_config("cps", plain, k=1, engine=engine)
-            assert interned_result.fp == plain_result.fp, engine
+            before_result = run_config("cps", program, k=1, engine=engine)
+            after_result = run_config("cps", after, k=1, engine=engine)
+            assert before_result.fp == after_result.fp, engine
 
     def test_lam_spot_check(self):
+        from repro.corpus.lam_programs import CHURCH_TWO_TWO
+        from repro.lam.parser import parse_expr
+
         expr = LAM_PROGRAMS["church-two-two"]
-        plain = _uninterned(expr)
+        after = _parsed_after_clear(parse_expr, CHURCH_TWO_TWO)
+        assert after == expr and after is not expr
         for engine in ENGINES:
             assert (
                 run_config("lam", expr, k=1, engine=engine).fp
-                == run_config("lam", plain, k=1, engine=engine).fp
+                == run_config("lam", after, k=1, engine=engine).fp
             ), engine
 
     def test_fj_spot_check(self):
+        from repro.corpus.fj_programs import VISITOR
+        from repro.fj.parser import parse_program
+
         program = FJ_PROGRAMS["visitor"]
-        plain = _uninterned(program)
+        after = _parsed_after_clear(parse_program, VISITOR)
+        assert after == program and after is not program
         for engine in ENGINES:
             assert (
                 run_config("fj", program, k=1, engine=engine).fp
-                == run_config("fj", plain, k=1, engine=engine).fp
+                == run_config("fj", after, k=1, engine=engine).fp
             ), engine
 
 

@@ -1,22 +1,30 @@
 """The hash-consing layer: cached hashes, identity-fast equality, interning.
 
 The contract is that :func:`repro.util.intern.hash_consed` and
-:func:`repro.util.intern.intern` change the *cost* of hashing and
+:func:`repro.util.intern.interned` change the *cost* of hashing and
 equality, never their meaning: structural equality, structural hashes
 and reprs are untouched, which is what lets the layer sit under every
 syntax node, machine state and address without a semantics test
 noticing (the interned-vs-plain equivalence tests in
-``tests/test_engines.py`` check exactly that end to end).
+``tests/test_engines.py`` check exactly that end to end).  On top of
+that, syntax nodes are canonical at birth: every way of building one --
+construction, keywords, ``dataclasses.replace``, copying, unpickling --
+returns the pool's node.
 """
 
+import copy
 import dataclasses
 import pickle
+import sys
+import threading
+
+import pytest
 
 from repro.core.addresses import Binding
 from repro.cps.parser import parse_cexp
 from repro.cps.semantics import PState, inject
-from repro.cps.syntax import Call, Exit, Lam, Ref
-from repro.util.intern import _HASH_SLOT, intern, intern_pool_size
+from repro.cps.syntax import Call, Exit, Lam, Ref, subterms
+from repro.util.intern import _HASH_SLOT, intern_pool_size, intern_stats
 from repro.util.pcollections import pmap
 
 MJ09_SRC = """
@@ -31,7 +39,7 @@ MJ09_SRC = """
 
 
 def rebuild(value):
-    """A structurally equal but pointer-fresh (un-interned) copy."""
+    """Build ``value`` again from scratch, field by field, by keyword."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {
             f.name: rebuild(getattr(value, f.name)) for f in dataclasses.fields(value)
@@ -47,12 +55,11 @@ class TestHashConsed:
         node = Ref("x")
         assert object.__getattribute__(node, _HASH_SLOT) == hash(node)
 
-    def test_hash_and_eq_stay_structural(self):
+    def test_rebuilt_node_is_the_pool_node(self):
         a = Call(Ref("f"), (Ref("x"),))
         b = rebuild(a)
-        assert a is not b
-        assert a == b
-        assert hash(a) == hash(b)
+        assert b is a
+        assert hash(b) == hash(a) == hash((Ref("f"), (Ref("x"),)))
 
     def test_unequal_values_stay_unequal(self):
         assert Ref("x") != Ref("y")
@@ -68,18 +75,22 @@ class TestHashConsed:
 
     def test_pickle_strips_and_recomputes_the_memo(self):
         # string hashes are per-process-randomized, so the memo must not
-        # travel in the pickle; the lazy fallback recomputes it on demand
+        # travel in the pickle; the constructor recomputes it on load
         node = Call(Ref("f"), (Ref("x"),))
         assert _HASH_SLOT.encode() not in pickle.dumps(node)
         clone = pickle.loads(pickle.dumps(node))
-        assert clone == node and hash(clone) == hash(node)
+        assert clone is node and hash(clone) == hash(node)
 
-    def test_hash_recomputed_when_memo_missing(self):
-        # the lazy fallback (e.g. instances materialized without __init__)
+    def test_unpickled_values_carry_their_memo(self):
+        """Unpickling goes through the constructor, so the memo is always
+        there -- for pooled syntax and unpooled machine values alike."""
         node = Ref("zz")
-        expected = hash(node)
-        object.__delattr__(node, _HASH_SLOT)
-        assert hash(node) == expected
+        state = PState(Call(node, ()), pmap({"k": frozenset([node])}))
+        assert _HASH_SLOT.encode() not in pickle.dumps(state)
+        clone = pickle.loads(pickle.dumps(state))
+        assert clone is not state and clone == state
+        assert object.__getattribute__(clone, _HASH_SLOT) == hash(state)
+        assert clone.ctrl is state.ctrl
 
     def test_machine_states_and_addresses_are_cached_too(self):
         state = inject(parse_cexp(MJ09_SRC))
@@ -92,16 +103,16 @@ class TestHashConsed:
         assert state == state
 
 
-class TestIntern:
-    def test_intern_canonicalizes_equal_values(self):
-        a = intern(Call(Ref("g"), (Ref("q"),)))
-        b = intern(rebuild(a))
+class TestCanonicalAtBirth:
+    def test_construction_canonicalizes_equal_values(self):
+        a = Call(Ref("g"), (Ref("q"),))
+        b = Call(Ref("g"), (Ref("q"),))
         assert a is b
 
-    def test_intern_keeps_distinct_values_distinct(self):
-        assert intern(Ref("only-a")) is not intern(Ref("only-b"))
+    def test_distinct_values_stay_distinct(self):
+        assert Ref("only-a") is not Ref("only-b")
 
-    def test_parser_interns_shared_subterms(self):
+    def test_parser_shares_whole_trees(self):
         # the same source parsed twice yields pointer-identical trees
         t1 = parse_cexp(MJ09_SRC)
         t2 = parse_cexp(MJ09_SRC)
@@ -114,13 +125,44 @@ class TestIntern:
 
     def test_pool_grows_monotonically(self):
         before = intern_pool_size()
-        intern(Ref("fresh-pool-entry"))
+        Ref("fresh-pool-entry")
         assert intern_pool_size() >= before
 
+    def test_constructor_argument_errors_stay_type_errors(self):
+        with pytest.raises(TypeError):
+            Ref()
+        with pytest.raises(TypeError):
+            Ref("x", "y")
+        with pytest.raises(TypeError):
+            Ref(name="x")
+
+    def test_keyword_replace_copy_and_pickle_return_the_node(self):
+        """Every way of making a node again hands back the canonical one --
+        on a 600-link chain, with no ``RecursionError``."""
+        from repro.corpus.cps_programs import id_chain
+        from repro.service.cache import ensure_deep_pickle
+
+        deep = id_chain(600)
+        assert Call(fun=deep.fun, args=deep.args) is deep
+        assert Call(deep.fun, args=deep.args) is deep
+        assert dataclasses.replace(deep) is deep
+        assert dataclasses.replace(deep, args=deep.args) is deep
+        assert copy.copy(deep) is deep
+        assert copy.deepcopy(deep) is deep
+        assert copy.deepcopy({"p": [deep]})["p"][0] is deep
+        # pickling a deep term recurses once per level; every service
+        # pickle boundary raises the limit first, as here
+        ensure_deep_pickle()
+        assert pickle.loads(pickle.dumps(deep)) is deep
+
+    def test_replace_with_a_change_is_canonical_too(self):
+        term = Call(Ref("r-f"), (Ref("r-x"),))
+        swapped = dataclasses.replace(term, fun=Ref("r-g"))
+        assert swapped is Call(Ref("r-g"), (Ref("r-x"),))
 
     def test_concurrent_misses_install_one_canonical_value(self):
-        """Two threads interning equal, not-yet-pooled values must get
-        the same canonical object back.
+        """Two threads building equal, not-yet-pooled nodes must get the
+        same canonical object back.
 
         The keys share their hash with a pooled decoy, so every pool
         probe for a key calls the decoy's ``__eq__``.  A key's first
@@ -129,8 +171,6 @@ class TestIntern:
         key has probed too.  Both lookups therefore miss before either
         thread installs -- the race, forced without timing.
         """
-        import threading
-
         probed = {"a": threading.Event(), "b": threading.Event()}
         probes: dict = {}
 
@@ -159,12 +199,12 @@ class TestIntern:
             def __eq__(self, other: object) -> bool:
                 return isinstance(other, Key)
 
-        intern(Decoy())
-        first, second = Key("a"), Key("b")
+        Ref(Decoy())
+        before = intern_stats()
         results: dict = {}
         threads = [
-            threading.Thread(target=lambda k=k: results.__setitem__(k.tag, intern(k)))
-            for k in (first, second)
+            threading.Thread(target=lambda k=k: results.__setitem__(k.tag, Ref(k)))
+            for k in (Key("a"), Key("b"))
         ]
         for thread in threads:
             thread.start()
@@ -172,12 +212,50 @@ class TestIntern:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert results["a"] is results["b"]
+        assert intern_stats()["misses"] == before["misses"] + 1
+
+    def test_eight_threads_building_one_term_get_one_object(self):
+        """Eight threads build the same fresh term at once: every thread
+        gets the same object, and the pool grows by exactly the term's
+        distinct nodes."""
+        links = 40
+
+        def build():
+            term = Ref("race-leaf")
+            for i in range(links):
+                term = Lam((f"race-v{i}",), Call(Ref("race-k"), (term,)))
+            return term
+
+        barrier = threading.Barrier(8)
+        results: list = [None] * 8
+
+        def worker(slot: int) -> None:
+            barrier.wait(timeout=60)
+            results[slot] = build()
+
+        before = intern_stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        after = intern_stats()
+        assert all(result is results[0] for result in results)
+        distinct = {id(node) for node in subterms(results[0])}
+        assert len(distinct) == 2 * links + 2  # per link a Lam and a Call
+        assert after["misses"] - before["misses"] == len(distinct)
 
 
 class TestPoolLifecycle:
     """``intern_stats`` / ``clear_intern_pool``: the pool in long-lived hosts.
 
-    The pool is a global, unbounded, strong-reference dict -- fine for
+    The pool is global, unbounded and holds strong references -- fine for
     batch corpus analyses, unacceptable for a service that parses
     unboundedly many distinct programs.  These tests pin the escape
     hatch: stats expose growth, clearing bounds it, and clearing never
@@ -186,39 +264,33 @@ class TestPoolLifecycle:
     """
 
     def test_intern_stats_shape(self):
-        from repro.util.intern import intern_stats
-
         stats = intern_stats()
         assert set(stats) == {"size", "hits", "misses"}
         assert stats["size"] == intern_pool_size()
 
     def test_stats_count_hits_and_misses(self):
-        from repro.util.intern import intern_stats
-
         before = intern_stats()
-        intern(Ref("stats-miss-probe"))  # new: a miss
-        intern(Ref("stats-miss-probe"))  # equal again: a hit
+        Ref("stats-miss-probe")  # new: a miss
+        Ref("stats-miss-probe")  # equal again: a hit
         after = intern_stats()
-        assert after["misses"] >= before["misses"] + 1
-        assert after["hits"] >= before["hits"] + 1
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
 
-    def test_reinterning_the_canonical_object_is_a_hit(self):
-        """misses == total pool growth: re-canonicalizing the canonical
-        object itself must not count as a miss."""
-        from repro.util.intern import intern_stats
-
-        canonical = intern(Ref("canonical-hit-probe"))
+    def test_rebuilding_the_canonical_object_is_a_hit(self):
+        """misses == total pool growth: building the canonical node again
+        must not count as a miss."""
+        canonical = Ref("canonical-hit-probe")
         before = intern_stats()
-        assert intern(canonical) is canonical
+        assert Ref("canonical-hit-probe") is canonical
         after = intern_stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
         assert after["size"] == before["size"]
 
     def test_clear_empties_the_pool_but_stats_accumulate(self):
-        from repro.util.intern import clear_intern_pool, intern_stats
+        from repro.util.intern import clear_intern_pool
 
-        intern(Ref("clear-probe"))
+        Ref("clear-probe")
         grown = intern_stats()
         assert grown["size"] > 0
         clear_intern_pool()
@@ -231,9 +303,9 @@ class TestPoolLifecycle:
     def test_clear_does_not_break_identity_fast_eq(self):
         from repro.util.intern import clear_intern_pool
 
-        old = intern(Ref("survivor"))
+        old = Ref("survivor")
         clear_intern_pool()
-        new = intern(Ref("survivor"))
+        new = Ref("survivor")
         # canonical representatives diverge across the boundary ...
         assert new is not old
         # ... but equality and hashing stay structural in every mix
@@ -241,7 +313,7 @@ class TestPoolLifecycle:
         assert hash(new) == hash(old)
         assert len({new, old}) == 1
         # and the identity fast path still fires within each epoch
-        assert intern(Ref("survivor")) is new
+        assert Ref("survivor") is new
 
     def test_clear_keeps_memoized_hashes_valid(self):
         from repro.util.intern import clear_intern_pool
@@ -254,61 +326,61 @@ class TestPoolLifecycle:
             "((lambda (x k) (k x)) (lambda (y j) (j y)) (lambda (r) (exit)))"
         )
 
+    def test_fixpoint_runs_do_not_grow_the_pool(self):
+        """Machine values stay out of the pool: once the program is
+        parsed, running its analyses builds no pooled node, whatever
+        the language."""
+        from repro.config import assemble, preset_config
+        from repro.corpus.fj_programs import PROGRAMS as FJ_PROGRAMS
+        from repro.corpus.lam_programs import PROGRAMS as LAM_PROGRAMS
 
-class TestRehydrate:
-    """``rehydrate``: unpickled graphs become pool-canonical again."""
+        cells = [
+            ("cps", parse_cexp(MJ09_SRC)),
+            ("lam", LAM_PROGRAMS["church-two-two"]),
+            ("fj", FJ_PROGRAMS["visitor"]),
+        ]
+        for language, program in cells:
+            for preset in ("0cfa", "1cfa", "1cfa-gc"):
+                analysis = assemble(preset_config(preset, language), program=program)
+                before = intern_stats()
+                analysis.run(program)
+                after = intern_stats()
+                assert after["misses"] == before["misses"], (language, preset)
+                assert after["size"] == before["size"], (language, preset)
 
-    def test_unpickled_term_is_equal_but_not_canonical(self):
-        """The documented hazard, in-process: a pickle round trip yields a
-        distinct object whose every comparison is a full structural walk."""
-        from repro.util.intern import rehydrate
 
-        term = intern(parse_cexp("((lambda (x k) (k x)) (lambda (z j) (j z)) (lambda (r) (exit)))"))
-        copy = pickle.loads(pickle.dumps(term))
-        assert copy == term and hash(copy) == hash(term)
-        assert copy is not term
-        assert rehydrate(copy) is term
+class TestCanonicalCopies:
+    """Pickled terms come back as the pool's nodes, with no extra pass."""
 
-    def test_rehydrate_recurses_through_containers(self):
-        from repro.util.intern import rehydrate
+    def test_unpickled_term_is_canonical(self):
+        term = parse_cexp("((lambda (x k) (k x)) (lambda (z j) (j z)) (lambda (r) (exit)))")
+        clone = pickle.loads(pickle.dumps(term))
+        assert clone is term
 
-        lam = intern(parse_cexp("((lambda (x k) (exit)) (lambda (z j) (exit)) (lambda (r) (exit)))"))
+    def test_unpickled_containers_hold_canonical_terms(self):
+        lam = parse_cexp("((lambda (x k) (exit)) (lambda (z j) (exit)) (lambda (r) (exit)))")
         nest = pickle.loads(
             pickle.dumps((frozenset([lam]), pmap({"k": (lam, [lam])}), {"d": lam}))
         )
-        fs, pm, d = rehydrate(nest)
+        fs, pm, d = nest
         assert next(iter(fs)) is lam
         assert pm["k"][0] is lam and pm["k"][1][0] is lam
         assert d["d"] is lam
 
-    def test_rehydrate_is_deep_safe(self):
-        """Chain-shaped terms far past the *default* recursion limit
-        rehydrate fine: the walk is iterative.  (The pickle round trip
-        itself recurses, which is why every service-layer pickle boundary
-        calls ``ensure_deep_pickle`` first -- as here.)"""
-        from repro.corpus.cps_programs import id_chain
-        from repro.service.cache import ensure_deep_pickle
-        from repro.util.intern import rehydrate
-
-        ensure_deep_pickle()
-        deep = id_chain(600)
-        assert rehydrate(pickle.loads(pickle.dumps(deep))) is deep
-
-    def test_rehydrate_preserves_atoms_and_unknown_objects(self):
-        from repro.util.intern import rehydrate
-
-        opaque = object()
-        assert rehydrate(42) == 42
-        assert rehydrate("x") == "x"
-        assert rehydrate(opaque) is opaque
-
-    def test_rehydrate_shares_across_duplicates(self):
-        """Two structurally equal unpickled copies map to one canonical
-        object."""
-        from repro.util.intern import rehydrate
-
-        term = intern(parse_cexp("((lambda (x k) (exit)) (lambda (z j) (exit)) (lambda (r) (exit)))"))
+    def test_two_unpickled_copies_are_one_node(self):
+        """Two separately pickled copies of a term load as one object."""
+        term = parse_cexp("((lambda (x k) (exit)) (lambda (z j) (exit)) (lambda (r) (exit)))")
         one = pickle.loads(pickle.dumps(term))
         two = pickle.loads(pickle.dumps(term))
-        a, b = rehydrate((one, two))
-        assert a is b is term
+        assert one is two is term
+
+    def test_unpickling_after_a_clear_rebuilds_into_the_new_pool(self):
+        from repro.util.intern import clear_intern_pool
+
+        old = parse_cexp("((lambda (w k) (k w)) (lambda (r) (exit)))")
+        payload = pickle.dumps(old)
+        clear_intern_pool()
+        new = pickle.loads(payload)
+        assert new == old and new is not old
+        assert pickle.loads(payload) is new
+        assert parse_cexp("((lambda (w k) (k w)) (lambda (r) (exit)))") is new

@@ -351,11 +351,17 @@ class TestDigestsAndKeys:
         assert program_digest(id_chain(10)) != program_digest(id_chain_edited(10))
 
     def test_digest_survives_pickling(self):
-        """The digest is structural: a non-interned unpickled copy of the
-        term digests identically to the pool's canonical one."""
+        """An unpickled term is the pool's canonical node, and a copy
+        rebuilt into a cleared pool -- equal but not identical --
+        digests identically: the digest is structural."""
+        from repro.util.intern import clear_intern_pool
+
         term = id_chain(20)
-        copy = pickle.loads(pickle.dumps(term))
-        assert copy is not term
+        payload = pickle.dumps(term)
+        assert pickle.loads(payload) is term
+        clear_intern_pool()
+        copy = pickle.loads(payload)
+        assert copy == term and copy is not term
         assert program_digest(copy) == program_digest(term)
 
     def test_digest_is_deep_safe(self):
@@ -395,11 +401,11 @@ class TestFixpointCache:
             "lifetime": {"hits": 1, "misses": 1, "evictions": 0, "stores": 1},
         }
 
-    def test_rehydrated_loads_are_pool_canonical(self, tmp_path):
+    def test_loads_are_pool_canonical(self, tmp_path):
         """Terms inside a loaded fixed point are the intern pool's
-        canonical representatives -- the identity fast path survives the
-        disk round trip."""
-        from repro.util.intern import intern
+        canonical nodes -- the identity fast path survives the disk
+        round trip."""
+        import dataclasses
 
         cache = FixpointCache(root=tmp_path / "c")
         config = preset_config("1cfa", "cps")
@@ -408,10 +414,9 @@ class TestFixpointCache:
         cache.put(program, config, fp)
         loaded = cache.get(program, config)
         # every control term in the loaded fixed point IS its pool
-        # representative (intern returns the argument only when the
-        # argument is canonical)...
+        # node (rebuilding a node returns the canonical one)...
         for pair, _guts in loaded.fp[0]:
-            assert intern(pair.ctrl) is pair.ctrl
+            assert dataclasses.replace(pair.ctrl) is pair.ctrl
         # ...and in particular the program's own states are pointer-equal
         # to the locally interned program term
         loaded_roots = {pair.ctrl for pair, _guts in loaded.fp[0] if pair.ctrl == program}

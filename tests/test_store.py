@@ -571,6 +571,23 @@ class TestSnapshotRestore:
         assert resumed.get("a") == frozenset([1])
         assert StoreSnapshot.of_mapping(resumed).data == snap.data
 
+    def test_restored_store_never_writes_through(self):
+        """Restore copies the snapshot's backing dicts: growing the live
+        store leaves the snapshot (and its cached hash) untouched."""
+        from repro.core.store import MutableStore, StoreSnapshot, VersionedStore
+        from repro.util.pcollections import pmap
+
+        snap = StoreSnapshot.of_mapping(pmap({"a": frozenset([1])}))
+        before = hash(snap)
+        vs = VersionedStore()
+        resumed = MutableStore.restore(snap)
+        vs.bind(resumed, "a", frozenset([2]))
+        vs.bind(resumed, "b", frozenset([3]))
+        assert snap.data == {"a": frozenset([1])}
+        assert snap.versions == {"a": 1}
+        assert hash(snap) == before
+        assert pmap(snap.data) == snap.data and pmap(snap.data) is not snap.data
+
     def test_snapshots_pickle(self):
         import pickle
 

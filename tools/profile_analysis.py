@@ -36,8 +36,8 @@ configuration re-evaluated dozens of times is a batching failure)::
         --lang cps --workload id-chain-30 --schedule-trace
 
 ``--pickle-cost`` swaps the profiler for a transport-cost measurement:
-run the analysis once, then time pickling, compressing, unpickling and
-rehydrating its frozen fixed point (and report the byte sizes).  These
+run the analysis once, then time pickling, compressing and unpickling
+its frozen fixed point (and report the byte sizes).  These
 are the numbers that ground the batch runner's transport choices
 (PERFORMANCE.md, "The adaptive batch pool")::
 
@@ -95,12 +95,11 @@ def measure_pickle_cost(result, repeat: int) -> dict:
 
     Measures the full round trip the batch pool pays per result:
     ``pickle.dumps`` at the highest protocol, zlib compression at the
-    level the transport uses (1), ``pickle.loads``, and
-    :func:`repro.util.intern.rehydrate` back to canonical terms.  Best
-    of ``repeat`` runs, sizes from the first (they are deterministic).
+    level the transport uses (1), and ``pickle.loads`` (which rebuilds
+    canonical terms through their interning constructors).  Best of
+    ``repeat`` runs, sizes from the first (they are deterministic).
     """
     from repro.service.cache import ensure_deep_pickle
-    from repro.util.intern import rehydrate
 
     ensure_deep_pickle()
     fp = result.fp
@@ -113,15 +112,13 @@ def measure_pickle_cost(result, repeat: int) -> dict:
 
     dumps_s, blob = best(lambda: pickle.dumps(fp, protocol=pickle.HIGHEST_PROTOCOL))
     compress_s, packed = best(lambda: zlib.compress(blob, 1))
-    loads_s, revived = best(lambda: pickle.loads(blob))
-    rehydrate_s, _ = best(lambda: rehydrate(revived))
+    loads_s, _ = best(lambda: pickle.loads(blob))
     return {
         "pickle_bytes": len(blob),
         "compressed_bytes": len(packed),
         "dumps_seconds": dumps_s,
         "compress_seconds": compress_s,
         "loads_seconds": loads_s,
-        "rehydrate_seconds": rehydrate_s,
     }
 
 
@@ -279,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{cost['compressed_bytes']:>10} bytes "
               f"({cost['compressed_bytes'] / max(1, cost['pickle_bytes']):.2%})")
         print(f"  pickle.loads     {cost['loads_seconds'] * 1e3:10.3f} ms")
-        print(f"  rehydrate        {cost['rehydrate_seconds'] * 1e3:10.3f} ms")
-        round_trip = (
-            cost["dumps_seconds"] + cost["loads_seconds"] + cost["rehydrate_seconds"]
-        )
+        round_trip = cost["dumps_seconds"] + cost["loads_seconds"]
         print(f"  round trip       {round_trip * 1e3:10.3f} ms  "
               f"({round_trip / max(run_seconds, 1e-9):.1%} of one analysis run)")
         return 0
