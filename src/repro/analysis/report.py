@@ -142,14 +142,21 @@ def render_json(value: Any) -> str:
     return json.dumps(json_ready(value), indent=2, sort_keys=True) + "\n"
 
 
-def result_summary(result: Any, label: str = "", seconds: float | None = None) -> dict:
+def result_summary(
+    result: Any,
+    label: str = "",
+    seconds: float | None = None,
+    include_flows: bool = True,
+) -> dict:
     """Reduce any analysis result to a deterministic, JSON-ready summary.
 
     Works across the three languages by duck type: CPS/CESK results carry
     ``flows_to``, FJ results ``class_flows``.  Flow sets render as sorted
     term strings; the scalar precision measures come from
     :func:`precision_summary`.  ``seconds`` is optional so golden-output
-    tests can pin the timing-free document.
+    tests can pin the timing-free document.  ``include_flows=False``
+    leaves the ``flows`` table out without rendering it (the precision
+    scalars only need the set sizes); the other keys keep their order.
     """
     flows = (
         result.flows_to() if hasattr(result, "flows_to") else result.class_flows()
@@ -160,12 +167,13 @@ def result_summary(result: Any, label: str = "", seconds: float | None = None) -
         "configs": len(result.configs()),
         "elements": result.num_elements(),
         "store_size": result.store_size(),
-        "flows": {
+    }
+    if include_flows:
+        summary["flows"] = {
             str(var): sorted(stable_address(v) for v in values)
             for var, values in flows.items()
-        },
-        "precision": precision_summary(flows),
-    }
+        }
+    summary["precision"] = precision_summary(flows)
     if seconds is not None:
         summary["seconds"] = round(seconds, 6)
     return summary

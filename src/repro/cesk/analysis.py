@@ -28,11 +28,10 @@ from repro.cesk.machine import (
     KontTag,
     LetF,
     PState,
-    free_vars_cache,
     inject,
 )
 from repro.cesk.semantics import CESKInterface, is_final, mnext_cesk
-from repro.lam.syntax import Expr
+from repro.lam.syntax import Expr, free_vars
 from repro.util.pcollections import PMap
 
 
@@ -86,7 +85,7 @@ class CESKTouching:
         roots: set = {pstate.ka}
         if isinstance(pstate.ctrl, Expr):
             env = pstate.env
-            roots |= {env[v] for v in free_vars_cache(pstate.ctrl) if v in env}
+            roots |= {env[v] for v in free_vars(pstate.ctrl) if v in env}
         elif isinstance(pstate.ctrl, Clo):
             roots |= set(pstate.ctrl.env.values())
         return frozenset(roots)
@@ -98,19 +97,19 @@ class CESKTouching:
             return frozenset()
         if isinstance(value, LetF):
             env = value.env
-            live = free_vars_cache(value.body) - frozenset([value.var])
+            live = free_vars(value.body) - frozenset([value.var])
             return frozenset(env[v] for v in live if v in env) | {value.parent}
         if isinstance(value, FunF):
             env = value.env
             live: set = set()
             for arg in value.args:
-                live |= free_vars_cache(arg)
+                live |= free_vars(arg)
             return frozenset(env[v] for v in live if v in env) | {value.parent}
         if isinstance(value, ArgF):
             env = value.env
             live = set()
             for arg in value.remaining:
-                live |= free_vars_cache(arg)
+                live |= free_vars(arg)
             touched = {env[v] for v in live if v in env} | {value.parent}
             touched |= set(value.fun_val.env.values())
             for done_value in value.done:

@@ -30,9 +30,8 @@ from repro.cesk.machine import (
     LetF,
     PState,
     SiteContext,
-    free_vars_cache,
 )
-from repro.lam.syntax import App, Lam, Let, Var
+from repro.lam.syntax import App, Lam, Let, Var, free_vars
 
 
 def build_cesk_fused(interface: Any) -> FusedTransition:
@@ -42,7 +41,7 @@ def build_cesk_fused(interface: Any) -> FusedTransition:
     store_like = interface.store_like
     fetch = store_like.fetch
     bind = store_like.bind
-    close = make_closer(Clo, free_vars_cache)
+    close = make_closer(Clo, free_vars)
     push = make_pusher(PState, KontTag, valloc, bind)
 
     def apply_proc(out: list, site: App, proc: Clo, arg_values: tuple,

@@ -20,21 +20,6 @@ from typing import Any, Hashable
 from repro.lam.syntax import App, Expr, Lam
 from repro.util.pcollections import PMap, pmap
 
-_FREE_VARS_CACHE: dict = {}
-
-
-def free_vars_cache(expr: Expr) -> frozenset:
-    """Memoized free variables (terms are immutable)."""
-    try:
-        return _FREE_VARS_CACHE[expr]
-    except KeyError:
-        from repro.lam.syntax import free_vars
-
-        result = free_vars(expr)
-        _FREE_VARS_CACHE[expr] = result
-        return result
-
-
 @hash_consed
 @dataclass(frozen=True)
 class Clo:

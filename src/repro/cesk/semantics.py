@@ -24,9 +24,8 @@ from repro.cesk.machine import (
     LetF,
     PState,
     SiteContext,
-    free_vars_cache,
 )
-from repro.lam.syntax import App, Expr, Lam, Let, Var
+from repro.lam.syntax import App, Expr, Lam, Let, Var, free_vars
 from repro.util.pcollections import PMap
 
 
@@ -72,7 +71,7 @@ class CESKInterface(ABC):
 
 def close(lam: Lam, env: PMap) -> Clo:
     """Close a lambda over the free-variable restriction of ``env``."""
-    return Clo(lam, env.restrict(lambda v: v in free_vars_cache(lam)))
+    return Clo(lam, env.restrict(free_vars(lam).__contains__))
 
 
 def mnext_cesk(interface: CESKInterface, pstate: PState) -> Any:

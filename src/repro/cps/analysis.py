@@ -29,8 +29,8 @@ from repro.core.analysis import AnalysisResult, Language
 from repro.core.lattice import AbsNat
 from repro.core.monads import StorePassing
 from repro.core.store import CountingStore, StoreLike
-from repro.cps.semantics import Clo, CPSInterface, PState, free_vars_cache, inject, mnext
-from repro.cps.syntax import AExp, Lam, Ref, Var
+from repro.cps.semantics import Clo, CPSInterface, PState, inject, mnext
+from repro.cps.syntax import AExp, Lam, Ref, Var, free_vars
 from repro.util.pcollections import PMap
 
 
@@ -61,7 +61,7 @@ class AbstractCPSInterface(CPSInterface):
     def _atomic(self, env: PMap, aexp: AExp) -> Any:
         monad: StorePassing = self.monad
         if isinstance(aexp, Lam):
-            captured = env.restrict(lambda v: v in free_vars_cache(aexp))
+            captured = env.restrict(free_vars(aexp).__contains__)
             return monad.unit(Clo(aexp, captured))
         if isinstance(aexp, Ref):
             if aexp.var not in env:
@@ -97,12 +97,12 @@ class CPSTouching:
     def touched_by_state(self, pstate: PState) -> frozenset:
         env = pstate.env
         return frozenset(
-            env[v] for v in free_vars_cache(pstate.ctrl) if v in env
+            env[v] for v in free_vars(pstate.ctrl) if v in env
         )
 
     def touched_by_value(self, value: Clo) -> frozenset:
         env = value.env
-        return frozenset(env[v] for v in free_vars_cache(value.lam) if v in env)
+        return frozenset(env[v] for v in free_vars(value.lam) if v in env)
 
 
 

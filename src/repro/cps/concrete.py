@@ -25,11 +25,10 @@ from repro.cps.semantics import (
     CPSInterface,
     CPSStuck,
     PState,
-    free_vars_cache,
     inject,
     mnext,
 )
-from repro.cps.syntax import AExp, CExp, Lam, Ref, Var
+from repro.cps.syntax import AExp, CExp, Lam, Ref, Var, free_vars
 from repro.util.pcollections import PMap
 
 
@@ -59,7 +58,7 @@ class ConcreteCPSInterface(CPSInterface):
 
     def _atomic(self, env: PMap, aexp: AExp) -> Clo:
         if isinstance(aexp, Lam):
-            captured = env.restrict(lambda v: v in free_vars_cache(aexp))
+            captured = env.restrict(free_vars(aexp).__contains__)
             return Clo(aexp, captured)
         if isinstance(aexp, Ref):
             if aexp.var not in env:

@@ -24,15 +24,15 @@ from typing import Iterable
 
 from repro.core.addresses import Addressable
 from repro.core.store import StoreLike
-from repro.cps.semantics import Clo, PState, free_vars_cache
-from repro.cps.syntax import AExp, Call, Lam, Ref
+from repro.cps.semantics import Clo, PState
+from repro.cps.syntax import AExp, Call, Lam, Ref, free_vars
 from repro.util.pcollections import PMap
 
 
 def atomic_eval(env: PMap, store_like: StoreLike, store, aexp: AExp) -> frozenset:
     """``A(ae, rho, sigma)``: the abstract atomic evaluator of section 2.3."""
     if isinstance(aexp, Lam):
-        captured = env.restrict(lambda v: v in free_vars_cache(aexp))
+        captured = env.restrict(free_vars(aexp).__contains__)
         return frozenset([Clo(aexp, captured)])
     if isinstance(aexp, Ref):
         if aexp.var not in env:

@@ -30,8 +30,8 @@ from repro.core.fused import (
     register_fused,
     thread_bindings,
 )
-from repro.cps.semantics import Clo, PState, free_vars_cache
-from repro.cps.syntax import Call, Lam, Ref
+from repro.cps.semantics import Clo, PState
+from repro.cps.syntax import Call, Lam, Ref, free_vars
 
 
 def build_cps_fused(interface: Any) -> FusedTransition:
@@ -40,7 +40,7 @@ def build_cps_fused(interface: Any) -> FusedTransition:
     advance = interface.addressing.advance
     store_like = interface.store_like
     fetch = store_like.fetch
-    close = make_closer(Clo, free_vars_cache)
+    close = make_closer(Clo, free_vars)
 
     def step(pstate: PState, guts: Any, store: Any) -> list:
         ctrl = pstate.ctrl

@@ -33,7 +33,7 @@ from repro.util.intern import hash_consed
 from typing import Any, Hashable
 
 from repro.core.monads import Monad, MonadPlus, map_m, run_do, sequence_
-from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Var
+from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Var, free_vars
 from repro.util.pcollections import PMap, pmap
 
 
@@ -209,29 +209,12 @@ def mnext_do(interface: CPSInterface, pstate: PState) -> Any:
 def atomic_eval_closure(env: PMap, aexp: AExp) -> Clo | None:
     """The pure part of the atomic evaluator: lambdas close over the environment.
 
-    Variable references need the store and therefore the monad; they
-    return ``None`` here and are handled by each interface.
+    A closure captures only its lambda's *free* variables -- a standard
+    flow-analysis hygiene step that keeps environments minimal, sharpens
+    abstract GC and keeps states small.  Variable references need the
+    store and therefore the monad; they return ``None`` here and are
+    handled by each interface.
     """
     if isinstance(aexp, Lam):
-        return Clo(aexp, env.restrict(lambda v: v in free_vars_cache(aexp)))
+        return Clo(aexp, env.restrict(free_vars(aexp).__contains__))
     return None
-
-
-_FREE_VARS_CACHE: dict = {}
-
-
-def free_vars_cache(term) -> frozenset:
-    """Memoized free-variable sets (terms are immutable, so caching is safe).
-
-    Closures capture only the *free* variables of their lambda -- a
-    standard flow-analysis hygiene step that makes environments minimal,
-    sharpens abstract GC, and keeps states small.
-    """
-    try:
-        return _FREE_VARS_CACHE[term]
-    except KeyError:
-        from repro.cps.syntax import free_vars
-
-        result = free_vars(term)
-        _FREE_VARS_CACHE[term] = result
-        return result

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.util.intern import interned
+from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
 from typing import Iterator, Union
 
 Var = str
@@ -90,19 +90,28 @@ Term = Union[AExp, CExp]
 
 
 def free_vars(term: Term) -> frozenset:
-    """Free variables of an atomic or call expression."""
+    """Free variables of an atomic or call expression (memoized per node)."""
+    return fold_memo(term, FREE_VARS_SLOT, _fv_children, _fv_combine)
+
+
+def _fv_children(term: Term) -> tuple:
+    if isinstance(term, Lam):
+        return (term.body,)
+    if isinstance(term, Call):
+        return (term.fun, *term.args)
+    if isinstance(term, (Ref, Exit)):
+        return ()
+    raise TypeError(f"not a CPS term: {term!r}")
+
+
+def _fv_combine(term: Term, child_vars: list) -> frozenset:
     if isinstance(term, Ref):
         return frozenset([term.var])
     if isinstance(term, Lam):
-        return free_vars(term.body) - frozenset(term.params)
+        return bind_vars(child_vars[0], term.params)
     if isinstance(term, Call):
-        out = free_vars(term.fun)
-        for arg in term.args:
-            out |= free_vars(arg)
-        return out
-    if isinstance(term, Exit):
-        return frozenset()
-    raise TypeError(f"not a CPS term: {term!r}")
+        return union_vars(child_vars)
+    return frozenset()
 
 
 def subterms(term: Term) -> Iterator[Term]:

@@ -31,11 +31,10 @@ from repro.fj.machine import (
     NewArgF,
     ObjV,
     PState,
-    free_vars_cache,
     inject_fj,
 )
 from repro.fj.semantics import FJInterface, is_final_fj, mnext_fj
-from repro.fj.syntax import Expr, Program
+from repro.fj.syntax import Expr, Program, free_vars
 from repro.util.pcollections import PMap
 
 
@@ -86,7 +85,7 @@ class FJTouching:
         roots: set = {pstate.ka}
         if isinstance(pstate.ctrl, Expr):
             env = pstate.env
-            roots |= {env[v] for v in free_vars_cache(pstate.ctrl) if v in env}
+            roots |= {env[v] for v in free_vars(pstate.ctrl) if v in env}
         elif isinstance(pstate.ctrl, ObjV):
             roots |= set(pstate.ctrl.field_addrs)
         return frozenset(roots)
@@ -104,13 +103,13 @@ class FJTouching:
             env = value.env
             live: set = set()
             for arg in value.args:
-                live |= free_vars_cache(arg)
+                live |= free_vars(arg)
             return frozenset(env[v] for v in live if v in env) | {value.parent}
         if isinstance(value, InvokeArgF):
             env = value.env
             live = set()
             for arg in value.remaining:
-                live |= free_vars_cache(arg)
+                live |= free_vars(arg)
             touched = {env[v] for v in live if v in env} | {value.parent}
             touched |= set(value.receiver.field_addrs)
             for done in value.done:
@@ -120,7 +119,7 @@ class FJTouching:
             env = value.env
             live = set()
             for arg in value.remaining:
-                live |= free_vars_cache(arg)
+                live |= free_vars(arg)
             touched = {env[v] for v in live if v in env} | {value.parent}
             for done in value.done:
                 touched |= set(done.field_addrs)

@@ -14,20 +14,8 @@ from dataclasses import dataclass
 from repro.util.intern import hash_consed
 from typing import Any, Hashable
 
-from repro.fj.syntax import Expr, free_vars
+from repro.fj.syntax import Expr
 from repro.util.pcollections import PMap, pmap
-
-_FREE_VARS_CACHE: dict = {}
-
-
-def free_vars_cache(expr: Expr) -> frozenset:
-    try:
-        return _FREE_VARS_CACHE[expr]
-    except KeyError:
-        result = free_vars(expr)
-        _FREE_VARS_CACHE[expr] = result
-        return result
-
 
 @hash_consed
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.intern import interned
+from repro.util.intern import FREE_VARS_SLOT, fold_memo, interned, union_vars
 from typing import Iterator
 
 OBJECT = "Object"
@@ -146,24 +146,26 @@ class Program:
 
 
 def free_vars(expr: Expr) -> frozenset:
-    """Free variables of an FJ expression (``this`` included)."""
+    """Free variables of an FJ expression, ``this`` included (memoized per node)."""
+    return fold_memo(expr, FREE_VARS_SLOT, _fv_children, _fv_combine)
+
+
+def _fv_children(expr: Expr) -> tuple:
+    if isinstance(expr, VarE):
+        return ()
+    if isinstance(expr, (FieldAccess, Cast)):
+        return (expr.obj,)
+    if isinstance(expr, Invoke):
+        return (expr.obj, *expr.args)
+    if isinstance(expr, New):
+        return expr.args
+    raise TypeError(f"not an FJ expression: {expr!r}")
+
+
+def _fv_combine(expr: Expr, child_vars: list) -> frozenset:
     if isinstance(expr, VarE):
         return frozenset([expr.name])
-    if isinstance(expr, FieldAccess):
-        return free_vars(expr.obj)
-    if isinstance(expr, Invoke):
-        out = free_vars(expr.obj)
-        for a in expr.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(expr, New):
-        out = frozenset()
-        for a in expr.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(expr, Cast):
-        return free_vars(expr.obj)
-    raise TypeError(f"not an FJ expression: {expr!r}")
+    return union_vars(child_vars)
 
 
 def subterms(expr: Expr) -> Iterator[Expr]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.util.intern import interned
+from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
 from typing import Iterator
 
 
@@ -71,19 +71,31 @@ class Let(Expr):
 
 
 def free_vars(expr: Expr) -> frozenset:
-    """Free variables of a direct-style expression."""
+    """Free variables of a direct-style expression (memoized per node)."""
+    return fold_memo(expr, FREE_VARS_SLOT, _fv_children, _fv_combine)
+
+
+def _fv_children(expr: Expr) -> tuple:
+    if isinstance(expr, Var):
+        return ()
+    if isinstance(expr, Lam):
+        return (expr.body,)
+    if isinstance(expr, App):
+        return (expr.fun, *expr.args)
+    if isinstance(expr, Let):
+        return (expr.rhs, expr.body)
+    raise TypeError(f"not a direct-style term: {expr!r}")
+
+
+def _fv_combine(expr: Expr, child_vars: list) -> frozenset:
     if isinstance(expr, Var):
         return frozenset([expr.name])
     if isinstance(expr, Lam):
-        return free_vars(expr.body) - frozenset(expr.params)
+        return bind_vars(child_vars[0], expr.params)
     if isinstance(expr, App):
-        out = free_vars(expr.fun)
-        for arg in expr.args:
-            out |= free_vars(arg)
-        return out
-    if isinstance(expr, Let):
-        return free_vars(expr.rhs) | (free_vars(expr.body) - frozenset([expr.var]))
-    raise TypeError(f"not a direct-style term: {expr!r}")
+        return union_vars(child_vars)
+    rhs_vars, body_vars = child_vars
+    return union_vars([rhs_vars, bind_vars(body_vars, (expr.var,))])
 
 
 def subterms(expr: Expr) -> Iterator[Expr]:

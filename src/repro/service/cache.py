@@ -41,7 +41,7 @@ from repro.analysis.report import render_json
 from repro.config import AnalysisConfig
 from repro.core.fixpoint import WarmStart
 from repro.obs.metrics import default_registry
-from repro.util.intern import decompose
+from repro.util.intern import DIGEST_SLOT, decompose, memo_of, remember
 
 #: Bump when the pickle payload layout changes; mismatched entries are
 #: treated as misses (and evicted) instead of being misread.
@@ -89,21 +89,34 @@ def program_digest(program: Any) -> str:
     Depends only on the term's structure -- not on the process, the
     intern pool's state, Python's randomized string hashes, or object
     identity -- so the same source parsed in any process, any session,
-    digests identically (pinned by the cache tests).  Structure comes
+    digests identically (pinned by the cache tests and by the golden
+    table in ``tests/golden/program_digests.json``).  Structure comes
     from the shared :func:`repro.util.intern.decompose`, so digesting
     can never diverge from the warm-start subterm checks;
     order-free containers (frozensets; dict/PMap key-value pairs) digest
-    order-independently.  Computed iteratively post-order with an
-    identity memo: interned sharing makes it O(distinct subterms) and
-    safe on chain-shaped programs whose depth would break a recursive
-    walk.
+    order-independently.
+
+    Every canonical node keeps its digest in its per-node memo
+    (:func:`repro.util.intern.memo_of`), so a program digested before
+    costs one attribute read, and an edited one costs only its new
+    nodes: the iterative post-order walk stops at memoized nodes.  Other
+    values (tuples, atoms) go through a per-call identity memo.  The
+    walk is iterative, so chain-shaped programs whose depth would break a
+    recursive one are safe.
     """
+    digest = memo_of(program, DIGEST_SLOT)
+    if digest is not None:
+        return digest
     memo: dict[int, str] = {}
     stack: list[tuple[Any, bool]] = [(program, False)]
     while stack:
         node, expanded = stack.pop()
         key = id(node)
         if key in memo:
+            continue
+        known = memo_of(node, DIGEST_SLOT)
+        if known is not None:
+            memo[key] = known
             continue
         kind, children = decompose(node)
         if kind is None:
@@ -125,7 +138,8 @@ def program_digest(program: Any) -> str:
                 ]
                 child_digests = sorted(pairs)
             payload = f"{tag}({','.join(child_digests)})"
-            memo[key] = hashlib.sha256(payload.encode()).hexdigest()
+            memo[key] = digest = hashlib.sha256(payload.encode()).hexdigest()
+            remember(node, DIGEST_SLOT, digest)
         else:
             stack.append((node, True))
             for child in children:

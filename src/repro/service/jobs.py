@@ -49,7 +49,7 @@ from repro.service.cache import (
     cache_key,
     ensure_deep_pickle,
 )
-from repro.util.intern import decompose
+from repro.util.intern import decompose, memo_source
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,16 @@ def normalize_job(
 
     The one normalization every front end shares: ``imp`` source lowers
     to ``lam`` source text here (spawn- and cache-safe -- the analysis
-    is a lam analysis either way), the preset/override resolution goes
+    is a lam analysis either way; the lowering is memoized per source
+    text with the intern pool, :func:`repro.util.intern.memo_source`),
+    the preset/override resolution goes
     through :func:`repro.config.request_config`, and bad input surfaces
     as ``ValueError`` with an actionable message (which the server maps
     to an ``invalid-params`` error response).
     """
     if language == "imp":
         if source is not None:
-            from repro.imp import lower_source
-            from repro.lam.syntax import pp as lam_pp
-
-            source = lam_pp(lower_source(source))
+            source = memo_source("imp", source, _lowered_text)
         elif corpus is not None and not corpus.startswith("imp:"):
             # imp corpus programs are registered lowered under the imp:
             # prefix (repro.corpus); accept the bare name on the wire
@@ -112,29 +111,45 @@ def normalize_job(
     return BatchJob(config=config, source=source, corpus=corpus, label=label)
 
 
+def _lowered_text(source: str) -> str:
+    """An ``imp`` source as the ``lam`` source text it lowers to."""
+    from repro.imp import lower_source
+    from repro.lam.syntax import pp as lam_pp
+
+    return lam_pp(lower_source(source))
+
+
 def resolve_program(job: BatchJob) -> Any:
     """Parse (or look up) the job's program in *this* process.
 
     Parsing interns every node, so resolving the same job in parent and
     worker yields structurally identical, locally-canonical terms --
-    the content address is therefore process-independent.
+    the content address is therefore process-independent.  A source
+    parsed before in this pool lifetime is not parsed again: the
+    canonical program comes back from
+    :func:`repro.util.intern.memo_source`.
     """
     language = job.config.language
     if job.corpus is not None:
         from repro.corpus import corpus_program
 
         return corpus_program(language, job.corpus)
+    return memo_source(language, job.source, _parser(language))
+
+
+def _parser(language: str):
+    """The front end's ``source -> program`` parser for ``language``."""
     if language == "cps":
         from repro.cps.parser import parse_program
 
-        return parse_program(job.source)
+        return parse_program
     if language == "lam":
         from repro.lam.parser import parse_expr
 
-        return parse_expr(job.source)
+        return parse_expr
     from repro.fj.parser import parse_program as parse_fj
 
-    return parse_fj(job.source)
+    return parse_fj
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +637,11 @@ def outcome_row(outcome: JobOutcome, include_flows: bool = False) -> dict:
     precision scalars, the content address, and the serving tier.
     """
     summary = result_summary(
-        outcome.result, label=outcome.job.describe(), seconds=outcome.seconds
+        outcome.result,
+        label=outcome.job.describe(),
+        seconds=outcome.seconds,
+        include_flows=include_flows,
     )
-    if not include_flows:
-        summary.pop("flows")
     summary.update(
         key=outcome.key,
         language=outcome.job.config.language,

@@ -50,6 +50,42 @@ every concrete-witness and abstract state alive and doubled perfbench
 memory down but gave back most of the speed.  Syntax is small, finite
 per program and live for the whole run anyway, so pooling it is free.
 
+## Per-node memos
+
+Because a canonical node stands for its whole structure, any fact that
+depends only on that structure can be computed once and kept on the
+node: the content digest (:func:`repro.service.cache.program_digest`)
+and the free-variable sets of the three syntaxes.  Unlike the hash
+memo these are filled lazily, on first use, through
+:func:`memo_of`/:func:`remember` (one fact) and :func:`fold_memo` (a
+bottom-up fact, computed iteratively so chain-shaped terms of any depth
+are safe).  They live in the node's own attributes, under ``_hc_*``
+slot names no dataclass field uses.  The constructor sets every memo
+slot to ``None`` at birth: CPython keeps an instance's attributes in a
+compact array only while it gains no attribute after its siblings
+were built, and a node whose layout grew later reads its *fields*
+about 30% slower -- a cost every analysis step would pay.  So:
+
+* they **die with the node** -- no side table keyed by nodes pins a
+  program after the pool lets go of it, which is what lets a pool
+  clear actually free memory;
+* they **never travel**: ``__reduce__`` sends field values only, and
+  the unpickled node (the pool's node in the loading process) fills its
+  own memos when they are first asked for;
+* they are invisible to equality, hashing and ``repr``, which read the
+  dataclass fields only.
+
+## Source memo
+
+One more table sits beside the node pools: :func:`memo_source` maps
+``(language, source text)`` to what the front end made of it (the
+canonical program; for ``imp``, its lowered ``lam`` text), so a server
+answering the same request again pays one dictionary lookup instead of
+a parse.  It is part of the pool: its entries count toward
+:func:`intern_pool_size` and :func:`clear_intern_pool` drops it, so the
+hosts' one ``intern_limit`` bounds it too.  Failed parses raise and are
+never memoized.
+
 ## Pool lifecycle
 
 The pools hold **strong references for the life of the process** --
@@ -62,6 +98,8 @@ structural twin built before it, but equality and hashing stay
 structural (``__eq__`` only short-circuits on identity, it never
 requires it), so mixed pre-/post-clear values compare and hash
 correctly, just without the identity fast path across the boundary.
+Once the pools are cleared and its users drop it, an old node is
+garbage like any other value, per-node memos included.
 """
 
 from __future__ import annotations
@@ -69,7 +107,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import threading
-from typing import Any
+from typing import Any, Callable
 
 #: Attribute under which a memoized hash is stashed on the instance.
 _HASH_SLOT = "_hc_hash"
@@ -143,8 +181,22 @@ def _install_shared_methods(cls: type) -> None:
     cls.__reduce__ = __reduce__
 
 
+#: Per-node memo slots (see "Per-node memos"): a node's content digest
+#: and its free-variable set.
+DIGEST_SLOT = "_hc_digest"
+FREE_VARS_SLOT = "_hc_free_vars"
+_MEMO_SLOTS = (DIGEST_SLOT, FREE_VARS_SLOT)
+
 #: One pool per :func:`interned` class: field-value tuple -> canonical node.
 _POOLS: list[dict] = []
+
+#: The :func:`interned` classes, the only ones that carry per-node memos.
+_INTERNED: set[type] = set()
+
+#: ``(language, source text)`` -> front-end result (see "Source memo").
+#: Registered as a pool, so it is sized and cleared with the node pools.
+_SOURCES: dict = {}
+_POOLS.append(_SOURCES)
 
 #: Serializes pool growth.  Only misses take it: the server's worker
 #: threads may build equal nodes at once, and two unlocked misses would
@@ -198,6 +250,8 @@ def interned(cls: type) -> type:
                     for name, value in zip(names, args):
                         set_field(node, name, value)
                     set_field(node, _HASH_SLOT, hash(args))
+                    for slot in _MEMO_SLOTS:
+                        set_field(node, slot, None)
                     pool[args] = node
                     _MISSES += 1
                     return node
@@ -210,6 +264,7 @@ def interned(cls: type) -> type:
     def __deepcopy__(self: Any, memo: dict) -> Any:
         return self
 
+    _INTERNED.add(cls)
     cls.__new__ = __new__
     # the fields are set by __new__; object.__init__ accepts (and ignores)
     # the constructor arguments because __new__ is overridden
@@ -220,16 +275,117 @@ def interned(cls: type) -> type:
     return cls
 
 
+def memo_of(value: Any, slot: str) -> Any:
+    """``value``'s per-node memo under ``slot``, or ``None`` if not filled yet.
+
+    Values other than :func:`interned` nodes (atoms, tuples, machine
+    values) carry no memos and always answer ``None``.
+    """
+    if type(value) in _INTERNED:
+        return getattr(value, slot)
+    return None
+
+
+def remember(value: Any, slot: str, fact: Any) -> None:
+    """Fill ``value``'s per-node memo under ``slot`` (a no-op off the pool).
+
+    Racing threads compute the same structural fact, so a lost write is
+    harmless.
+    """
+    if type(value) in _INTERNED:
+        object.__setattr__(value, slot, fact)
+
+
+def fold_memo(
+    root: Any,
+    slot: str,
+    children: Callable[[Any], tuple],
+    combine: Callable[[Any, list], Any],
+) -> Any:
+    """A bottom-up per-node fact of ``root``, filling the memos it lacks.
+
+    ``children(node)`` names the sub-nodes the fact depends on and
+    ``combine(node, facts)`` builds the node's fact from theirs (in
+    ``children`` order).  The walk is iterative post-order and stops at
+    memoized nodes, so each node is combined once in its life (racing
+    threads aside) and a call costs O(nodes not yet memoized), however
+    deep the term.
+    """
+    fact = getattr(root, slot)
+    if fact is not None:
+        return fact
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if getattr(node, slot) is not None:
+            stack.pop()
+            continue
+        kids = children(node)
+        missing = [kid for kid in kids if getattr(kid, slot) is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        fact = combine(node, [getattr(kid, slot) for kid in kids])
+        object.__setattr__(node, slot, fact)
+    return getattr(root, slot)
+
+
+def union_vars(sets: list) -> frozenset:
+    """The union of variable sets, reusing an input set where it is the union.
+
+    With :func:`bind_vars`, the combinators of the free-variable folds:
+    a node whose set equals a child's shares that child's frozenset, so
+    the memos of a long chain cost one set, not one per node.
+    """
+    if not sets:
+        return _NO_VARS
+    out = max(sets, key=len)
+    for extra in sets:
+        if not extra <= out:
+            out = out | extra
+    return out
+
+
+def bind_vars(free: frozenset, bound: Any) -> frozenset:
+    """``free`` minus the ``bound`` names (``free`` itself when disjoint)."""
+    if free.isdisjoint(bound):
+        return free
+    return free.difference(bound)
+
+
+_NO_VARS: frozenset = frozenset()
+
+
+def memo_source(language: str, text: str, parse: Callable[[str], Any]) -> Any:
+    """``parse(text)``, memoized per ``(language, text)`` with the pool.
+
+    An exception from ``parse`` propagates and leaves no entry, so a
+    malformed source is re-parsed (and re-rejected) every time.
+    """
+    key = (language, text)
+    found = _SOURCES.get(key)
+    if found is None:
+        found = parse(text)
+        with _POOL_LOCK:
+            found = _SOURCES.setdefault(key, found)
+    return found
+
+
 def intern_pool_size() -> int:
-    """How many canonical nodes the pools currently hold (for tests/stats)."""
+    """How many entries the pools currently hold (for tests/stats).
+
+    Canonical nodes plus :func:`memo_source` entries: the one number a
+    host's ``intern_limit`` bounds.
+    """
     return sum(len(pool) for pool in _POOLS)
 
 
 def intern_stats() -> dict:
     """Pool observability for long-running hosts.
 
-    Returns ``{"size", "hits", "misses"}``: the current number of
-    canonical nodes, and the cumulative number of :func:`interned`
+    Returns ``{"size", "hits", "misses"}``: the current
+    :func:`intern_pool_size`, and the cumulative number of :func:`interned`
     constructions the pool answered with an existing node (``hits``)
     versus answered by installing a new one (``misses``, which is also
     the pools' total historical growth).  Misses are counted under the
@@ -256,7 +412,7 @@ def register_metrics(registry: Any) -> None:
 
 
 def clear_intern_pool() -> None:
-    """Drop every canonical node (bounding pool growth in long-lived hosts).
+    """Drop every canonical node and source memo (bounding long-lived hosts).
 
     Safe at any point between workloads: existing nodes keep their
     memoized hashes and structural equality; only cross-boundary
@@ -269,7 +425,7 @@ def clear_intern_pool() -> None:
 
 
 def maybe_clear_intern_pool(limit: int | None) -> bool:
-    """Clear the pool iff it holds more than ``limit`` canonical nodes.
+    """Clear the pool iff it holds more than ``limit`` entries.
 
     The lifecycle hook for resident hosts (the analysis server): the pool
     grows monotonically with every distinct program a long-lived process

@@ -69,7 +69,7 @@ def test_shared_store_covers_concrete(name):
 def test_gc_covers_live_concrete_bindings(name):
     """GC drops dead bindings, so coverage is owed only for *live* ones:
     variables free in the control expression of some visited state."""
-    from repro.cps.semantics import free_vars_cache
+    from repro.cps.syntax import free_vars
 
     program = PROGRAMS[name]
     interface = ConcreteCPSInterface()
@@ -79,7 +79,7 @@ def test_gc_covers_live_concrete_bindings(name):
         if state.is_final():
             break
         state = mnext(interface, state)
-        for var in free_vars_cache(state.ctrl):
+        for var in free_vars(state.ctrl):
             if var in state.env and state.env[var] in interface.heap:
                 value = interface.heap[state.env[var]]
                 live_flows.setdefault(var, set()).add(value.lam)
