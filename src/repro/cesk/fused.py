@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.core.fused import (
     FusedTransition,
+    SiteMemo,
     make_closer,
     make_pusher,
     register_fused,
@@ -43,6 +44,7 @@ def build_cesk_fused(interface: Any) -> FusedTransition:
     bind = store_like.bind
     close = make_closer(Clo, free_vars)
     push = make_pusher(PState, KontTag, valloc, bind)
+    contexts = SiteMemo(SiteContext)
 
     def apply_proc(out: list, site: App, proc: Clo, arg_values: tuple,
                    parent_ka: Any, guts: Any, store: Any) -> None:
@@ -50,7 +52,7 @@ def build_cesk_fused(interface: Any) -> FusedTransition:
         params = proc.lam.params
         if len(params) != len(arg_values):
             return  # stuck: arity mismatch
-        guts2 = advance(proc, SiteContext(site), guts)
+        guts2 = advance(proc, contexts[site], guts)
         addrs = [valloc(p, guts2) for p in params]
         store2 = thread_bindings(store_like, store, addrs, arg_values)
         nxt = PState(proc.lam.body, proc.env.update(zip(params, addrs)), parent_ka)

@@ -12,7 +12,6 @@ being returned (*return* mode); the two are distinguished by type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.util.intern import hash_consed
 from typing import Any, Hashable
@@ -21,7 +20,6 @@ from repro.lam.syntax import App, Expr, Lam
 from repro.util.pcollections import PMap, pmap
 
 @hash_consed
-@dataclass(frozen=True)
 class Clo:
     """A closure: the machine's only *proper* value."""
 
@@ -39,7 +37,6 @@ class Frame:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class HaltF(Frame):
     """The empty continuation."""
 
@@ -48,7 +45,6 @@ class HaltF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class LetF(Frame):
     """``(let ((x [.])) body)``: awaiting the right-hand side's value."""
 
@@ -62,7 +58,6 @@ class LetF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class FunF(Frame):
     """``([.] e1 ... en)``: awaiting the operator's value."""
 
@@ -76,7 +71,6 @@ class FunF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class ArgF(Frame):
     """``(f v1 ... [.] e ... )``: awaiting the next argument's value."""
 
@@ -92,7 +86,6 @@ class ArgF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class KontTag:
     """The pseudo-variable under which a continuation is allocated.
 
@@ -110,7 +103,6 @@ class KontTag:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class PState:
     """A partial CESK state: control, environment, continuation address.
 
@@ -140,7 +132,6 @@ class PState:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class SiteContext:
     """A :class:`~repro.core.addresses.HasContextKey` carrier for call sites.
 

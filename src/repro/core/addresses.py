@@ -33,7 +33,6 @@ protocol: they expose the hashable label of their control point.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.util.intern import hash_consed
 from typing import Any, Hashable, Protocol, runtime_checkable
@@ -52,7 +51,6 @@ class HasContextKey(Protocol):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class Binding:
     """An abstract address pairing a variable with a context (the paper's ``KAddr``).
 

@@ -134,6 +134,31 @@ def make_closer(clo_type: Callable, free_vars: Callable) -> Callable:
     return close
 
 
+class SiteMemo(dict):
+    """``memo[site]`` is ``build(site)``, built once per syntax node.
+
+    The continuation tag of a push (``KontTag(site)``) and the context
+    carrier of an apply (``SiteContext(site)``) are pure functions of an
+    immutable, hash-consed node, so -- as for :func:`make_closer`'s
+    closures -- building one per site instead of one per evaluation is
+    invisible to every observer.  A memo is made per staged transition,
+    i.e. per run, and dies with it: a process-wide pool of machine values
+    keeps every one alive (see "Machine values are deliberately not
+    pooled" in :mod:`repro.util.intern`).  A hit is one dict subscript
+    (the site's hash is memoized); only a miss calls back into Python.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[Any], Any]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, site: Any) -> Any:
+        value = self[site] = self.build(site)
+        return value
+
+
 def make_pusher(
     pstate_type: Callable, kont_tag: Callable, valloc: Callable, bind: Callable
 ) -> Callable:
@@ -142,12 +167,13 @@ def make_pusher(
     Pushing a frame is the same three staged operations in CESK and FJ
     (allocate a kont address under the language's ``KontTag``, bind the
     frame there, enter the sub-expression); only the state and tag types
-    differ, so they are parameters.
+    differ, so they are parameters.  Tags come from a :class:`SiteMemo`.
     """
+    tags = SiteMemo(kont_tag)
 
     def push(out: list, site: Any, frame: Any, enter: Any, env: Any,
              guts: Any, store: Any) -> None:
-        ka2 = valloc(kont_tag(site), guts)
+        ka2 = valloc(tags[site], guts)
         store2 = bind(store, ka2, frozenset([frame]))
         out.append(((pstate_type(enter, env, ka2), guts), store2))
 

@@ -27,7 +27,6 @@ variable, and ``tick`` advances whatever notion of time the monad keeps.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.util.intern import hash_consed
 from typing import Any, Hashable
@@ -38,7 +37,6 @@ from repro.util.pcollections import PMap, pmap
 
 
 @hash_consed
-@dataclass(frozen=True)
 class Clo:
     """The only denotable value in CPS: a closure ``(lam, rho)``."""
 
@@ -50,7 +48,6 @@ class Clo:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class PState:
     """A partial state ``PSigma a = (CExp, Env a)``: control + environment.
 

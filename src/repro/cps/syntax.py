@@ -22,7 +22,6 @@ analysis).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
 from typing import Iterator, Union
@@ -43,7 +42,6 @@ class CExp:
 
 
 @interned
-@dataclass(frozen=True)
 class Ref(AExp):
     """A variable reference."""
 
@@ -54,7 +52,6 @@ class Ref(AExp):
 
 
 @interned
-@dataclass(frozen=True)
 class Lam(AExp):
     """``(lambda (v1 ... vn) call)``: the only value-forming expression."""
 
@@ -66,7 +63,6 @@ class Lam(AExp):
 
 
 @interned
-@dataclass(frozen=True)
 class Call(CExp):
     """``(f ae1 ... aen)``: application of a function to arguments."""
 
@@ -78,7 +74,6 @@ class Call(CExp):
 
 
 @interned
-@dataclass(frozen=True)
 class Exit(CExp):
     """The terminal call expression."""
 

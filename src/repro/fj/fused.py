@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.core.fused import (
     FusedTransition,
+    SiteMemo,
     make_pusher,
     register_fused,
     thread_bindings,
@@ -46,6 +47,7 @@ def build_fj_fused(interface: Any) -> FusedTransition:
     fetch = store_like.fetch
     bind = store_like.bind
     push = make_pusher(PState, KontTag, valloc, bind)
+    contexts = SiteMemo(SiteContext)
 
     def dispatch(out: list, site: Any, receiver: ObjV, arg_values: tuple,
                  parent_ka: Any, guts: Any, store: Any) -> None:
@@ -57,7 +59,7 @@ def build_fj_fused(interface: Any) -> FusedTransition:
         params = mdef.param_names()
         if len(params) != len(arg_values):
             return  # stuck: arity mismatch
-        guts2 = advance(receiver, SiteContext(site), guts)
+        guts2 = advance(receiver, contexts[site], guts)
         names = ("this",) + params
         addrs = [valloc(name, guts2) for name in names]
         store2 = thread_bindings(

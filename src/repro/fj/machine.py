@@ -9,7 +9,6 @@ continuation addresses (the AAM construction again).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.util.intern import hash_consed
 from typing import Any, Hashable
@@ -18,7 +17,6 @@ from repro.fj.syntax import Expr
 from repro.util.pcollections import PMap, pmap
 
 @hash_consed
-@dataclass(frozen=True)
 class ObjV:
     """An object value: class name plus field addresses (``fields(C)`` order)."""
 
@@ -36,14 +34,12 @@ class Frame:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class HaltF(Frame):
     def __repr__(self) -> str:
         return "<halt>"
 
 
 @hash_consed
-@dataclass(frozen=True)
 class FieldF(Frame):
     """``[.].f``: awaiting the receiver of a field access."""
 
@@ -52,7 +48,6 @@ class FieldF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class InvokeRcvF(Frame):
     """``[.].m(args)``: awaiting the receiver of a method call."""
 
@@ -64,7 +59,6 @@ class InvokeRcvF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class InvokeArgF(Frame):
     """``rcv.m(v..., [.], e...)``: awaiting the next argument."""
 
@@ -78,7 +72,6 @@ class InvokeArgF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class NewArgF(Frame):
     """``new C(v..., [.], e...)``: awaiting the next constructor argument."""
 
@@ -91,7 +84,6 @@ class NewArgF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class CastF(Frame):
     """``(C) [.]``: awaiting the value being cast."""
 
@@ -100,7 +92,6 @@ class CastF(Frame):
 
 
 @hash_consed
-@dataclass(frozen=True)
 class KontTag:
     """Pseudo-variable for continuation allocation (shared Addressable)."""
 
@@ -111,7 +102,6 @@ class KontTag:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class FieldVar:
     """Pseudo-variable for field-cell allocation: ``new C`` allocates one
     cell per field under ``FieldVar(C, f)``, so field polyvariance follows
@@ -125,7 +115,6 @@ class FieldVar:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class PState:
     """A partial FJ machine state: control, environment, kont address."""
 
@@ -150,7 +139,6 @@ class PState:
 
 
 @hash_consed
-@dataclass(frozen=True)
 class SiteContext:
     """Context-key carrier naming the invocation site at dispatch time."""
 

@@ -12,7 +12,6 @@ synthesize it rather than parse boilerplate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.util.intern import FREE_VARS_SLOT, fold_memo, interned, union_vars
 from typing import Iterator
@@ -28,7 +27,6 @@ class Expr:
 
 
 @interned
-@dataclass(frozen=True)
 class VarE(Expr):
     """A variable (including ``this``)."""
 
@@ -39,7 +37,6 @@ class VarE(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class FieldAccess(Expr):
     """``e.f``."""
 
@@ -51,7 +48,6 @@ class FieldAccess(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class Invoke(Expr):
     """``e.m(e1, ..., en)``."""
 
@@ -65,7 +61,6 @@ class Invoke(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class New(Expr):
     """``new C(e1, ..., en)``."""
 
@@ -78,7 +73,6 @@ class New(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class Cast(Expr):
     """``(C) e``."""
 
@@ -90,7 +84,6 @@ class Cast(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class MethodDef:
     """``T m(T1 x1, ..., Tn xn) { return e; }``."""
 
@@ -111,7 +104,6 @@ class MethodDef:
 
 
 @interned
-@dataclass(frozen=True)
 class ClassDef:
     """``class C extends D { fields; methods }`` with the canonical constructor."""
 
@@ -131,7 +123,6 @@ class ClassDef:
 
 
 @interned
-@dataclass(frozen=True)
 class Program:
     """An FJ program: class definitions plus a main expression."""
 

@@ -10,7 +10,6 @@ by :func:`desugar_let`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
 from typing import Iterator
@@ -23,7 +22,6 @@ class Expr:
 
 
 @interned
-@dataclass(frozen=True)
 class Var(Expr):
     """A variable reference."""
 
@@ -34,7 +32,6 @@ class Var(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class Lam(Expr):
     """``(lambda (x1 ... xn) body)``."""
 
@@ -46,7 +43,6 @@ class Lam(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class App(Expr):
     """``(f e1 ... en)``: call-by-value application."""
 
@@ -58,7 +54,6 @@ class App(Expr):
 
 
 @interned
-@dataclass(frozen=True)
 class Let(Expr):
     """``(let ((x e)) body)``: a single sequential binding."""
 

@@ -2,16 +2,20 @@
 
 The fixed-point engines spend their lives hashing machine configurations
 into ``seen``/``queued`` sets and dependency maps.  Configurations are
-tuples of frozen dataclasses (syntax nodes, environments, contexts), and
-a dataclass-generated ``__hash__`` rehashes the whole subtree on every
+tuples of immutable values (syntax nodes, environments, contexts), and a
+dataclass-generated ``__hash__`` rehashes the whole subtree on every
 call -- an O(term) cost paid millions of times on values that never
-change.  Two class decorators live here:
+change.  Two class decorators live here; each makes its class a frozen
+dataclass itself (so a class carries one decorator, not two):
 
 * :func:`hash_consed` -- for machine values (states, frames, closures,
   contexts, addresses).  The structural hash is computed once, at
   construction, and stored on the instance, so ``__hash__`` is an
-  attribute read; ``__eq__`` short-circuits on object identity and
-  falls back to structural equality.
+  attribute read.  An analysis builds several of these values per
+  evaluation, so building one must be cheap too: the decorator
+  *generates* the constructor, which sets the fields and the hash in one
+  frame, and ``__eq__``, which checks identity, class and the two hash
+  memos before it compares fields (see "Generated methods").
 
 * :func:`interned` -- for syntax nodes (``lam``, ``cps`` and ``fj``
   ``syntax.py``).  On top of the memoized hash, the constructor *is* the
@@ -26,6 +30,35 @@ change.  Two class decorators live here:
 Both are semantics-free: hashing and equality remain structural, only
 their cost changes, which ``tests/test_engines.py::TestInternedVsPlain``
 pins down across all three languages.
+
+## Generated methods
+
+Hash-consing pays off only when building a value is cheap.  So, like
+``dataclasses`` itself, :func:`_method_factory` writes each field
+list's methods as unrolled source and compiles it once with ``exec``::
+
+    def __init__(self, ctrl, env, ka):
+        set_field(self, 'ctrl', ctrl)
+        set_field(self, 'env', env)
+        set_field(self, 'ka', ka)
+        set_field(self, '_hc_hash', hash((ctrl, env, ka)))
+
+    def __eq__(self, other):
+        if self is other: return True
+        if other.__class__ is not self.__class__: return NotImplemented
+        if self._hc_hash != other._hc_hash: return False
+        return (self.ctrl, self.env, self.ka) == (other.ctrl, other.env, other.ka)
+
+``hash((f1, ..., fn))`` is, bit for bit, what a frozen dataclass's
+``__hash__`` returns (``hash((self.f1, ..., self.fn))``), and comparing
+the field tuples is what its ``__eq__`` does (tuple comparison is
+identity-first per item), so no hash, set order, fixed point or cache
+key differs from the plain dataclass's; ``tests/test_machine_values.py``
+checks both for every class.  The memo comparison only ever answers
+``False`` early: equal values have equal hashes.  Classes with the same
+field names share one compiled factory, and the dataclass call the
+decorators make skips the methods they replace, so importing the
+machine and syntax modules got cheaper, not dearer.
 
 ## Canonical at birth
 
@@ -49,6 +82,10 @@ every concrete-witness and abstract state alive and doubled perfbench
 ``analyze``'s peak RSS (40.7 to 85.7 MB).  A weak-value pool kept the
 memory down but gave back most of the speed.  Syntax is small, finite
 per program and live for the whole run anyway, so pooling it is free.
+What the staged steps of :mod:`repro.core.fused` do share is narrower:
+values that are pure functions of syntax (a closure per ``(lambda,
+env)``, a continuation tag and a call-site context per site), in memos
+that live and die with one run.
 
 ## Per-node memos
 
@@ -121,19 +158,73 @@ def _hash(self: Any) -> int:
     return self._hc_hash
 
 
-def hash_consed(cls: type) -> type:
-    """Class decorator: memoize ``__hash__``, short-circuit ``__eq__`` on identity.
+#: Field-name tuple -> compiled factory of that field list's methods.
+_FACTORIES: dict[tuple[str, ...], Callable] = {}
 
-    Apply *above* ``@dataclass(frozen=True)`` so the dataclass-generated
-    structural methods are already in place::
+
+def _method_factory(names: tuple[str, ...]) -> Callable:
+    """``factory(set_field, hash) -> (__init__, __eq__)`` for these fields.
+
+    The methods are unrolled source compiled through ``exec``, as
+    ``dataclasses`` builds its own.  Classes with the same field names
+    (the three ``PState``s, ``KontTag``/``SiteContext``, ...) share one
+    compiled factory, so importing a machine module compiles a handful
+    of tiny functions, not one pair per class.
+    """
+    factory = _FACTORIES.get(names)
+    if factory is None:
+        values = "".join(f"{name}, " for name in names)
+        mine = "".join(f"self.{name}, " for name in names)
+        theirs = "".join(f"other.{name}, " for name in names)
+        sets = "".join(f"        set_field(self, {name!r}, {name})\n" for name in names)
+        source = (
+            "def factory(set_field, hash):\n"
+            f"    def __init__(self, {values}):\n"
+            f"{sets}"
+            f"        set_field(self, {_HASH_SLOT!r}, hash(({values})))\n"
+            "    def __eq__(self, other):\n"
+            "        if self is other:\n"
+            "            return True\n"
+            "        if other.__class__ is not self.__class__:\n"
+            "            return NotImplemented\n"
+            f"        if self.{_HASH_SLOT} != other.{_HASH_SLOT}:\n"
+            "            return False\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return __init__, __eq__\n"
+        )
+        namespace: dict = {}
+        exec(source, namespace)  # noqa: S102 - generated from field names only
+        factory = _FACTORIES[names] = namespace["factory"]
+    return factory
+
+
+def hash_consed(cls: type) -> type:
+    """Class decorator: an immutable value class with one-pass construction.
+
+    Applied alone, on a class body of annotated fields::
 
         @hash_consed
-        @dataclass(frozen=True)
-        class Node: ...
+        class Node:
+            left: Any
+            right: Any
 
-    The memo is stored through ``object.__setattr__`` (legal on frozen
-    dataclasses) under a name no dataclass field uses, so structural
-    equality and ``repr`` are unaffected.
+    The decorator makes the class a frozen dataclass (fields, ``repr``
+    unless the class writes its own, ``dataclasses.fields``/``replace``)
+    and generates the rest (:func:`_install_shared_methods`):
+
+    * ``__init__(self, f1, ..., fn)`` sets the fields and the memo
+      ``_hc_hash = hash((f1, ..., fn))`` in one frame.  That tuple hash
+      is exactly what a dataclass ``__hash__`` computes (``hash((self.f1,
+      ..., self.fn))``), so every hash -- and with it every set order,
+      fixed point and cache key -- is the one a plain frozen dataclass
+      gives.  Keyword construction (``dataclasses.replace``) binds by the
+      parameter names, which are the field names;
+    * ``__hash__`` reads the memo; ``__eq__`` is one frame that compares
+      fields only when the memos agree.
+
+    The memo is stored through ``object.__setattr__`` (assignment is
+    otherwise refused, as on any frozen dataclass) under a name no field
+    uses, so structural equality and ``repr`` are unaffected.
 
     The hash is computed *eagerly at construction*.  Immutable values are
     built bottom-up -- children exist before their parent -- so eager
@@ -144,34 +235,61 @@ def hash_consed(cls: type) -> type:
     through the constructor (``__reduce__``), so every instance carries
     its memo and ``__hash__`` never has to look for it.
     """
-    structural_hash = cls.__hash__
-    structural_init = cls.__init__
-    if structural_hash is None:  # pragma: no cover - decorator misuse
-        raise TypeError(f"{cls.__name__} is unhashable; hash_consed needs frozen=True")
-
-    def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
-        structural_init(self, *args, **kwargs)
-        object.__setattr__(self, _HASH_SLOT, structural_hash(self))
-
-    cls.__init__ = __init__
-    _install_shared_methods(cls)
+    cls.__init__ = _install_shared_methods(cls)
     return cls
 
 
-def _install_shared_methods(cls: type) -> None:
-    """What both decorators share: memo hash, identity-first eq, pickling.
+def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Any, name: str) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _install_shared_methods(cls: type) -> Callable:
+    """What both decorators share: memo hash, generated eq, pickling.
+
+    The generated ``__eq__`` checks, in order: identity; class (another
+    class answers ``NotImplemented``, as the dataclass's does); the two
+    hash memos, so unequal values almost never touch their fields; and
+    the field tuples ``(self.f1, ...) == (other.f1, ...)``, which keeps
+    the dataclass's field-by-field, identity-first comparison.  One
+    frame, where wrapping the dataclass ``__eq__`` took two.
 
     ``__reduce__`` sends a value back through its constructor, field
     values only, so the memo never travels in a pickle and unpickling
     recomputes it under the loading process's string-hash seed.
-    """
-    structural_eq = cls.__eq__
-    names = _field_names(cls)
 
-    def __eq__(self: Any, other: Any) -> Any:
-        if self is other:
-            return True
-        return structural_eq(self, other)
+    The dataclass call made here generates neither ``__init__`` nor
+    ``__eq__`` (nor ``__repr__`` where the class writes its own), and
+    the frozen ``__setattr__``/``__delattr__`` are two shared functions:
+    ``dataclasses`` compiles each generated method separately, and
+    compiling what gets replaced cost every process that imports the
+    machine modules several milliseconds.
+
+    Returns the generated one-pass ``__init__``: :func:`hash_consed`
+    installs it, :func:`interned` (whose ``__new__`` builds nodes) does
+    not.  Every field must be a plain one -- compared, hashed, set by the
+    constructor, without a default -- or the generated methods would
+    disagree with a dataclass's.
+    """
+    dataclasses.dataclass(
+        cls, init=False, eq=False, repr="__repr__" not in cls.__dict__
+    )
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    for f in dataclasses.fields(cls):
+        if (
+            not (f.init and f.compare and f.hash is None)
+            or f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        ):  # pragma: no cover - decorator misuse
+            raise TypeError(f"{cls.__name__}.{f.name}: hash-consed fields must be plain")
+    names = _field_names(cls)
+    __init__, __eq__ = _method_factory(names)(object.__setattr__, hash)
+    for method in (__init__, __eq__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
 
     def __reduce__(self: Any) -> tuple:
         return cls, tuple(getattr(self, name) for name in names)
@@ -179,6 +297,7 @@ def _install_shared_methods(cls: type) -> None:
     cls.__hash__ = _hash
     cls.__eq__ = __eq__
     cls.__reduce__ = __reduce__
+    return __init__
 
 
 #: Per-node memo slots (see "Per-node memos"): a node's content digest
@@ -211,7 +330,7 @@ _MISSES = 0
 def interned(cls: type) -> type:
     """Class decorator: build every instance through the intern pool.
 
-    Apply *above* ``@dataclass(frozen=True)``, like :func:`hash_consed`.
+    Applied alone, like :func:`hash_consed`, which it extends.
     ``cls(...)`` binds its arguments to the field values and looks them
     up in the class's pool; a hit returns the canonical node, so
     ``cls(*fields) is cls(*fields)``.  Only a miss allocates: it takes
@@ -220,13 +339,17 @@ def interned(cls: type) -> type:
     and installs the node.  A miss is exactly one pool growth; every
     other construction is a hit.
 
-    The memo is ``hash(field values)``, which is what the dataclass's
+    The memo is ``hash(field values)``, which is what a dataclass's
     structural ``__hash__`` computes.  Decorated classes are final: a
     subclass would share, and poison, its parent's pool.
     """
+    # the generated constructor is not installed (the fields are set by
+    # __new__, and object.__init__ accepts and ignores the constructor
+    # arguments because __new__ is overridden); its signature binds
+    # keyword and short calls to field order
+    signature = inspect.signature(_install_shared_methods(cls))
     names = _field_names(cls)
     arity = len(names)
-    signature = inspect.signature(cls.__init__)
     pool: dict = {}
     _POOLS.append(pool)
     allocate = object.__new__
@@ -234,7 +357,6 @@ def interned(cls: type) -> type:
 
     def bind(args: tuple, kwargs: dict) -> tuple:
         bound = signature.bind(None, *args, **kwargs)
-        bound.apply_defaults()
         return tuple(bound.arguments.values())[1:]
 
     def __new__(klass: type, *args: Any, **kwargs: Any) -> Any:
@@ -266,12 +388,8 @@ def interned(cls: type) -> type:
 
     _INTERNED.add(cls)
     cls.__new__ = __new__
-    # the fields are set by __new__; object.__init__ accepts (and ignores)
-    # the constructor arguments because __new__ is overridden
-    del cls.__init__
     cls.__copy__ = __copy__
     cls.__deepcopy__ = __deepcopy__
-    _install_shared_methods(cls)
     return cls
 
 

@@ -17,6 +17,10 @@ the implementation obvious (per the house style: explicit beats clever).
 
 from __future__ import annotations
 
+# instance checks use ``abc.Mapping``: ``typing.Mapping`` routes each
+# ``isinstance`` through its own ``__instancecheck__``, twice the cost on
+# the environment update of every analysis step
+from collections import abc
 from typing import Any, Callable, Iterable, Iterator, Mapping, Tuple, TypeVar
 
 K = TypeVar("K")
@@ -79,7 +83,7 @@ class PMap(Mapping[K, V]):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PMap):
             return self._d == other._d
-        if isinstance(other, Mapping):
+        if isinstance(other, abc.Mapping):
             return self._d == dict(other)
         return NotImplemented
 
@@ -147,7 +151,7 @@ class PMap(Mapping[K, V]):
         same fast path :meth:`set` has).  The copy is deferred until the
         first entry that actually changes something.
         """
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
+        pairs = entries.items() if isinstance(entries, abc.Mapping) else entries
         d: dict[K, V] | None = None
         for key, value in pairs:
             existing = (self._d if d is None else d).get(key, _ABSENT)
@@ -168,7 +172,7 @@ class PMap(Mapping[K, V]):
         This is the workhorse behind store join: ``store.update_with(join, ...)``.
         """
         d = dict(self._d)
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
+        pairs = entries.items() if isinstance(entries, abc.Mapping) else entries
         for key, value in pairs:
             if key in d:
                 d[key] = combine(d[key], value)
