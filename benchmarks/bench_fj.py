@@ -63,7 +63,7 @@ def test_fj_chain_scaling():
         out = {}
         for n in (2, 4, 6):
             program = dispatch_chain(n)
-            shared = ONE_CFA.replace(widening="store")
+            shared = ONE_CFA.replace(engine="kleene")
             result, seconds = timed(lambda p=program: fixpoint(shared, p))
             out[n] = (result.num_states(), seconds)
         return out

@@ -12,7 +12,7 @@ from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 #: k-CFA over per-state stores, and over Shivers' single-threaded store.
 PER_STATE = AnalysisConfig(language="cps")
-SHARED = PER_STATE.replace(widening="store")
+SHARED = PER_STATE.replace(engine="kleene")
 
 
 def test_e3_k_sweep_mj09():

@@ -15,16 +15,16 @@ from repro.corpus.cps_programs import PROGRAMS, id_chain
 
 #: Each policy as the shared-store config naming its ``Addressable``.
 POLICIES = [
-    ("0CFA", AnalysisConfig(language="cps", widening="store", addressing="zerocfa")),
-    ("1CFA", AnalysisConfig(language="cps", widening="store", k=1)),
-    ("2CFA", AnalysisConfig(language="cps", widening="store", k=2)),
+    ("0CFA", AnalysisConfig(language="cps", engine="kleene", addressing="zerocfa")),
+    ("1CFA", AnalysisConfig(language="cps", engine="kleene", k=1)),
+    ("2CFA", AnalysisConfig(language="cps", engine="kleene", k=2)),
     (
         "l-ctx(2)",
-        AnalysisConfig(language="cps", widening="store", addressing="lcontext", k=2),
+        AnalysisConfig(language="cps", engine="kleene", addressing="lcontext", k=2),
     ),
     (
         "boundN(32)",
-        AnalysisConfig(language="cps", widening="store", addressing="boundednat", k=32),
+        AnalysisConfig(language="cps", engine="kleene", addressing="boundednat", k=32),
     ),
 ]
 

@@ -13,7 +13,7 @@ from repro.corpus.cps_programs import heap_clone
 
 #: 1-CFA with per-state stores, and widened to the single-threaded store.
 PER_STATE = AnalysisConfig(language="cps", k=1)
-SHARED = PER_STATE.replace(widening="store")
+SHARED = PER_STATE.replace(engine="kleene")
 
 
 def test_e4_heap_cloning_blowup():

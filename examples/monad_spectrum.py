@@ -47,7 +47,7 @@ def main() -> None:
         ("0CFA", dict(addressing="zerocfa")),
         ("1CFA", dict(k=1)),
         ("2CFA", dict(k=2)),
-        ("1CFA + shared store", dict(k=1, widening="store")),
+        ("1CFA + shared store", dict(k=1, engine="kleene")),
         ("1CFA + counting", dict(k=1, counting=True)),
         ("1CFA + abstract GC", dict(k=1, gc=True)),
     ]

@@ -32,7 +32,7 @@ def main() -> None:
 
     rows = []
     for label, policy in POLICIES:
-        config = AnalysisConfig(language="cps", widening="store", **policy)
+        config = AnalysisConfig(language="cps", engine="kleene", **policy)
         result = assemble(config).run(program)
         per_addr = result.flows_per_address()
         widest = max(len(lams) for lams in per_addr.values())

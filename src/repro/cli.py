@@ -194,20 +194,25 @@ def _resolve_config(args: argparse.Namespace, lang: str):
     Without ``--preset`` the fine-grained flags are the whole story (with
     the historical default of 1-CFA, monovariant when ``--k 0`` suits the
     per-state CPS path).  With ``--preset`` the named config is the base
-    and only explicitly passed flags override its fields.
+    and only explicitly passed flags override its fields.  ``--shared``
+    asks for the store-widened domain: on a config without an engine it
+    selects ``kleene``, the whole-domain rounds over that domain.
     """
     from repro.config import AnalysisConfig, preset_config, request_config
 
     k = 1 if args.k is None else args.k
     if args.preset is not None:
+        base = _assemble(lambda: preset_config(args.preset))
+        engine = args.engine
+        if engine is None and args.shared and base.engine is None:
+            engine = "kleene"
         # store_true flags can only assert, never un-set
         overrides = {
             name: value
             for name, value in (
-                ("engine", args.engine),
+                ("engine", engine),
                 ("store_impl", args.store_impl),
                 ("transition", args.transition),
-                ("widening", "store" if args.shared else None),
                 ("gc", args.gc or None),
                 ("counting", args.counting or None),
             )
@@ -215,21 +220,16 @@ def _resolve_config(args: argparse.Namespace, lang: str):
         }
         if args.k is not None:
             overrides["k"] = args.k
-            base = _assemble(lambda: preset_config(args.preset))
             if base.addressing not in ("kcfa", "lcontext", "boundednat"):
                 overrides["addressing"] = "kcfa"
         return _assemble(lambda: request_config(lang, args.preset, overrides))
-    addressing = (
-        "zerocfa"
-        if (lang == "cps" and k == 0 and not args.shared and args.engine is None)
-        else "kcfa"
-    )
+    engine = args.engine or ("kleene" if args.shared else None)
+    addressing = "zerocfa" if (lang == "cps" and k == 0 and engine is None) else "kcfa"
     config = AnalysisConfig(
         language=lang,
         addressing=addressing,
         k=k,
-        widening="store" if (args.shared or args.engine is not None) else "none",
-        engine=args.engine,
+        engine=engine,
         store_impl=args.store_impl or "persistent",
         gc=args.gc,
         counting=args.counting,
@@ -627,7 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
         "points, no per-bind monad dispatch (see PERFORMANCE.md); the "
         "depgraph presets default to fused, everything else to generic",
     )
-    an_p.add_argument("--shared", action="store_true", help="single-threaded store")
+    an_p.add_argument(
+        "--shared",
+        action="store_true",
+        help="single-threaded (store-widened) domain; without --engine it "
+        "runs the kleene engine",
+    )
     an_p.add_argument("--gc", action="store_true", help="abstract garbage collection")
     an_p.add_argument("--counting", action="store_true", help="counting store")
     an_p.add_argument(

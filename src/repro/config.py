@@ -6,16 +6,20 @@ optional GC/counting refinements, and a fixed-point strategy.  Here the
 whole design space is one declarative record:
 
 * :class:`AnalysisConfig` -- a frozen dataclass naming every degree of
-  freedom (language, addressing/k, widening, engine, store
-  implementation, GC, counting, transition staging), with
-  :meth:`AnalysisConfig.validated` as the single home of the
-  compatibility rules;
+  freedom (language, addressing/k, engine, store implementation, GC,
+  counting, transition staging), with :meth:`AnalysisConfig.validated`
+  as the single home of the compatibility rules.  Setting an engine is
+  what selects the store-widened domain (6.5, 8.2); without one the
+  analysis keeps per-state stores;
 * :data:`PRESETS` -- a registry of named, validated configurations
   (``concrete``, ``0cfa``, ``1cfa-gc``, ``kcfa-counting-fast``, ...),
   the CLI's ``--preset``/``--list-presets`` vocabulary;
 * :func:`request_config` -- the one home of preset overrides: a preset
-  plus the fields a front end (CLI flag, server request, batch job)
-  explicitly set;
+  plus the fields a front end (CLI flag, server request, batch job,
+  profiler) explicitly set;
+* :func:`reference_config` -- the paper-literal oracle of any config:
+  the same domain iterated by whole-domain Kleene rounds (5.2's
+  ``exploreFP``) over persistent stores with the generic monadic step;
 * :func:`assemble` -- the single constructor turning a config (plus a
   program, for Featherweight Java's class table) into one
   :class:`~repro.core.analysis.Analysis` over the language's
@@ -23,7 +27,7 @@ whole design space is one declarative record:
   benchmarks all build analyses through it::
 
       assemble(preset_config("1cfa-gc", "cps")).run(program)
-      assemble(AnalysisConfig(language="lam", k=2, widening="store")).run(expr)
+      assemble(AnalysisConfig(language="lam", k=2, engine="kleene")).run(expr)
 
 The style follows CPAchecker's composite-CPA configuration files: small
 declarative modules naming a stack of components, validated before
@@ -40,8 +44,9 @@ depgraph engine             the global-store engine's loop
 ``versioned``               whole-domain snapshots; a mutable store has
                             identity, not history
 ``concrete`` addressing     the reference semantics is per-state by
-rejects engines/widening    definition (6.1): widening it would change
-                            what every abstraction is compared against
+rejects engines             definition (6.1): widening its store would
+                            change what every abstraction is compared
+                            against
 ==========================  =============================================
 
 Abstract GC and counting compose with *every* engine since the engines
@@ -65,10 +70,17 @@ from repro.core.addresses import (
 )
 from repro.core.analysis import Analysis
 from repro.core.collecting import PerStateStoreCollecting, SharedStoreCollecting
-from repro.core.driver import prepare_engine_store
 from repro.core.fixpoint import ENGINES, STORE_IMPLS
 from repro.core.gc import MonadicStoreCollector
-from repro.core.store import BasicStore, CountingStore, StoreLike
+from repro.core.store import (
+    ACounter,
+    BasicStore,
+    CountingStore,
+    RecordingStore,
+    StoreLike,
+    VersionedCountingStore,
+    VersionedStore,
+)
 
 #: The languages an :class:`AnalysisConfig` can target.
 LANGUAGES = ("cps", "lam", "fj")
@@ -84,10 +96,6 @@ ANALYSIS_MODULES = {
 #: Named address-allocation policies (:mod:`repro.core.addresses`).
 #: ``custom`` stands for a caller-supplied :class:`Addressable` object.
 ADDRESSINGS = ("kcfa", "zerocfa", "concrete", "lcontext", "boundednat", "custom")
-
-#: Domain widenings: ``none`` keeps per-state stores (precise, possibly
-#: exponential, 6.5); ``store`` is Shivers' single-threaded store.
-WIDENINGS = ("none", "store")
 
 #: How the transition function is executed: ``generic`` runs the monadic
 #: normal form through the ``StorePassing`` stack (the paper's 5.3.1,
@@ -111,7 +119,6 @@ class AnalysisConfig:
     language: str | None = None
     addressing: str = "kcfa"
     k: int = 1
-    widening: str = "none"
     engine: str | None = None
     store_impl: str = "persistent"
     gc: bool = False
@@ -121,69 +128,62 @@ class AnalysisConfig:
 
     @property
     def shared(self) -> bool:
-        """Whether the fixed-point domain is the store-widened one (6.5)."""
-        return self.widening == "store"
+        """Whether the fixed-point domain is the store-widened one (6.5).
+
+        The engines are strategies over exactly that domain, so naming
+        one is what selects it; without an engine stores stay per-state.
+        """
+        return self.engine is not None
 
     def replace(self, **overrides: Any) -> "AnalysisConfig":
         """A copy with the given fields replaced (dataclasses.replace)."""
         return _dc_replace(self, **overrides)
 
     def validated(self) -> "AnalysisConfig":
-        """Normalize and check the configuration; raise ``ValueError`` if bad.
+        """Check the configuration: return it unchanged or raise ``ValueError``.
 
         This is the single home of every compatibility rule the analyses
         used to enforce piecemeal (the module docstring tabulates them).
-        Normalization: selecting an engine implies the store widening,
-        since the engines are strategies over the widened domain.
         """
-        config = self
-        if config.engine is not None and config.widening != "store":
-            config = config.replace(widening="store")
-        if config.language is not None and config.language not in LANGUAGES:
+        if self.language is not None and self.language not in LANGUAGES:
             raise ValueError(
-                f"unknown language {config.language!r}; choose one of {LANGUAGES}"
+                f"unknown language {self.language!r}; choose one of {LANGUAGES}"
             )
-        if config.addressing not in ADDRESSINGS:
+        if self.addressing not in ADDRESSINGS:
             raise ValueError(
-                f"unknown addressing {config.addressing!r}; choose one of {ADDRESSINGS}"
+                f"unknown addressing {self.addressing!r}; choose one of {ADDRESSINGS}"
             )
-        if config.widening not in WIDENINGS:
-            raise ValueError(
-                f"unknown widening {config.widening!r}; choose one of {WIDENINGS}"
-            )
-        if config.k < 0:
+        if self.k < 0:
             raise ValueError("k must be non-negative")
-        if config.engine is not None and config.engine not in ENGINES:
+        if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {config.engine!r}; choose one of {ENGINES}"
+                f"unknown engine {self.engine!r}; choose one of {ENGINES}"
             )
-        if config.store_impl not in STORE_IMPLS:
+        if self.store_impl not in STORE_IMPLS:
             raise ValueError(
-                f"unknown store impl {config.store_impl!r}; choose one of {STORE_IMPLS}"
+                f"unknown store impl {self.store_impl!r}; choose one of {STORE_IMPLS}"
             )
-        if config.transition not in TRANSITIONS:
+        if self.transition not in TRANSITIONS:
             raise ValueError(
-                f"unknown transition {config.transition!r}; "
+                f"unknown transition {self.transition!r}; "
                 f"choose one of {TRANSITIONS}"
             )
-        if config.store_impl != "persistent" and config.engine is None:
+        if self.store_impl != "persistent" and self.engine is None:
             raise ValueError(
                 "store_impl selects a global-store engine representation; "
                 "pass engine='depgraph' with it"
             )
-        if config.engine == "kleene" and config.store_impl == "versioned":
+        if self.engine == "kleene" and self.store_impl == "versioned":
             raise ValueError(
                 "the kleene engine iterates immutable whole-domain snapshots; "
                 "the versioned (mutable) store pairs with the depgraph engine"
             )
-        if config.addressing == "concrete" and (
-            config.engine is not None or config.widening != "none"
-        ):
+        if self.addressing == "concrete" and self.engine is not None:
             raise ValueError(
                 "concrete addressing is the per-state reference semantics; "
                 "it takes neither an engine nor the store widening"
             )
-        return config
+        return self
 
     def cache_key(self) -> str:
         """A stable, human-readable identity string for content addressing.
@@ -200,7 +200,6 @@ class AnalysisConfig:
             "language": self.language,
             "addressing": self.addressing,
             "k": self.k,
-            "widening": self.widening,
             "engine": self.engine,
             "store_impl": self.store_impl,
             "gc": self.gc,
@@ -212,7 +211,7 @@ class AnalysisConfig:
     def describe(self) -> str:
         """A compact one-line rendering (preset listings, labels)."""
         parts = [self.addressing if self.addressing != "kcfa" else f"{self.k}cfa"]
-        parts.append("per-state" if self.widening == "none" else "shared-store")
+        parts.append("shared-store" if self.shared else "per-state")
         if self.engine:
             parts.append(f"{self.engine}/{self.store_impl}")
         if self.gc:
@@ -245,9 +244,9 @@ def _preset(name: str, description: str, **fields: Any) -> Preset:
 #: Every depgraph preset is the fast path: the versioned store, stepped by
 #: the staged (fused) transition.  Under either transition its fixed point
 #: is bit-identical to the Kleene/persistent/generic oracle
-#: (tests/test_config.py), so ``transition="generic"`` only changes the
-#: speed.  The ``*-kleene`` and ``*-per-state`` presets keep the paper's
-#: monadic transition.
+#: (:func:`reference_config`, tests/test_config.py), so
+#: ``transition="generic"`` only changes the speed.  The ``*-per-state``
+#: presets keep the paper's monadic transition.
 PRESETS: dict[str, Preset] = {
     preset.name: preset
     for preset in (
@@ -290,13 +289,6 @@ PRESETS: dict[str, Preset] = {
             transition="fused",
         ),
         _preset(
-            "1cfa-gc-kleene",
-            "1-CFA with abstract GC on whole-domain Kleene rounds (baseline)",
-            k=1,
-            gc=True,
-            engine="kleene",
-        ),
-        _preset(
             "kcfa-counting-fast",
             "1-CFA with an abstract counting store at worklist speed",
             k=1,
@@ -304,13 +296,6 @@ PRESETS: dict[str, Preset] = {
             engine="depgraph",
             store_impl="versioned",
             transition="fused",
-        ),
-        _preset(
-            "1cfa-counting-kleene",
-            "1-CFA with an abstract counting store on Kleene rounds (baseline)",
-            k=1,
-            counting=True,
-            engine="kleene",
         ),
         _preset(
             "1cfa-per-state",
@@ -381,6 +366,23 @@ def request_config(
     return config.validated()
 
 
+def reference_config(config: AnalysisConfig) -> AnalysisConfig:
+    """The paper-literal oracle of ``config``: same domain, same fixed point.
+
+    A shared-store config maps to whole-domain Kleene rounds (5.2's
+    ``exploreFP``) over persistent stores with the generic monadic step;
+    a per-state config keeps its domain and takes the generic step, and
+    callers run it with ``worklist=False`` (``explore_fp`` instead of
+    the frontier worklist).  Every fast path's fixed point must be
+    bit-identical to its reference's (tests/test_config.py).
+    """
+    if config.shared:
+        return config.replace(
+            engine="kleene", store_impl="persistent", transition="generic"
+        )
+    return config.replace(transition="generic")
+
+
 def list_presets() -> list[tuple[str, str, str]]:
     """``(name, configuration summary, description)`` rows for display."""
     return [
@@ -414,12 +416,27 @@ def make_addressing(config: AnalysisConfig) -> Addressable:
 def prepare_store(
     config: AnalysisConfig, store_like: StoreLike | None = None
 ) -> StoreLike:
-    """The config's store, readied for its engine (wrapping included)."""
+    """The config's store, readied for its engine (wrapping included).
+
+    ``versioned`` swaps in a :class:`~repro.core.store.VersionedStore`
+    (or :class:`~repro.core.store.VersionedCountingStore` when the store
+    counts) over the same value lattice: one mutable store whose
+    per-address change versions let the depgraph engine do O(delta)
+    work per evaluation.  The depgraph engine's store is wrapped in a
+    :class:`~repro.core.store.RecordingStore`, because its loop consumes
+    every evaluation's read/write footprint (dependency tracking, the
+    GC sweep's reads, and the write log that decides which counts to
+    saturate on convergence).  Kleene rounds and per-state runs use the
+    persistent store as is.
+    """
     store = store_like or (CountingStore() if config.counting else BasicStore())
-    if config.engine is not None:
-        store = prepare_engine_store(
-            config.engine, store, config.gc, config.store_impl
-        )
+    if config.store_impl == "versioned":
+        if isinstance(store, ACounter):
+            store = VersionedCountingStore(store.value_lattice)
+        else:
+            store = VersionedStore(store.value_lattice)
+    if config.engine == "depgraph":
+        store = RecordingStore(store)
     return store
 
 
@@ -466,7 +483,6 @@ def assemble(
         language=language,
         interface=interface,
         collecting=collecting,
-        shared=config.shared,
         label=config.label,
         engine=config.engine,
         transition=config.transition,

@@ -83,11 +83,15 @@ class Analysis:
     language: Language
     interface: Any
     collecting: Any
-    shared: bool
     label: str = ""
     engine: str | None = None
     transition: str = "generic"
     last_stats: dict = field(default_factory=dict)
+
+    @property
+    def shared(self) -> bool:
+        """Whether the domain is the store-widened one: an engine is set."""
+        return self.engine is not None
 
     def step(self) -> Callable[[Any], Any]:
         """The transition the fixed point iterates: generic or staged."""
@@ -107,11 +111,11 @@ class Analysis:
     ) -> "AnalysisResult":
         """``runAnalysis``: the fixed point of ``program``, wrapped.
 
-        Engine-backed analyses run their engine; otherwise per-state
-        domains take the frontier worklist when ``worklist`` is set (the
-        same fixed point as Kleene iteration, experiment E9) and shared
-        domains always iterate ``exploreFP``.  ``warm_start``,
-        ``capture`` and ``trace`` need an engine.
+        Engine-backed (shared-store) analyses run their engine; per-state
+        ones take the frontier worklist when ``worklist`` is set (the
+        same fixed point as Kleene iteration, experiment E9) and
+        ``exploreFP`` otherwise.  ``warm_start``, ``capture`` and
+        ``trace`` need an engine.
         """
         initial = self.language.inject(program)
         if self.engine is not None:
@@ -125,7 +129,7 @@ class Analysis:
             )
         elif warm_start is not None or capture is not None or trace is not None:
             raise EngineRequired("warm starts, capture and tracing")
-        elif worklist and not self.shared:
+        elif worklist:
             collecting = self.collecting
             fp = worklist_explore(
                 collecting,

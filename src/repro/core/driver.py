@@ -11,9 +11,9 @@ semantic-interface implementation, and (3) the analysis lattice with its
 fixed-point computation.  :meth:`repro.core.analysis.Analysis.run` is
 that function: it calls ``exploreFP`` (:func:`~repro.core.fixpoint.explore_fp`)
 or the frontier worklist directly, and hands engine-backed analyses to
-:func:`run_engine_analysis` here.  This module readies the store for an
-engine (:func:`prepare_engine_store`) and runs the two engines with
-their counters and trace span.
+:func:`run_engine_analysis` here, which runs the two engines with their
+counters and trace span.  The store an engine needs is readied at
+assembly (:func:`repro.config.prepare_store`).
 """
 
 from __future__ import annotations
@@ -24,52 +24,6 @@ from repro.core.fused import FusedTransition
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_tracer
 from repro.core.fixpoint import explore_fp, global_store_explore
-from repro.core.store import (
-    ACounter,
-    RecordingStore,
-    StoreLike,
-    VersionedCountingStore,
-    VersionedStore,
-)
-
-
-def prepare_engine_store(
-    engine: str,
-    store_like: StoreLike,
-    gc: bool = False,
-    store_impl: str = "persistent",
-) -> StoreLike:
-    """Ready the store for an engine selection (all three languages).
-
-    ``store_impl`` picks the store representation behind the worklist
-    engine (:data:`~repro.core.fixpoint.STORE_IMPLS`): ``persistent``
-    keeps the given PMap-backed store; ``versioned`` swaps in a
-    :class:`~repro.core.store.VersionedStore` (or
-    :class:`~repro.core.store.VersionedCountingStore` when the given
-    store counts) over the same value lattice, whose mutable element and
-    per-address change versions let the engine do O(delta) work per
-    evaluation.  The kleene engine iterates over immutable whole-domain
-    snapshots, so it pairs only with ``persistent``.
-
-    The ``depgraph`` engine's store is wrapped in a
-    :class:`~repro.core.store.RecordingStore`: the loop consumes every
-    evaluation's read/write footprint (dependency tracking, including
-    the GC sweep's reads, and for counting stores the write log that
-    decides which counts to saturate on convergence).
-
-    Every compatibility rule -- known engine and store impl, kleene
-    never with ``versioned`` -- lives in
-    :meth:`repro.config.AnalysisConfig.validated`, which has run before
-    :func:`repro.config.prepare_store` calls this.
-    """
-    if store_impl == "versioned":
-        if isinstance(store_like, ACounter):
-            store_like = VersionedCountingStore(store_like.value_lattice)
-        else:
-            store_like = VersionedStore(store_like.value_lattice)
-    if engine == "depgraph":
-        return RecordingStore(store_like)
-    return store_like
 
 
 def run_engine_analysis(

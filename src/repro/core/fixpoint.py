@@ -81,8 +81,7 @@ precisely, and "nothing changed" is an integer comparison.  The
 re-applies the functional to immutable whole-domain snapshots and needs
 earlier iterates to remain observable, while a mutable store has
 identity, not history -- which is why ``kleene`` + ``versioned`` is
-rejected at assembly time (see
-:func:`repro.core.driver.prepare_engine_store` and
+rejected at assembly time (see :func:`repro.config.prepare_store` and
 :meth:`repro.config.AnalysisConfig.validated`).
 
 ## The read/write-log bracketing protocol

@@ -32,7 +32,7 @@ from repro.util.intern import hash_consed
 from typing import Any, Hashable
 
 from repro.core.monads import Monad, MonadPlus, map_m, run_do, sequence_
-from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Var, free_vars
+from repro.cps.syntax import AExp, Call, CExp, Exit, Lam, Var
 from repro.util.pcollections import PMap, pmap
 
 
@@ -201,17 +201,3 @@ def mnext_do(interface: CPSInterface, pstate: PState) -> Any:
         return PState(call_body, rho_prime.update(zip(vs, addrs)))
 
     return run_do(monad, block)
-
-
-def atomic_eval_closure(env: PMap, aexp: AExp) -> Clo | None:
-    """The pure part of the atomic evaluator: lambdas close over the environment.
-
-    A closure captures only its lambda's *free* variables -- a standard
-    flow-analysis hygiene step that keeps environments minimal, sharpens
-    abstract GC and keeps states small.  Variable references need the
-    store and therefore the monad; they return ``None`` here and are
-    handled by each interface.
-    """
-    if isinstance(aexp, Lam):
-        return Clo(aexp, env.restrict(free_vars(aexp).__contains__))
-    return None

@@ -374,8 +374,3 @@ def parse_program(source: str) -> Program:
             f"{MAX_TERM_DEPTH}: split long operator chains, call chains or blocks"
         )
     return program
-
-
-def parse_stmts(source: str) -> tuple[Stmt, ...]:
-    """Parse a statement sequence (function-body fragments in tests)."""
-    return parse_program(source).body

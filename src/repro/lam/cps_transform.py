@@ -50,12 +50,6 @@ def cps_convert(expr: Expr, halt_var: str = "r") -> cps.CExp:
     return _convert(uniquify(expr), names, lambda atom: cps.Call(halt, (atom,)))
 
 
-def cps_convert_with_cont(expr: Expr, cont: cps.AExp) -> cps.CExp:
-    """Convert ``expr``, delivering its value to the CPS continuation ``cont``."""
-    names = FreshNames()
-    return _convert(uniquify(expr), names, lambda atom: cps.Call(cont, (atom,)))
-
-
 def _convert(
     expr: Expr, names: FreshNames, kappa: Callable[[cps.AExp], cps.CExp]
 ) -> cps.CExp:

@@ -54,7 +54,6 @@ on the wire.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -223,16 +222,6 @@ def run_batch(
         cache = FixpointCache(root=cache_dir)
     ensure_deep_pickle()  # pool results unpickle on a parent-side thread
     started = time.perf_counter()
-
-    # normalize every config up front: the workers receive the same
-    # validated jobs the content addresses are derived from (prepare()
-    # re-validates, but chunk dispatch pickles the job as-is)
-    jobs = [
-        job
-        if (validated := job.config.validated()) == job.config
-        else dataclasses.replace(job, config=validated)
-        for job in jobs
-    ]
 
     prepared = [prepare(job) for job in jobs]
     outcomes: list[JobOutcome | None] = [None] * len(jobs)

@@ -35,7 +35,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.report import result_summary
@@ -353,14 +353,10 @@ class JobOutcome:
 def prepare(job: BatchJob) -> PreparedJob:
     """Resolve a job's program, content address, and assembled analysis.
 
-    Normalizes the config first: content addresses must be computed on
-    the *validated* config (validation e.g. implies the store widening
-    for engine configs), or entries written here would never match the
-    keys another front end derives.
+    The config is checked before its program is parsed, so a bad config
+    fails fast whatever the program.
     """
-    validated = job.config.validated()
-    if validated != job.config:
-        job = _dc_replace(job, config=validated)
+    job.config.validated()
     tracer = current_tracer()
     with tracer.span("parse", cat="prepare", language=job.config.language):
         program = resolve_program(job)
@@ -381,7 +377,6 @@ def prepare_cell(config: AnalysisConfig, program: Any) -> PreparedJob:
     The ``reanalyse`` entry: callers holding a live term skip the
     source/corpus round trip but run the identical downstream pipeline.
     """
-    config = config.validated()
     with current_tracer().span("assemble", cat="prepare", language=config.language):
         analysis = assemble(config, program=program)
     return PreparedJob(

@@ -1,12 +1,11 @@
-"""Shared workload/preset resolution for the measurement harnesses.
+"""Shared workload resolution for the measurement harnesses.
 
-``tools/profile_analysis.py`` and ``benchmarks/bench_gates.py`` share
-the same plumbing: look a workload up by ``(language, name)`` -- a
-corpus program, or the synthetic CPS ``id-chain-N`` family -- and turn
-a preset plus fine-grained override flags into a validated
-:class:`~repro.config.AnalysisConfig`.  This module is the one home for
-both, so the profiler and the time gates can never resolve the same
-name to different programs or the same flags to different configs.
+``tools/profile_analysis.py`` and ``benchmarks/bench_gates.py`` look a
+workload up by ``(language, name)`` -- a corpus program, or the
+synthetic CPS ``id-chain-N`` family -- through this one module, so the
+profiler and the time gates can never resolve the same name to
+different programs.  Flags become a config through
+:func:`repro.config.request_config`, like every other front end's.
 """
 
 from __future__ import annotations
@@ -49,51 +48,3 @@ def resolve_workload(lang: str, name: str) -> Any:
             + (" (or id-chain-N)" if lang == "cps" else "")
         ) from None
 
-
-def build_workload_config(
-    lang: str,
-    preset: str | None = None,
-    k: int | None = None,
-    engine: str | None = None,
-    store_impl: str | None = None,
-    transition: str | None = None,
-    gc: bool = False,
-    counting: bool = False,
-):
-    """A validated analysis config from a preset plus override flags.
-
-    With ``preset`` the named registry entry is the base and only the
-    explicitly passed flags override its fields (the CLI's semantics).
-    Without one, the default is the fast global-store configuration
-    (``depgraph`` + ``versioned`` -- the hot path worth measuring),
-    falling back to the persistent store for the kleene engine, which
-    cannot pair with the versioned one.
-    """
-    from repro.config import AnalysisConfig, request_config
-
-    if preset:
-        overrides = {
-            name: value
-            for name, value in (
-                ("k", k),
-                ("engine", engine),
-                ("store_impl", store_impl),
-                ("transition", transition),
-                ("gc", gc or None),
-                ("counting", counting or None),
-            )
-            if value is not None
-        }
-        return request_config(lang, preset, overrides)
-    resolved_engine = engine or "depgraph"
-    default_impl = "persistent" if resolved_engine == "kleene" else "versioned"
-    return AnalysisConfig(
-        language=lang,
-        k=1 if k is None else k,
-        widening="store",
-        engine=resolved_engine,
-        store_impl=store_impl or default_impl,
-        gc=gc,
-        counting=counting,
-        transition=transition or "generic",
-    ).validated()

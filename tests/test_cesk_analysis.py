@@ -32,14 +32,14 @@ class TestPolyvariance:
             concrete = evaluate(PROGRAMS[name]).lam
             for k in (0, 1):
                 abstract = run_config(
-                    "lam", PROGRAMS[name], k=k, widening="store"
+                    "lam", PROGRAMS[name], k=k, engine="kleene"
                 ).final_values()
                 assert concrete in abstract
 
     def test_precision_monotone_in_k(self):
         for name in TERMINATING:
-            f1 = run_config("lam", PROGRAMS[name], k=1, widening="store").flows_to()
-            f0 = run_config("lam", PROGRAMS[name], k=0, widening="store").flows_to()
+            f1 = run_config("lam", PROGRAMS[name], k=1, engine="kleene").flows_to()
+            f0 = run_config("lam", PROGRAMS[name], k=0, engine="kleene").flows_to()
             for var, lams in f1.items():
                 assert lams <= f0.get(var, lams)
 
@@ -65,14 +65,14 @@ class TestSharedStore:
     def test_shared_covers_per_state(self):
         for name in PER_STATE_SAFE + ["omega"]:
             per_state = run_config("lam", PROGRAMS[name], k=1)
-            shared = run_config("lam", PROGRAMS[name], k=1, widening="store")
+            shared = run_config("lam", PROGRAMS[name], k=1, engine="kleene")
             for var, lams in per_state.flows_to().items():
                 assert lams <= shared.flows_to().get(var, frozenset())
 
     def test_shared_fixed_point_is_smaller_or_equal(self):
         program = eta_chain(3)
         per_state = run_config("lam", program, k=1)
-        shared = run_config("lam", program, k=1, widening="store")
+        shared = run_config("lam", program, k=1, engine="kleene")
         assert shared.num_elements() <= per_state.num_elements()
 
 

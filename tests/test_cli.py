@@ -81,6 +81,22 @@ class TestAnalyze:
         assert main(["analyze", cps_file, "--k", "0", "--shared", "--counting"]) == 0
         assert "mean flow" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("preset", [[], ["--preset", "1cfa-per-state"]])
+    def test_shared_runs_the_kleene_engine(self, cps_file, capsys, preset):
+        """``--shared`` without ``--engine`` is ``--engine kleene``: the same
+        analysis, flag for flag."""
+        tables = {}
+        for flag in (["--shared"], ["--engine", "kleene"]):
+            assert main(["analyze", cps_file, *preset, *flag]) == 0
+            out = capsys.readouterr().out
+            assert "engine: kleene (persistent)" in out
+            tables[flag[0]] = out[: out.index("time:")]
+        assert tables["--shared"] == tables["--engine"]
+
+    def test_shared_keeps_a_preset_engine(self, cps_file, capsys):
+        assert main(["analyze", cps_file, "--preset", "1cfa", "--shared"]) == 0
+        assert "engine: depgraph (versioned, fused)" in capsys.readouterr().out
+
     def test_analyze_cps_gc(self, cps_file, capsys):
         assert main(["analyze", cps_file, "--gc"]) == 0
         assert "states:" in capsys.readouterr().out
@@ -294,9 +310,10 @@ class TestTransitionFlag:
     def test_transition_overrides_preset(self, cps_file, capsys):
         # a generic preset paired with --transition fused runs fused
         assert main(
-            ["analyze", cps_file, "--preset", "1cfa-gc-kleene", "--transition", "fused"]
+            ["analyze", cps_file, "--preset", "1cfa-gc-per-state", "--shared",
+             "--transition", "fused"]
         ) == 0
-        assert "fused" in capsys.readouterr().out
+        assert "engine: kleene (persistent, fused)" in capsys.readouterr().out
         # and a fused preset paired with --transition generic runs generic
         assert main(
             ["analyze", cps_file, "--preset", "1cfa", "--transition", "generic"]

@@ -7,13 +7,14 @@ Two layers of checks:
   driver and the per-language constructors -- every rule is pinned
   here, with its historical error-message wording.
 * The **preset matrix**: every preset in the registry produces a fixed
-  point identical to the equivalent hand-assembled Kleene analysis,
+  point identical to its :func:`~repro.config.reference_config` run,
   across the full corpus in all three languages.  For engine presets
-  the equivalent analysis swaps the engine for ``kleene`` over the
-  persistent store; for per-state presets it evaluates the same domain
-  by whole-domain Kleene rounds (``explore_fp``) instead of the
-  frontier worklist.  The ``concrete`` preset is compared on the
-  corpus programs with finite concrete state spaces.
+  the reference swaps the engine for ``kleene`` over the persistent
+  store; for per-state presets it evaluates the same domain by
+  whole-domain Kleene rounds (``explore_fp``) instead of the frontier
+  worklist.  Either way it takes the generic monadic step.  The
+  ``concrete`` preset is compared on the corpus programs with finite
+  concrete state spaces.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from repro.config import (
     assemble,
     list_presets,
     preset_config,
+    reference_config,
     request_config,
 )
 from repro.corpus.cps_programs import PROGRAMS as CPS_PROGRAMS
@@ -70,11 +72,12 @@ LANGUAGES = ("cps", "lam", "fj")
 class TestAnalysisConfigValidation:
     def test_defaults_validate(self):
         config = AnalysisConfig().validated()
-        assert config.widening == "none" and config.engine is None
+        assert config.engine is None and not config.shared
 
     def test_engine_implies_store_widening(self):
-        config = AnalysisConfig(engine="depgraph").validated()
-        assert config.widening == "store" and config.shared
+        config = AnalysisConfig(engine="depgraph")
+        assert config.shared
+        assert config.validated() is config  # validation never rewrites
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError, match="unknown language"):
@@ -83,10 +86,6 @@ class TestAnalysisConfigValidation:
     def test_unknown_addressing_rejected(self):
         with pytest.raises(ValueError, match="unknown addressing"):
             AnalysisConfig(addressing="9cfa").validated()
-
-    def test_unknown_widening_rejected(self):
-        with pytest.raises(ValueError, match="unknown widening"):
-            AnalysisConfig(widening="narrowing").validated()
 
     @pytest.mark.parametrize("engine", ["magic", "worklist"])
     def test_unknown_engine_rejected(self, engine):
@@ -110,10 +109,9 @@ class TestAnalysisConfigValidation:
             AnalysisConfig(engine="kleene", store_impl="versioned").validated()
 
     def test_concrete_rejects_engines_and_widening(self):
-        with pytest.raises(ValueError, match="concrete"):
-            AnalysisConfig(addressing="concrete", engine="depgraph").validated()
-        with pytest.raises(ValueError, match="concrete"):
-            AnalysisConfig(addressing="concrete", widening="store").validated()
+        for engine in ("kleene", "depgraph"):
+            with pytest.raises(ValueError, match="concrete"):
+                AnalysisConfig(addressing="concrete", engine=engine).validated()
 
     def test_gc_and_counting_compose_with_every_engine(self):
         """The old kleene-only restriction is gone: every engine/store
@@ -215,42 +213,45 @@ def _run(config, lang, program, worklist):
 _reference_cache: dict = {}
 
 
-def _kleene_reference(lang, name, config):
-    """The hand-assembled Kleene analysis equivalent to ``config``.
+def _reference(lang, name, config):
+    """The :func:`reference_config` run of ``config`` on one corpus program.
 
-    The reference always runs the *generic* monadic transition: the
-    fused cells are thereby checked against the monadic normal form
-    itself, not merely against a fused Kleene run.
+    The reference always runs the *generic* monadic transition by
+    whole-domain Kleene rounds: the fused and worklist cells are thereby
+    checked against the monadic normal form itself.
     """
-    if config.engine is not None:
-        ref = config.replace(
-            engine="kleene",
-            store_impl="persistent",
-            transition="generic",
-            label="ref",
-        )
-        worklist = False
-    else:
-        ref = config.replace(transition="generic", label="ref")
-        worklist = False  # explore_fp: whole-domain Kleene rounds
-    key = (
-        lang,
-        name,
-        ref.addressing,
-        ref.k,
-        ref.widening,
-        ref.engine,
-        ref.gc,
-        ref.counting,
-    )
+    ref = reference_config(config)
+    key = (lang, name, ref.cache_key())
     if key not in _reference_cache:
         program = LANG_PROGRAMS[lang][name]
-        _reference_cache[key] = _run(ref, lang, program, worklist)
+        _reference_cache[key] = _run(ref, lang, program, worklist=False)
     return _reference_cache[key]
 
 
+class TestReferenceConfig:
+    """The oracle of every preset: one spelling, fixed by the domain."""
+
+    @pytest.mark.parametrize("lang", LANGUAGES)
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_reference_of_every_preset(self, name, lang):
+        config = preset_config(name, lang)
+        ref = reference_config(config)
+        assert config == config.validated()
+        assert ref == ref.validated()
+        assert reference_config(ref) == ref
+        assert ref.shared == config.shared
+        assert ref.transition == "generic"
+        if config.shared:
+            assert ref == config.replace(
+                engine="kleene", store_impl="persistent", transition="generic"
+            )
+        else:
+            assert ref == config.replace(transition="generic")
+            assert ref.engine is None and ref.store_impl == "persistent"
+
+
 class TestPresetMatrix:
-    """Every preset == its hand-assembled Kleene equivalent, corpus-wide."""
+    """Every preset == its :func:`reference_config` run, corpus-wide."""
 
     @pytest.mark.parametrize("lang", LANGUAGES)
     @pytest.mark.parametrize("preset_name,transition", preset_cells())
@@ -267,8 +268,8 @@ class TestPresetMatrix:
                 continue
             program = LANG_PROGRAMS[lang][name]
             result = _run(config, lang, program, worklist=not config.shared)
-            reference = _kleene_reference(lang, name, config)
-            assert result.fp == reference.fp, f"{preset_name} vs kleene on {lang}/{name}"
+            reference = _reference(lang, name, config)
+            assert result.fp == reference.fp, f"{preset_name} vs reference on {lang}/{name}"
 
     @pytest.mark.parametrize("lang", LANGUAGES)
     def test_acceptance_1cfa_gc_runs_depgraph_versioned(self, lang):
@@ -286,5 +287,5 @@ class TestPresetMatrix:
                 unwrap_store(analysis.interface.store_like), VersionedStore
             )
             fast = analysis.run(program)
-            baseline = _kleene_reference(lang, name, config)
+            baseline = _reference(lang, name, config)
             assert fast.fp == baseline.fp, f"{lang}/{name}"

@@ -86,20 +86,20 @@ class TestSharedStoreWidening:
     def test_shared_store_covers_per_state_flows(self):
         for name in ("identity", "mj09", "omega"):
             per_state = run_config("cps", PROGRAMS[name], k=1).flows_to()
-            shared = run_config("cps", PROGRAMS[name], k=1, widening="store").flows_to()
+            shared = run_config("cps", PROGRAMS[name], k=1, engine="kleene").flows_to()
             for var, lams in per_state.items():
                 assert lams <= shared.get(var, frozenset())
 
     def test_shared_store_state_set_covers_per_state(self):
         for name in ("identity", "mj09"):
             per_state = run_config("cps", PROGRAMS[name], k=1).states()
-            shared = run_config("cps", PROGRAMS[name], k=1, widening="store").states()
+            shared = run_config("cps", PROGRAMS[name], k=1, engine="kleene").states()
             assert per_state <= shared
 
     def test_heap_cloning_blowup_vs_shared(self):
         program = heap_clone(6)
         per_state = run_config("cps", program, k=1)
-        shared = run_config("cps", program, k=1, widening="store")
+        shared = run_config("cps", program, k=1, engine="kleene")
         # per-state: one store per choice prefix; shared: linear
         assert per_state.num_elements() > 4 * shared.num_elements()
 
@@ -112,9 +112,9 @@ class TestSharedStoreWidening:
 class TestCountingStore:
     def test_counting_plugs_in_without_changing_flows(self):
         program = PROGRAMS["mj09"]
-        plain = run_config("cps", program, k=1, widening="store").flows_to()
+        plain = run_config("cps", program, k=1, engine="kleene").flows_to()
         counted = run_config(
-            "cps", program, k=1, widening="store", counting=True
+            "cps", program, k=1, engine="kleene", counting=True
         ).flows_to()
         assert plain == counted
 
@@ -132,13 +132,13 @@ class TestCountingStore:
         # over-approximates ONE) but deliberately imprecise
         per_state = run_config("cps", PROGRAMS["identity"], k=1, counting=True)
         shared = run_config(
-            "cps", PROGRAMS["identity"], k=1, widening="store", counting=True
+            "cps", PROGRAMS["identity"], k=1, engine="kleene", counting=True
         )
         assert len(shared.singleton_counts()) <= len(per_state.singleton_counts())
 
     def test_loop_bindings_counted_many(self):
         result = run_config(
-            "cps", PROGRAMS["omega"], k=0, widening="store", counting=True
+            "cps", PROGRAMS["omega"], k=0, engine="kleene", counting=True
         )
         store = result.global_store()
         counting = result.store_like

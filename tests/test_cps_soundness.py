@@ -60,7 +60,7 @@ def test_kcfa_covers_concrete(name, k):
 def test_shared_store_covers_concrete(name):
     program = PROGRAMS[name]
     assert_covers(
-        run_config("cps", program, k=1, widening="store").flows_to(),
+        run_config("cps", program, k=1, engine="kleene").flows_to(),
         concrete_flows(program),
     )
 

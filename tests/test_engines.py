@@ -40,14 +40,6 @@ class TestCPSEngineEquivalence:
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
 
-    @pytest.mark.parametrize("name", CPS_NAMES)
-    def test_kleene_engine_is_the_shared_store_analysis(self, name):
-        """The ``kleene`` engine is exactly the paper's 8.2 widened analysis."""
-        program = CPS_PROGRAMS[name]
-        legacy = run_config("cps", program, k=1, widening="store")
-        engine = run_config("cps", program, k=1, engine="kleene")
-        assert engine.fp == legacy.fp
-
     def test_depgraph_on_generated_family(self):
         program = id_chain(6)
         reference = run_config("cps", program, k=1, engine="kleene")
@@ -58,7 +50,7 @@ class TestCPSEngineEquivalence:
         assert stats["evaluations"] >= stats["configurations"] > 0
 
     def test_counting_store_works_under_kleene_engine(self):
-        """Counting composes with the kleene engine (= the legacy shared path)."""
+        """Counting composes with the kleene engine."""
         program = CPS_PROGRAMS["mj09"]
         plain = run_config("cps", program, k=1, engine="kleene")
         counted = run_config("cps", program, k=1, engine="kleene", counting=True)
@@ -80,13 +72,6 @@ class TestCESKEngineEquivalence:
         assert result.num_states() == reference.num_states()
         assert result.flows_to() == reference.flows_to()
 
-    @pytest.mark.parametrize("name", LAM_NAMES)
-    def test_kleene_engine_is_the_shared_store_analysis(self, name):
-        expr = LAM_PROGRAMS[name]
-        legacy = run_config("lam", expr, k=1, widening="store")
-        engine = run_config("lam", expr, k=1, engine="kleene")
-        assert engine.fp == legacy.fp
-
     def test_final_values_agree(self):
         expr = LAM_PROGRAMS["mj09"]
         results = {e: run_config("lam", expr, engine=e) for e in ENGINES}
@@ -105,13 +90,6 @@ class TestFJEngineEquivalence:
         assert result.configs() == reference.configs()
         assert result.num_states() == reference.num_states()
         assert result.class_flows() == reference.class_flows()
-
-    @pytest.mark.parametrize("name", FJ_NAMES)
-    def test_kleene_engine_is_the_shared_store_analysis(self, name):
-        program = FJ_PROGRAMS[name]
-        legacy = run_config("fj", program, k=1, widening="store")
-        engine = run_config("fj", program, k=1, engine="kleene")
-        assert engine.fp == legacy.fp
 
     def test_final_classes_agree(self):
         program = FJ_PROGRAMS["animals"]
@@ -322,7 +300,7 @@ class TestRecordingStore:
 class TestEngineGuards:
     @pytest.mark.parametrize("option", ["warm_start", "capture", "trace"])
     def test_run_options_need_an_engine(self, option):
-        analysis = assemble(AnalysisConfig(language="cps", k=1, widening="store"))
+        analysis = assemble(AnalysisConfig(language="cps", k=1))
         with pytest.raises(EngineRequired, match="engine-backed"):
             analysis.run(CPS_PROGRAMS["mj09"], **{option: []})
 
@@ -337,7 +315,7 @@ class TestEngineGuards:
     def test_shared_domains_ignore_worklist(self, language, program):
         """Every language takes the same ``run``: the store-widened domain
         iterates ``exploreFP`` whatever ``worklist`` says."""
-        config = AnalysisConfig(language=language, k=1, widening="store")
+        config = AnalysisConfig(language=language, k=1, engine="kleene")
         analysis = assemble(config, program=program)
         widened = analysis.run(program, worklist=False).fp
         assert analysis.run(program, worklist=True).fp == widened
@@ -355,8 +333,8 @@ class TestEngineGuards:
 
     def test_depgraph_requires_recording_store(self):
         """Calling the raw engine on an unwrapped domain fails loudly."""
-        # no engine: plain store
-        analysis = assemble(AnalysisConfig(language="cps", k=1, widening="store"))
+        # kleene rounds: the plain persistent store, no recording wrapper
+        analysis = assemble(AnalysisConfig(language="cps", k=1, engine="kleene"))
         with pytest.raises(TypeError, match="RecordingStore"):
             global_store_explore(
                 analysis.collecting,

@@ -116,7 +116,7 @@ class TestAbstractFJ:
     def test_shared_covers_per_state(self):
         for name in ("pair", "animals"):
             per_state = run_config("fj", PROGRAMS[name], k=1)
-            shared = run_config("fj", PROGRAMS[name], k=1, widening="store")
+            shared = run_config("fj", PROGRAMS[name], k=1, engine="kleene")
             for key, classes in per_state.class_flows().items():
                 assert classes <= shared.class_flows().get(key, frozenset())
 

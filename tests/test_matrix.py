@@ -39,7 +39,7 @@ def cell(language, addressing, counting, shape):
     shared, gc = shape
     return AnalysisConfig(
         language=language,
-        widening="store" if shared else "none",
+        engine="kleene" if shared else None,
         gc=gc,
         counting=counting,
         **addressing,
@@ -103,7 +103,7 @@ class TestMatrixCoherence:
         program = PROGRAMS["mj09"]
         per_state = assemble(AnalysisConfig(language="cps", **addressing)).run(program)
         shared = assemble(
-            AnalysisConfig(language="cps", widening="store", **addressing)
+            AnalysisConfig(language="cps", engine="kleene", **addressing)
         ).run(program)
         for var, lams in per_state.flows_to().items():
             assert lams <= shared.flows_to().get(var, frozenset())

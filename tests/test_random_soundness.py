@@ -73,7 +73,7 @@ def test_cesk_abstract_covers_concrete(program: Expr):
         concrete = evaluate(program, max_steps=2_000)
     except CESKTimeout:
         return  # divergent sample
-    abstract = run_config("lam", program, k=0, widening="store").final_values()
+    abstract = run_config("lam", program, k=0, engine="kleene").final_values()
     assert concrete.lam in abstract
 
 
@@ -101,7 +101,7 @@ def test_transform_preserves_and_cps_covers(program: Expr):
     cps_value = heap[final.env["r"]]
     assert user_params(cps_value.lam) == concrete.lam.params
 
-    result = run_config("cps", cps_program, k=0, widening="store")
+    result = run_config("cps", cps_program, k=0, engine="kleene")
     answers = result.flows_to().get("r", frozenset())
     assert user_params(concrete.lam) in {user_params(a) for a in answers} or any(
         user_params(a) == concrete.lam.params for a in answers
@@ -115,7 +115,7 @@ def test_transform_preserves_and_cps_covers(program: Expr):
 )
 @given(closed_programs())
 def test_precision_monotone_on_random_programs(program: Expr):
-    f0 = run_config("lam", program, k=0, widening="store").flows_to()
-    f1 = run_config("lam", program, k=1, widening="store").flows_to()
+    f0 = run_config("lam", program, k=0, engine="kleene").flows_to()
+    f1 = run_config("lam", program, k=1, engine="kleene").flows_to()
     for var, lams in f1.items():
         assert lams <= f0.get(var, lams)

@@ -205,7 +205,7 @@ class _FakeCollecting:
 
 
 def _fake_engine(store_impl, seeds):
-    """A fake shared-store domain wired the way ``prepare_engine_store``
+    """A fake shared-store domain wired the way ``repro.config.prepare_store``
     wires a real one: the recording wrapper around the chosen store."""
     base = VersionedStore() if store_impl == "versioned" else BasicStore()
     recorder = RecordingStore(base)

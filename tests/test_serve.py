@@ -461,6 +461,7 @@ class TestProtocolDiscipline:
             ("shards", 4),
             ("schedule", "fifo"),
             ("schedule", "priority"),
+            ("widening", "store"),
         ],
     )
     def test_bad_override_rejected(self, client, field, value):

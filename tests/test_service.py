@@ -28,7 +28,7 @@ import pickle
 
 import pytest
 
-from repro.config import LANGUAGES, PRESETS, assemble, preset_config
+from repro.config import LANGUAGES, PRESETS, assemble, preset_config, reference_config
 from repro.core.fixpoint import STORE_IMPLS, FixpointCapture, WarmStart
 from repro.corpus import corpus_program
 from repro.corpus.cps_programs import id_chain, id_chain_edited
@@ -144,6 +144,37 @@ class TestMatrixEquivalence:
         assert result.fp == cold_fps[(preset_name, transition, lang)]
         assert analysis.last_stats["evaluations"] == 0
         assert analysis.last_stats["reused"] == analysis.last_stats["configurations"]
+
+
+class TestReferenceThroughTheCache:
+    """The Kleene oracle of a shared preset runs the same tier cascade."""
+
+    @pytest.mark.parametrize("preset_name", ["1cfa-gc", "kcfa-counting-fast"])
+    @pytest.mark.parametrize("lang", LANGUAGES)
+    def test_reference_reanalysis_matches_the_fast_path(
+        self, preset_name, lang, tmp_path, cold_fps
+    ):
+        """Cold, then a digest hit with zero evaluations; both equal the
+        fast path's fixed point."""
+        config = reference_config(preset_config(preset_name, lang))
+        cache = FixpointCache(root=tmp_path / "c")
+        first = reanalyse(config, _program(lang), cache)
+        assert first.mode == "cold"
+        assert first.fp == cold_fps[(preset_name, "fused", lang)]
+        again = reanalyse(config, _program(lang), cache)
+        assert again.mode == "cache-hit"
+        assert again.stats["evaluations"] == 0
+        assert again.fp == first.fp
+
+    def test_reference_edit_runs_cold(self, tmp_path):
+        """Kleene rounds keep no evaluation records, so an edit has no
+        donor: it runs cold, and equals a fresh run."""
+        config = reference_config(preset_config("1cfa", "cps"))
+        cache = FixpointCache(root=tmp_path / "c")
+        reanalyse(config, id_chain(5), cache)
+        edited = reanalyse(config, id_chain_edited(5), cache)
+        assert edited.mode == "cold"
+        assert edited.fp == assemble(config).run(id_chain_edited(5)).fp
 
 
 class TestRealEditWarmStart:
@@ -316,9 +347,7 @@ class TestWarmStartRefusals:
         ids=["warm_start", "capture", "trace"],
     )
     def test_kleene_refuses_per_configuration_hooks(self, kwargs):
-        config = preset_config("1cfa", "cps").replace(
-            engine="kleene", store_impl="persistent"
-        )
+        config = reference_config(preset_config("1cfa", "cps"))
         analysis = assemble(config)
         with pytest.raises(ValueError, match="kleene"):
             analysis.run(id_chain(4), **kwargs)
@@ -573,15 +602,15 @@ class TestBatchRunner:
         assert cache.stats()["entries"] == 0
 
     def test_batch_keys_match_reanalyse_keys(self, tmp_path):
-        """run_batch must address the cache with the *validated* config:
-        an unvalidated engine config (widening still at its default) has
-        to land under the same key reanalyse and latest_for derive."""
+        """run_batch must address the cache with the same key reanalyse
+        and latest_for derive: validation never rewrites a config, so a
+        hand-built one and its validated copy share one key."""
         from repro.config import AnalysisConfig
 
         raw = AnalysisConfig(
             language="cps", k=1, engine="depgraph", store_impl="versioned"
         )
-        assert raw != raw.validated()  # widening normalizes to "store"
+        assert raw == raw.validated()
         cache = FixpointCache(root=tmp_path / "c")
         run_batch([BatchJob(config=raw, corpus="mj09")], workers=1, cache=cache)
         followup = reanalyse(raw.validated(), corpus_program("cps", "mj09"), cache)

@@ -18,13 +18,13 @@ synthetic ``id-chain-N`` family is also understood.  Flags mirror the
 CLI: ``--preset`` names a registry entry, and the fine-grained flags
 (``--k``, ``--engine``, ``--store-impl``, ``--transition``, ``--gc``,
 ``--counting``) override its fields.  One deliberate difference from
-``repro analyze``: without ``--preset`` this tool defaults to the fast
-global-store configuration (``depgraph`` + ``versioned``), because
+``repro analyze``: without ``--preset`` this tool profiles the ``1cfa``
+preset (depgraph over the versioned store, fused transition), because
 that is the hot path worth profiling -- ``repro analyze`` without flags
-runs the per-state domain instead.  Pass ``--engine``/``--store-impl``
-explicitly to profile another point.  Everything assembles through
-``repro.config``, so a profiled configuration is exactly what the CLI
-and tests run for the same settings.
+runs the per-state domain instead.  The flags resolve through
+:func:`repro.config.request_config`, so a profiled configuration is
+exactly what the CLI, the server and the tests run for the same
+settings.
 
 ``--schedule-trace`` swaps the profiler for a scheduling view: run the
 analysis once with the engine's evaluation-order trace enabled and
@@ -74,19 +74,24 @@ def resolve_workload(lang: str, name: str):
 
 
 def build_analysis(args: argparse.Namespace, program):
-    from repro.config import assemble
-    from repro.util.workloads import build_workload_config
+    from repro.config import assemble, request_config
 
-    config = build_workload_config(
-        args.lang,
-        preset=args.preset,
-        k=args.k,
-        engine=args.engine,
-        store_impl=args.store_impl,
-        transition=args.transition,
-        gc=args.gc,
-        counting=args.counting,
-    )
+    overrides = {
+        name: value
+        for name, value in (
+            ("k", args.k),
+            ("engine", args.engine),
+            ("store_impl", args.store_impl),
+            ("transition", args.transition),
+            ("gc", args.gc or None),
+            ("counting", args.counting or None),
+        )
+        if value is not None
+    }
+    try:
+        config = request_config(args.lang, args.preset or "1cfa", overrides)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     return assemble(config, program=program), config
 
 
@@ -207,18 +212,20 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         help="corpus program name (CPS also accepts id-chain-N)",
     )
-    parser.add_argument("--preset", default=None, help="repro.config.PRESETS entry")
+    parser.add_argument(
+        "--preset", default=None, help="repro.config.PRESETS entry (default: 1cfa)"
+    )
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument(
         "--engine",
         choices=("kleene", "depgraph"),
-        help="fixed-point engine (default without --preset: depgraph, "
-        "the hot path -- unlike `repro analyze`, which defaults per-state)",
+        help="fixed-point engine (default: the preset's; kleene needs "
+        "--store-impl persistent)",
     )
     parser.add_argument(
         "--store-impl",
         choices=("persistent", "versioned"),
-        help="store representation (default without --preset: versioned)",
+        help="store representation (default: the preset's)",
     )
     parser.add_argument("--transition", choices=("generic", "fused"))
     parser.add_argument("--gc", action="store_true")
