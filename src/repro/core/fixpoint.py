@@ -95,7 +95,8 @@ woven-in GC sweep (persistent merge) and the engine-side GC sweep
 cannot leave the log open (``begin_log`` refuses re-entry), and the
 returned ``(reads, writes)`` are consumed immediately: reads feed the
 dependency map, writes feed growth detection and the counting
-saturation set.
+saturation set.  A plain versioned drain (no counting, warm start or
+capture) reads no writes, so it opens its brackets without a write log.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
+from repro.core.fused import FusedTransition
 from repro.core.gc import reachable_addresses
 from repro.core.lattice import Lattice
 from repro.core.store import (
@@ -473,6 +475,31 @@ def global_store_explore(
     sweep and the count-saturation pass are side-effects an
     :class:`EvalRecord` replay would silently skip.
 
+    **Semi-naive re-evaluation.**  A store lookup is ``getsNDSet``
+    (paper 5.3.2): every fetched value is its own branch, so one step
+    over a value set is the union of the steps over its elements.  When
+    the step is a :class:`~repro.core.fused.FusedTransition` (whose
+    contract includes this distributivity), the merge is
+    :class:`_VersionedMerge`, abstract GC is off, ``warm_start`` and
+    ``capture`` are both ``None``, and a configuration's last evaluation
+    made exactly one store observation (one ``fetch``; an ``update``
+    also counts), then a retrigger re-evaluates it on the *delta*: the
+    first fetch of the same address returns only the values that were
+    not in the set it fetched last time, in the full set's iteration
+    order (see :class:`~repro.core.store.RecordingStore`).  This is
+    exact: a single-observation evaluation reads nothing while it
+    processes each value, so the old values' successors are already in
+    ``seen`` and re-binding them cannot grow the store (a counting store
+    would only bump counts, which the post-convergence saturation raises
+    to MANY anyway).  The rest keep full re-evaluation: the persistent
+    merge collects branches into a set, whose order fewer elements would
+    change; the GC sweep reads every successor's reachable set, old ones
+    included; a capture must record complete successors and writes, and
+    a warm start replays such records; a generic step may use a fetched
+    set as a whole; and an evaluation with several observations can
+    combine them (a CPS argument product).  ``delta_evaluations``
+    counts the re-evaluations that took this path.
+
     The worklist is a :class:`FifoWorklist`; its suppressed re-enqueues
     are reported as the ``dedup_hits`` stat.  ``trace``, when supplied,
     receives every real (non-replayed) evaluation's configuration in
@@ -508,6 +535,17 @@ def global_store_explore(
         warm_records = warm_start.records
         live_writes = set(seed_store.keys())
         dirty = merge.seeded_growth()
+    # the semi-naive fast path: ``observed`` holds each configuration's
+    # sole fetch ``(addr, values)`` from its last evaluation, moved to
+    # ``primed`` when a retrigger re-queues it
+    no_replay = warm_start is None and capture is None
+    delta_ok = (
+        no_replay and versioned and not gc_on and isinstance(step, FusedTransition)
+    )
+    # nothing reads the write log of a plain versioned drain
+    log_writes = not (no_replay and versioned and not counting)
+    observed: dict = {}
+    primed: dict = {}
     seen: set = set(seed_configs)
     worklist = FifoWorklist(seen)
     deps: dict = {}
@@ -515,9 +553,11 @@ def global_store_explore(
     evals = 0
     retriggers = 0
     reused = 0
+    delta_evals = 0
 
     while worklist:
         config = worklist.pop()
+        prior = primed.pop(config, None) if primed else None
 
         if warm_records is not None:
             record = warm_records.get(config)
@@ -549,7 +589,9 @@ def global_store_explore(
         if trace is not None:
             trace.append(config)
 
-        recorder.begin_log()
+        if prior is not None:
+            delta_evals += 1
+        recorder.begin_log(log_writes, prior)
         try:
             pairs = merge.evaluate(step, config)
         finally:
@@ -558,6 +600,10 @@ def global_store_explore(
             reads, writes = recorder.end_log()
         for addr in reads:
             deps.setdefault(addr, set()).add(config)
+        if delta_ok:
+            sole = recorder.sole_fetch()
+            if sole is not None:
+                observed[config] = sole
         if counting:
             written_all |= writes
         if warm_records is not None:
@@ -579,6 +625,10 @@ def global_store_explore(
             for reader in deps.get(addr, ()):
                 if worklist.retrigger(reader):
                     retriggers += 1
+                    if observed:
+                        entry = observed.pop(reader, None)
+                        if entry is not None:
+                            primed[reader] = entry
 
     global_store = merge.result(written_all)
     if warm_records is not None:
@@ -594,6 +644,7 @@ def global_store_explore(
             tracked_addresses=len(deps),
             reused=reused,
             dedup_hits=worklist.dedup_hits,
+            delta_evaluations=delta_evals,
         )
     return (frozenset(seen), global_store)
 

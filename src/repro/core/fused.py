@@ -49,7 +49,16 @@ check):
 3. evaluation order matches the strict left-to-right order of the
    monadic path (all argument fetches before any bind; branches in
    fetch-set iteration order), so a shared *mutable* store observes the
-   same interleaving of reads and writes.
+   same interleaving of reads and writes;
+4. the step is *distributive over each fetch*, as the paper's
+   ``getsNDSet`` (5.3.2) makes every fetched value its own branch: the
+   successors and writes for a fetched set are the union of those for
+   its elements, taken in iteration order.  A fetch may therefore
+   return any finite sequence of values, not only a set, and the step
+   must use it only by iterating it and testing it for emptiness.  The
+   depgraph engine relies on this to re-evaluate a configuration whose
+   evaluation made a single fetch with only the values that fetch
+   gained (see :func:`repro.core.fixpoint.global_store_explore`).
 
 Abstract GC stays an engine/domain concern: the per-state domains sweep
 each fused branch's result store exactly where they weave the collector

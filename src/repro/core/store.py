@@ -269,20 +269,36 @@ class RecordingStore(StoreLike):
     address as a read and every ``bind``/``replace``/``update`` records
     its address as a write; the dependency-tracked engine uses the two
     sets to decide which configurations a store change can affect.
+
+    The bracket also counts *observations* (each ``fetch`` and each
+    ``update``, which consults a count) and keeps the first fetch's
+    ``(addr, values)``: :meth:`sole_fetch` hands it back when it was the
+    bracket's only observation.  A bracket opened with ``prior=(addr,
+    old_values)`` answers its first fetch of ``addr`` with only the
+    values not in ``old_values``, as a sequence in the full set's
+    iteration order -- the semi-naive re-evaluation of
+    :func:`repro.core.fixpoint.global_store_explore`.
     """
 
     def __init__(self, inner: StoreLike):
         super().__init__(inner.value_lattice)
         self.inner = inner
         self.logging = False
+        self.log_writes = False
         self.reads: set = set()
         self.writes: set = set()
+        self.observations = 0
+        self.first_fetch: tuple | None = None
+        self._prior: tuple | None = None
 
-    def begin_log(self) -> None:
+    def begin_log(self, writes: bool = True, prior: tuple | None = None) -> None:
         """Start a fresh read/write log for one bracketed evaluation.
 
-        Brackets do not nest: a reentrant ``begin_log`` would silently
-        discard the outer bracket's log, so it is an error.
+        ``writes=False`` skips the write log (for a caller that never
+        reads it); ``prior`` primes the delta fetch described on the
+        class.  Both hold for this bracket only.  Brackets do not nest:
+        a reentrant ``begin_log`` would silently discard the outer
+        bracket's log, so it is an error.
         """
         if self.logging:
             raise RuntimeError(
@@ -290,24 +306,34 @@ class RecordingStore(StoreLike):
                 "end_log the outer bracket first (brackets do not nest)"
             )
         self.logging = True
+        self.log_writes = writes
         self.reads = set()
         self.writes = set()
+        self.observations = 0
+        self.first_fetch = None
+        self._prior = prior
 
     def end_log(self) -> tuple[frozenset, frozenset]:
         """Stop logging and return the ``(reads, writes)`` address sets."""
         self.logging = False
+        self.log_writes = False
+        self._prior = None
         return frozenset(self.reads), frozenset(self.writes)
+
+    def sole_fetch(self) -> tuple | None:
+        """The last bracket's ``(addr, values)`` if one fetch was all it observed."""
+        return self.first_fetch if self.observations == 1 else None
 
     def empty(self) -> Any:
         return self.inner.empty()
 
     def bind(self, store: Any, addr: Hashable, d: Any) -> Any:
-        if self.logging:
+        if self.log_writes:
             self.writes.add(addr)
         return self.inner.bind(store, addr, d)
 
     def replace(self, store: Any, addr: Hashable, d: Any) -> Any:
-        if self.logging:
+        if self.log_writes:
             self.writes.add(addr)
         return self.inner.replace(store, addr, d)
 
@@ -316,13 +342,25 @@ class RecordingStore(StoreLike):
             # a cardinality-aware update consults the count at ``addr``
             # before writing, so it is both a read and a write
             self.reads.add(addr)
-            self.writes.add(addr)
+            self.observations += 1
+            if self.log_writes:
+                self.writes.add(addr)
         return self.inner.update(store, addr, d)
 
     def fetch(self, store: Any, addr: Hashable) -> Any:
+        values = self.inner.fetch(store, addr)
         if self.logging:
             self.reads.add(addr)
-        return self.inner.fetch(store, addr)
+            self.observations += 1
+            if self.observations == 1:
+                self.first_fetch = (addr, values)
+                prior = self._prior
+                if prior is not None and prior[0] == addr:
+                    # the delta, in the full set's order: a bare set
+                    # difference would reorder the branches
+                    old = prior[1]
+                    return [v for v in values if v not in old]
+        return values
 
     def filter_store(self, store: Any, keep: Callable[[Hashable], bool]) -> Any:
         return self.inner.filter_store(store, keep)

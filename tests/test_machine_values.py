@@ -94,29 +94,33 @@ CELLS = {
 #: ``KontTag``/``SiteContext`` are built once per syntax site per run
 #: (``repro.core.fused.SiteMemo``); before that they were built once per
 #: push and per apply (eta_chain: 425 and 1,740; countdown: 525 and 570;
-#: visitor: 12 ``KontTag``), every other count is unchanged.
+#: visitor: 12 ``KontTag``).  A retriggered evaluation re-steps only the
+#: values its fetch gained (the semi-naive path of
+#: ``repro.core.fixpoint.global_store_explore``); re-stepping whole value
+#: sets built, on eta_chain, 2,322 ``Binding``, 3,343 ``PState`` and 310
+#: ``ArgF``, and on countdown 1,385, 1,437 and 449.
 PINNED = {
     "eta_chain(12)/1cfa": {
         "evaluations": 901,
-        "cesk.ArgF": 310,
+        "cesk.ArgF": 90,
         "cesk.Clo": 25,
         "cesk.FunF": 90,
         "cesk.KontTag": 73,
         "cesk.LetF": 25,
-        "cesk.PState": 3343,
+        "cesk.PState": 1187,
         "cesk.SiteContext": 24,
-        "core.Binding": 2322,
+        "core.Binding": 892,
     },
     "imp countdown/1cfa": {
         "evaluations": 600,
-        "cesk.ArgF": 449,
+        "cesk.ArgF": 278,
         "cesk.Clo": 62,
         "cesk.FunF": 67,
         "cesk.KontTag": 69,
         "cesk.LetF": 9,
-        "cesk.PState": 1437,
+        "cesk.PState": 971,
         "cesk.SiteContext": 28,
-        "core.Binding": 1385,
+        "core.Binding": 839,
     },
     "fj visitor/1cfa": {
         "evaluations": 32,

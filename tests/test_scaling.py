@@ -17,16 +17,29 @@ A second cell pins a known super-linear cost as it stands: the CPS fused
 step's store threading per branch-product combination under ``0cfa``
 (:data:`BRANCH_PRODUCT`).
 
-The whole sweep runs in about a second; nothing is timed.
+Two lam families pin the per-evaluation work at ``1cfa``:
+
+* ``eta_chain(n)`` (:data:`ETA_CHAIN`): evaluations, retriggers and the
+  machine values one run builds, counted over every ``@hash_consed``
+  class as ``tests/test_machine_values.py`` counts them.  Every
+  retrigger re-steps only the values its fetch gained (the semi-naive
+  path of ``global_store_explore``), so values per evaluation stay near
+  three; re-stepping whole value sets built 4.4 per evaluation at n = 8
+  and 17.3 at n = 25 (1,760 and 84,108 values).
+* ``apply_tower(n)``: exactly 8n + 2 evaluations.
+
+The whole sweep runs in under two seconds; nothing is timed.
 """
 
 from __future__ import annotations
 
 import pytest
+from test_machine_values import wrap_constructors
 
 import repro.cps.syntax as cps_syntax
 from repro.config import assemble, preset_config
 from repro.corpus.cps_programs import id_chain
+from repro.corpus.lam_programs import apply_tower, eta_chain
 from repro.service.jobs import iter_subvalues
 from repro.util.intern import _INTERNED, clear_intern_pool
 
@@ -87,3 +100,37 @@ def test_cps_fused_branch_product_cost(n, monkeypatch):
     analysis = assemble(preset_config("0cfa", "cps"))
     analysis.run(id_chain(n))
     assert (analysis.last_stats["evaluations"], calls) == BRANCH_PRODUCT[n]
+
+
+#: ``eta_chain(n)`` under ``1cfa``: (evaluations, retriggers, machine values).
+ETA_CHAIN = {
+    8: (399, 126, 1_004),
+    12: (901, 396, 2_406),
+    16: (1_691, 890, 4_752),
+    25: (4_853, 3_152, 14_808),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ETA_CHAIN))
+def test_eta_chain_values_per_evaluation(n, monkeypatch):
+    built = [0]
+
+    def count(_cls, _value):
+        built[0] += 1
+
+    wrap_constructors(monkeypatch, count)
+    program = eta_chain(n)
+    analysis = assemble(preset_config("1cfa", "lam"), program=program)
+    built[0] = 0  # count the run only, not assembly
+    analysis.run(program)
+    stats = analysis.last_stats
+    assert (stats["evaluations"], stats["retriggers"], built[0]) == ETA_CHAIN[n]
+    assert stats["delta_evaluations"] == stats["retriggers"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_apply_tower_evaluations_are_linear(n):
+    program = apply_tower(n)
+    analysis = assemble(preset_config("1cfa", "lam"), program=program)
+    analysis.run(program)
+    assert analysis.last_stats["evaluations"] == 8 * n + 2

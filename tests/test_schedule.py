@@ -13,6 +13,11 @@ What this file pins, layer by layer:
   work out of the drain forever.  The depgraph loop itself
   (``global_store_explore``, both store impls) reaches the same
   reference on the same systems and still honours its divergence budget.
+* **Semi-naive re-evaluation** -- a staged (``FusedTransition``) fake
+  step that fetches once and is distributive over that fetch reaches
+  the same reference on the versioned store while re-stepping only the
+  values a retrigger added; a staged step that fetches twice, a
+  plain-callable step and the persistent store re-step in full.
 * **Drain accounting on the corpora** -- on every corpus program of all
   three languages, both store impls (and GC / counting for CPS and FJ),
   every evaluation is either a first discovery or an admitted retrigger,
@@ -33,6 +38,7 @@ from repro.core.fixpoint import (
     FixpointDiverged,
     global_store_explore,
 )
+from repro.core.fused import FusedTransition
 from repro.core.store import BasicStore, RecordingStore, VersionedStore
 from repro.corpus import corpus_program, corpus_programs
 
@@ -259,6 +265,103 @@ class TestFakeDomainEngine:
             global_store_explore(collecting, step, None, max_evals=50)
 
 
+class _StagedFakeInner(_FakeInner):
+    """The fake per-state surface with the staged calling convention:
+    ``step(config, guts, store) -> [(successor, store)]``."""
+
+    def run_config(self, step, config_pair):
+        config, store = config_pair
+        return step(config, None, store)
+
+    def run_config_pairs(self, step, config_pair):
+        config, store = config_pair
+        return [successor for successor, _store in step(config, None, store)]
+
+
+def _staged_engine(store_impl, seeds):
+    base = VersionedStore() if store_impl == "versioned" else BasicStore()
+    recorder = RecordingStore(base)
+    return _FakeCollecting(_StagedFakeInner(recorder), seeds), recorder
+
+
+def _one_read_system(seed):
+    """``_random_system`` with every configuration reading one address."""
+    return {
+        config: (reads[:1], writes, successors)
+        for config, (reads, writes, successors) in _random_system(seed).items()
+    }
+
+
+def _per_value_step(recorder, table, fetches=1):
+    """A step distributive over its fetch: the token write, then one
+    write per fetched value.  ``fetches=2`` fetches the read address
+    twice, which leaves the fixed point alone but makes the evaluation
+    multi-observation.  Returns the step and its per-value call counter."""
+    calls = [0]
+
+    def step(config, _guts, store):
+        reads, writes, successors = table[config]
+        for addr in writes:
+            store = recorder.bind(store, addr, frozenset({("token", config)}))
+        for _ in range(fetches - 1):
+            recorder.fetch(store, reads[0])
+        for value in recorder.fetch(store, reads[0]):
+            calls[0] += 1
+            for addr in writes:
+                store = recorder.bind(store, addr, frozenset({value}))
+        # the configuration is its own successor, as in ``_FakeInner``
+        return [(successor, store) for successor in (config, *successors)]
+
+    return step, calls
+
+
+def _staged_run(table, store_impl, staged, fetches=1):
+    """One drain of ``table``: ``(configs, store, stats, per-value calls)``."""
+    collecting, recorder = _staged_engine(store_impl, seeds={0, 1})
+    step, calls = _per_value_step(recorder, table, fetches)
+    stats: dict = {}
+    configs, store = global_store_explore(
+        collecting, FusedTransition(step) if staged else step, None, stats=stats
+    )
+    return configs, dict(store), stats, calls[0]
+
+
+class TestSemiNaiveDelta:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_staged_distributive_step_restep_only_the_delta(self, seed):
+        table = _one_read_system(seed)
+        ref_configs, ref_store = _reference_fixpoint(table, seeds={0, 1})
+        configs, store, stats, calls = _staged_run(table, "versioned", staged=True)
+        assert (configs, store) == (ref_configs, ref_store)
+        assert stats["delta_evaluations"] > 0
+        # the same step as a plain callable re-steps every value: same
+        # drain, same fixed point, more per-value calls
+        *full, full_stats, full_calls = _staged_run(table, "versioned", staged=False)
+        assert full == [ref_configs, ref_store]
+        assert full_stats["delta_evaluations"] == 0
+        for key in ("evaluations", "retriggers", "dedup_hits", "configurations"):
+            assert stats[key] == full_stats[key], key
+        assert calls < full_calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_step_that_fetches_twice_is_restepped_in_full(self, seed):
+        table = _one_read_system(seed)
+        ref = _reference_fixpoint(table, seeds={0, 1})
+        *fp, stats, calls = _staged_run(table, "versioned", staged=True, fetches=2)
+        *_, full_calls = _staged_run(table, "versioned", staged=False, fetches=2)
+        assert fp == list(ref)
+        assert stats["delta_evaluations"] == 0
+        assert calls == full_calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_persistent_store_restep_in_full(self, seed):
+        table = _one_read_system(seed)
+        ref = _reference_fixpoint(table, seeds={0, 1})
+        *fp, stats, _calls = _staged_run(table, "persistent", staged=True)
+        assert fp == list(ref)
+        assert stats["delta_evaluations"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Drain accounting on the real corpora
 # ---------------------------------------------------------------------------
@@ -325,6 +428,10 @@ class TestDrainAccounting:
         assert fused_trace == generic_trace
         for key in ("evaluations", "retriggers", "dedup_hits", "configurations"):
             assert fused_stats[key] == generic_stats[key], key
+        # only the staged step on the versioned store re-steps deltas
+        assert generic_stats["delta_evaluations"] == 0
+        if store_impl == "persistent":
+            assert fused_stats["delta_evaluations"] == 0
 
 
 class TestScheduleTrace:

@@ -291,6 +291,56 @@ class TestRecordingStoreBracketing:
         reads, writes = recorder.end_log()
         assert reads == frozenset(["a"]) and writes == frozenset()
 
+    def test_sole_fetch_is_the_only_observation(self):
+        recorder = RecordingStore(BasicStore())
+        sigma = recorder.bind(recorder.empty(), "a", frozenset([1]))
+        recorder.begin_log()
+        sigma = recorder.bind(sigma, "b", frozenset([2]))  # writes observe nothing
+        recorder.fetch(sigma, "a")
+        recorder.end_log()
+        assert recorder.sole_fetch() == ("a", frozenset([1]))
+        for second in (
+            lambda: recorder.fetch(sigma, "a"),  # a repeat fetch
+            lambda: recorder.update(sigma, "b", frozenset([1])),  # reads a count
+        ):
+            recorder.begin_log()
+            recorder.fetch(sigma, "a")
+            second()
+            recorder.end_log()
+            assert recorder.sole_fetch() is None
+
+    def test_prior_answers_the_first_fetch_with_the_delta_in_order(self):
+        recorder = RecordingStore(VersionedStore())
+        full = frozenset(range(20))
+        sigma = recorder.bind(recorder.empty(), "a", full)
+        old = frozenset(range(0, 20, 3))
+        recorder.begin_log(prior=("a", old))
+        delta = recorder.fetch(sigma, "a")
+        again = recorder.fetch(sigma, "a")
+        recorder.end_log()
+        assert delta == [v for v in full if v not in old]
+        assert again == full  # only the first fetch is answered with a delta
+        assert recorder.first_fetch == ("a", full)  # the full set is recorded
+        # the prior holds for its bracket only, and only for its address
+        recorder.begin_log(prior=("b", old))
+        assert recorder.fetch(sigma, "a") == full
+        recorder.end_log()
+        recorder.begin_log()
+        assert recorder.fetch(sigma, "a") == full
+        recorder.end_log()
+
+    def test_write_logging_is_decided_per_bracket(self):
+        recorder = RecordingStore(BasicStore())
+        sigma = recorder.empty()
+        recorder.begin_log(writes=False)
+        sigma = recorder.bind(sigma, "a", frozenset([1]))
+        recorder.fetch(sigma, "a")
+        reads, writes = recorder.end_log()
+        assert (reads, writes) == (frozenset(["a"]), frozenset())
+        recorder.begin_log()
+        recorder.bind(sigma, "a", frozenset([2]))
+        assert recorder.end_log()[1] == frozenset(["a"])
+
 
 class TestVersionedCountingStore:
     """The counting co-domain on the mutable/versioned representation."""

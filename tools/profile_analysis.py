@@ -174,7 +174,8 @@ def schedule_trace(analysis, config, args: argparse.Namespace, program) -> int:
     print(
         f"  evaluations: {stats.get('evaluations')}  "
         f"retriggers: {stats.get('retriggers')}  "
-        f"dedup_hits: {stats.get('dedup_hits')}"
+        f"dedup_hits: {stats.get('dedup_hits')}  "
+        f"delta_evaluations: {stats.get('delta_evaluations')}"
     )
 
     shown = min(len(trace), max(0, args.top))
