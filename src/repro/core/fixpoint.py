@@ -93,15 +93,17 @@ re-triggering has to happen inside the bracket: the monadic step, the
 woven-in GC sweep (persistent merge) and the engine-side GC sweep
 (versioned merge).  ``end_log`` runs in a ``finally`` so a raising step
 cannot leave the log open (``begin_log`` refuses re-entry), and the
-returned ``(reads, writes)`` are consumed immediately: reads feed the
-dependency map, writes feed growth detection and the counting
-saturation set.  A plain versioned drain (no counting, warm start or
-capture) reads no writes, so it opens its brackets without a write log.
+returned ``(reads, writes)`` -- the recorder's own sets, which the next
+``begin_log`` empties -- are consumed before the next bracket opens:
+reads feed the dependency map, writes feed growth detection and the
+counting saturation set, and an evaluation capture freezes both.  A
+plain versioned drain (no counting, warm start or capture) reads no
+writes, so it opens its brackets without a write log.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -375,6 +377,12 @@ class FifoWorklist:
     Any drain order reaches the same least fixed point (chaotic
     iteration); FIFO's append-at-tail batches a reader's re-run behind
     the growth already queued.
+
+    Any hashable item can be queued.  :func:`global_store_explore`
+    queues configuration *ids* -- the small integers it numbers each
+    configuration with when first discovering it -- so a pop and a
+    queue test hash an ``int`` in C, never a ``(pstate, guts)`` tuple
+    through its members' Python-level ``__hash__``.
     """
 
     __slots__ = ("_queue", "_queued", "dedup_hits")
@@ -431,11 +439,26 @@ def global_store_explore(
 
     * one *global store*, the join of every store any evaluation produced
       (the standard AAM global-store widening);
-    * a *seen* set of configurations and a worklist of configurations
-      still to (re-)evaluate;
+    * a numbering of the configurations seen so far (``index``, from a
+      configuration to its id, and ``configs``, back) and a worklist of
+      the ids still to (re-)evaluate;
     * a dependency map ``addr -> readers`` recording which configurations
       fetched which addresses during their last evaluation (read off the
       recording store's log).
+
+    Each configuration is a ``(pstate, guts)`` tuple, which Python does
+    not memoize the hash of: every hash of one calls its members'
+    ``__hash__`` again.  So the loop hashes a configuration only where it
+    must -- once per successor (``index.setdefault``, which tests and
+    numbers it in one probe), once per logged read (the reader sets of
+    the dependency map) and once per retrigger candidate (a reader back
+    to its id) -- and everything else runs on ids: the worklist's queue
+    and queued set, and the semi-naive ``observed``/``primed`` maps.  The
+    reader sets keep the configurations themselves, because a set
+    iterates in its members' hash order and that order is the retrigger
+    order; an id-keyed reader set would drain in another order and move
+    the counts, not the fixed point (PERFORMANCE.md, "Numbered
+    configurations").
 
     When an evaluation grows the global store, Kleene iteration would
     re-step *every* configuration next round; this engine re-enqueues
@@ -488,8 +511,8 @@ def global_store_explore(
     not in the set it fetched last time, in the full set's iteration
     order (see :class:`~repro.core.store.RecordingStore`).  This is
     exact: a single-observation evaluation reads nothing while it
-    processes each value, so the old values' successors are already in
-    ``seen`` and re-binding them cannot grow the store (a counting store
+    processes each value, so the old values' successors are already
+    numbered and re-binding them cannot grow the store (a counting store
     would only bump counts, which the post-convergence saturation raises
     to MANY anyway).  The rest keep full re-evaluation: the persistent
     merge collects branches into a set, whose order fewer elements would
@@ -500,11 +523,11 @@ def global_store_explore(
     combine them (a CPS argument product).  ``delta_evaluations``
     counts the re-evaluations that took this path.
 
-    The worklist is a :class:`FifoWorklist`; its suppressed re-enqueues
-    are reported as the ``dedup_hits`` stat.  ``trace``, when supplied,
-    receives every real (non-replayed) evaluation's configuration in
-    evaluation order -- the raw feed behind
-    ``tools/profile_analysis.py --schedule-trace``.
+    The worklist is a :class:`FifoWorklist` over configuration ids; its
+    suppressed re-enqueues are reported as the ``dedup_hits`` stat.
+    ``trace``, when supplied, receives every real (non-replayed)
+    evaluation's configuration in evaluation order -- the raw feed
+    behind ``tools/profile_analysis.py --schedule-trace``.
     """
     inner = collecting.inner
     recorder = inner.store_like
@@ -535,9 +558,13 @@ def global_store_explore(
         warm_records = warm_start.records
         live_writes = set(seed_store.keys())
         dirty = merge.seeded_growth()
+    # configuration <-> id, numbered at discovery (see the docstring)
+    configs: list = list(seed_configs)  # a set: no duplicates
+    index: dict = {config: cid for cid, config in enumerate(configs)}
+    worklist = FifoWorklist(range(len(configs)))
     # the semi-naive fast path: ``observed`` holds each configuration's
-    # sole fetch ``(addr, values)`` from its last evaluation, moved to
-    # ``primed`` when a retrigger re-queues it
+    # sole fetch ``(addr, values)`` from its last evaluation, by id,
+    # moved to ``primed`` when a retrigger re-queues it
     no_replay = warm_start is None and capture is None
     delta_ok = (
         no_replay and versioned and not gc_on and isinstance(step, FusedTransition)
@@ -546,18 +573,22 @@ def global_store_explore(
     log_writes = not (no_replay and versioned and not counting)
     observed: dict = {}
     primed: dict = {}
-    seen: set = set(seed_configs)
-    worklist = FifoWorklist(seen)
-    deps: dict = {}
+    # reader sets hold configurations, not ids: their iteration order
+    # is the retrigger order
+    deps: defaultdict = defaultdict(set)
     written_all: set = set()
     evals = 0
     retriggers = 0
     reused = 0
     delta_evals = 0
+    begin_log, end_log = recorder.begin_log, recorder.end_log
+    evaluate, commit = merge.evaluate, merge.commit
+    discovered, retrigger = worklist.discovered, worklist.retrigger
 
     while worklist:
-        config = worklist.pop()
-        prior = primed.pop(config, None) if primed else None
+        cid = worklist.pop()
+        config = configs[cid]
+        prior = primed.pop(cid, None) if primed else None
 
         if warm_records is not None:
             record = warm_records.get(config)
@@ -572,11 +603,12 @@ def global_store_explore(
                 reused += 1
                 live_writes |= record.writes
                 for addr in record.reads:
-                    deps.setdefault(addr, set()).add(config)
+                    deps[addr].add(config)
                 for pair in record.successors:
-                    if pair not in seen:
-                        seen.add(pair)
-                        worklist.discovered(pair)
+                    fresh = len(configs)
+                    if index.setdefault(pair, fresh) == fresh:
+                        configs.append(pair)
+                        discovered(fresh)
                 if capture is not None:
                     capture.records[config] = record
                 continue
@@ -591,44 +623,51 @@ def global_store_explore(
 
         if prior is not None:
             delta_evals += 1
-        recorder.begin_log(log_writes, prior)
+        begin_log(log_writes, prior)
         try:
-            pairs = merge.evaluate(step, config)
+            pairs = evaluate(step, config)
         finally:
             # always close the bracket: a step that raises must not
             # leave the recorder logging (begin_log refuses reentry)
-            reads, writes = recorder.end_log()
+            reads, writes = end_log()
         for addr in reads:
-            deps.setdefault(addr, set()).add(config)
+            deps[addr].add(config)
         if delta_ok:
             sole = recorder.sole_fetch()
             if sole is not None:
-                observed[config] = sole
+                observed[cid] = sole
         if counting:
             written_all |= writes
         if warm_records is not None:
             live_writes |= writes
 
         for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                worklist.discovered(pair)
+            fresh = len(configs)
+            if index.setdefault(pair, fresh) == fresh:
+                configs.append(pair)
+                discovered(fresh)
         if capture is not None:
             capture.records[config] = EvalRecord(
-                reads=reads, writes=writes, successors=tuple(dict.fromkeys(pairs))
+                reads=frozenset(reads),
+                writes=frozenset(writes),
+                successors=tuple(dict.fromkeys(pairs)),
             )
 
         # re-enqueue only the readers of addresses whose value set grew
-        for addr in merge.commit(writes):
+        for addr in commit(writes):
             if warm_records is not None:
                 dirty.add(addr)
-            for reader in deps.get(addr, ()):
-                if worklist.retrigger(reader):
+            readers = deps.get(addr)
+            if readers is None:
+                continue
+            for reader in readers:
+                rid = index[reader]
+                if retrigger(rid):
                     retriggers += 1
                     if observed:
-                        entry = observed.pop(reader, None)
+                        entry = observed.pop(rid, None)
                         if entry is not None:
-                            primed[reader] = entry
+                            primed[rid] = entry
 
     global_store = merge.result(written_all)
     if warm_records is not None:
@@ -640,13 +679,14 @@ def global_store_explore(
         stats.update(
             evaluations=evals,
             retriggers=retriggers,
-            configurations=len(seen),
+            configurations=len(configs),
             tracked_addresses=len(deps),
             reused=reused,
             dedup_hits=worklist.dedup_hits,
             delta_evaluations=delta_evals,
         )
-    return (frozenset(seen), global_store)
+    # built from the dict, the frozenset reuses the stored hashes
+    return (frozenset(index), global_store)
 
 
 class _PersistentMerge:
@@ -695,7 +735,14 @@ class _PersistentMerge:
         # re-evaluation can observe (counting stores: count-only drift
         # is invisible to fetch, so it never retriggers)
         fetch, leq = self._recorder.fetch, self._value_lattice.leq
-        return [a for a in writes if not leq(fetch(new_store, a), fetch(old_store, a))]
+        # the grown addresses come back in the order of a frozen copy of
+        # the write log (the order the retriggers follow): the log's own
+        # set can be laid out differently once it holds five addresses
+        return [
+            a
+            for a in frozenset(writes)
+            if not leq(fetch(new_store, a), fetch(old_store, a))
+        ]
 
     def result(self, written: set) -> Any:
         """The fixed-point store, with step-written counts saturated."""

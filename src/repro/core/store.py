@@ -283,6 +283,13 @@ class RecordingStore(StoreLike):
     def __init__(self, inner: StoreLike):
         super().__init__(inner.value_lattice)
         self.inner = inner
+        # the inner operations as bound methods, made once: every step
+        # goes through these, and ``self.inner.fetch`` would build a
+        # bound method per call
+        self._fetch = inner.fetch
+        self._bind = inner.bind
+        self._replace = inner.replace
+        self._update = inner.update
         self.logging = False
         self.log_writes = False
         self.reads: set = set()
@@ -296,9 +303,10 @@ class RecordingStore(StoreLike):
 
         ``writes=False`` skips the write log (for a caller that never
         reads it); ``prior`` primes the delta fetch described on the
-        class.  Both hold for this bracket only.  Brackets do not nest:
-        a reentrant ``begin_log`` would silently discard the outer
-        bracket's log, so it is an error.
+        class.  Both hold for this bracket only.  The log reuses the two
+        sets the previous :meth:`end_log` handed out, emptied.  Brackets
+        do not nest: a reentrant ``begin_log`` would silently discard
+        the outer bracket's log, so it is an error.
         """
         if self.logging:
             raise RuntimeError(
@@ -307,18 +315,24 @@ class RecordingStore(StoreLike):
             )
         self.logging = True
         self.log_writes = writes
-        self.reads = set()
-        self.writes = set()
+        self.reads.clear()
+        self.writes.clear()
         self.observations = 0
         self.first_fetch = None
         self._prior = prior
 
-    def end_log(self) -> tuple[frozenset, frozenset]:
-        """Stop logging and return the ``(reads, writes)`` address sets."""
+    def end_log(self) -> tuple[set, set]:
+        """Stop logging and return the ``(reads, writes)`` address sets.
+
+        The sets are the log's own, not copies: they belong to the
+        caller until the next :meth:`begin_log`, which empties them for
+        its bracket.  A caller that keeps them longer (the engine's
+        evaluation capture) freezes them first.
+        """
         self.logging = False
         self.log_writes = False
         self._prior = None
-        return frozenset(self.reads), frozenset(self.writes)
+        return self.reads, self.writes
 
     def sole_fetch(self) -> tuple | None:
         """The last bracket's ``(addr, values)`` if one fetch was all it observed."""
@@ -330,12 +344,12 @@ class RecordingStore(StoreLike):
     def bind(self, store: Any, addr: Hashable, d: Any) -> Any:
         if self.log_writes:
             self.writes.add(addr)
-        return self.inner.bind(store, addr, d)
+        return self._bind(store, addr, d)
 
     def replace(self, store: Any, addr: Hashable, d: Any) -> Any:
         if self.log_writes:
             self.writes.add(addr)
-        return self.inner.replace(store, addr, d)
+        return self._replace(store, addr, d)
 
     def update(self, store: Any, addr: Hashable, d: Any) -> Any:
         if self.logging:
@@ -345,10 +359,10 @@ class RecordingStore(StoreLike):
             self.observations += 1
             if self.log_writes:
                 self.writes.add(addr)
-        return self.inner.update(store, addr, d)
+        return self._update(store, addr, d)
 
     def fetch(self, store: Any, addr: Hashable) -> Any:
-        values = self.inner.fetch(store, addr)
+        values = self._fetch(store, addr)
         if self.logging:
             self.reads.add(addr)
             self.observations += 1

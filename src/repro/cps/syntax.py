@@ -23,7 +23,15 @@ from __future__ import annotations
 
 import itertools
 
-from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
+from repro.util.intern import (
+    FREE_VARS_SLOT,
+    TEXT_SLOT,
+    bind_vars,
+    fold_memo,
+    interned,
+    remember,
+    union_vars,
+)
 from typing import Iterator, Union
 
 Var = str
@@ -151,7 +159,12 @@ def pp(term: Term) -> str:
     if isinstance(term, Ref):
         return term.var
     if isinstance(term, Lam):
-        return f"(lambda ({' '.join(term.params)}) {pp(term.body)})"
+        # memoized on the node: its text is a pure function of its structure
+        text = getattr(term, TEXT_SLOT)
+        if text is None:
+            text = f"(lambda ({' '.join(term.params)}) {pp(term.body)})"
+            remember(term, TEXT_SLOT, text)
+        return text
     if isinstance(term, Call):
         parts = [pp(term.fun)] + [pp(arg) for arg in term.args]
         return "(" + " ".join(parts) + ")"

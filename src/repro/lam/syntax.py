@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import itertools
 
-from repro.util.intern import FREE_VARS_SLOT, bind_vars, fold_memo, interned, union_vars
+from repro.util.intern import (
+    FREE_VARS_SLOT,
+    TEXT_SLOT,
+    bind_vars,
+    fold_memo,
+    interned,
+    remember,
+    union_vars,
+)
 from typing import Iterator
 
 
@@ -112,7 +120,12 @@ def pp(expr: Expr) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Lam):
-        return f"(lambda ({' '.join(expr.params)}) {pp(expr.body)})"
+        # memoized on the node: its text is a pure function of its structure
+        text = getattr(expr, TEXT_SLOT)
+        if text is None:
+            text = f"(lambda ({' '.join(expr.params)}) {pp(expr.body)})"
+            remember(expr, TEXT_SLOT, text)
+        return text
     if isinstance(expr, App):
         return "(" + " ".join([pp(expr.fun)] + [pp(a) for a in expr.args]) + ")"
     if isinstance(expr, Let):

@@ -91,9 +91,17 @@ that live and die with one run.
 
 Because a canonical node stands for its whole structure, any fact that
 depends only on that structure can be computed once and kept on the
-node: the content digest (:func:`repro.service.cache.program_digest`)
-and the free-variable sets of the three syntaxes.  Unlike the hash
-memo these are filled lazily, on first use, through
+node, under three slots:
+
+* ``DIGEST_SLOT`` -- the content digest
+  (:func:`repro.service.cache.program_digest`);
+* ``FREE_VARS_SLOT`` -- the free-variable sets of the three syntaxes;
+* ``TEXT_SLOT`` -- the concrete-syntax text of a ``lam`` or ``cps``
+  lambda, filled by each syntax's ``pp`` (which is also the node's
+  ``repr``).  A report renders every lambda of every flow set, so a
+  lambda is rendered once in its life, not once per flow entry per run.
+
+Unlike the hash memo these are filled lazily, on first use, through
 :func:`memo_of`/:func:`remember` (one fact) and :func:`fold_memo` (a
 bottom-up fact, computed iteratively so chain-shaped terms of any depth
 are safe).  They live in the node's own attributes, under ``_hc_*``
@@ -109,8 +117,10 @@ about 30% slower -- a cost every analysis step would pay.  So:
 * they **never travel**: ``__reduce__`` sends field values only, and
   the unpickled node (the pool's node in the loading process) fills its
   own memos when they are first asked for;
-* they are invisible to equality, hashing and ``repr``, which read the
-  dataclass fields only.
+* they are invisible to equality and hashing, which read the dataclass
+  fields only; the text memo *is* the ``repr`` of its node, equal to the
+  unmemoized rendering (``tests/test_node_memos.py`` checks every
+  corpus lambda).
 
 ## Source memo
 
@@ -300,11 +310,12 @@ def _install_shared_methods(cls: type) -> Callable:
     return __init__
 
 
-#: Per-node memo slots (see "Per-node memos"): a node's content digest
-#: and its free-variable set.
+#: Per-node memo slots (see "Per-node memos"): a node's content digest,
+#: its free-variable set and its rendered text.
 DIGEST_SLOT = "_hc_digest"
 FREE_VARS_SLOT = "_hc_free_vars"
-_MEMO_SLOTS = (DIGEST_SLOT, FREE_VARS_SLOT)
+TEXT_SLOT = "_hc_text"
+_MEMO_SLOTS = (DIGEST_SLOT, FREE_VARS_SLOT, TEXT_SLOT)
 
 #: One pool per :func:`interned` class: field-value tuple -> canonical node.
 _POOLS: list[dict] = []

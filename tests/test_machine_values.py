@@ -1,7 +1,7 @@
 """Machine values (``@hash_consed``): what an evaluation builds, and how.
 
-Two things are pinned here, with no hook in ``src/`` (the untraced path
-pays nothing for them):
+Three things are pinned here, with no hook in ``src/`` (the untraced
+path pays nothing for them):
 
 * **Construction counts.**  Each test wraps every ``@hash_consed``
   class's ``__init__`` and counts, per class, the machine values one
@@ -9,6 +9,12 @@ pays nothing for them):
   for any string-hash seed, so they are gated exactly, like the
   evaluation counts of ``tests/test_scaling.py``: a step that builds one
   value more per evaluation moves them.
+* **Hash calls.**  On the same cells, the Python-level ``__hash__``
+  calls one run makes (the memo read every hash-consed value and syntax
+  node shares, and any ``__hash__`` a ``repro`` class writes itself),
+  counted through a profile hook.  Every set test, dict access and tuple
+  hash of a configuration lands here, so bookkeeping that hashes a
+  configuration once more per evaluation moves them.
 * **The generated methods change nothing observable.**  For every
   ``@hash_consed`` class, ``hash(v)`` equals the structural hash a plain
   frozen dataclass with the same fields computes, ``==`` agrees with that
@@ -158,6 +164,59 @@ def test_construction_counts_are_pinned(cell, built):
     run()
     got = {"evaluations": analysis.last_stats["evaluations"], **built}
     assert got == PINNED[cell]
+
+
+def python_hash_codes() -> set:
+    """The code of every Python-level ``__hash__`` a loaded ``repro`` class has."""
+    codes = {_hash.__code__}
+    for name, module in list(sys.modules.items()):
+        if name != "repro" and not name.startswith("repro."):
+            continue
+        for value in vars(module).values():
+            method = isinstance(value, type) and value.__dict__.get("__hash__")
+            if callable(method) and hasattr(method, "__code__"):
+                codes.add(method.__code__)
+    return codes
+
+
+def count_hash_calls(run) -> int:
+    """How many Python-level ``__hash__`` frames ``run()`` enters."""
+    codes = python_hash_codes()
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+#: Python-level ``__hash__`` calls of one ``run`` of each cell.  Before
+#: the depgraph loop numbered its configurations (each pop, queue test,
+#: ``seen`` test and delta-map access hashed the ``(pstate, guts)``
+#: tuple again), they were: eta_chain 32,253, countdown 21,196, visitor
+#: 753 and id_chain 11,126.
+HASH_CALLS = {
+    "eta_chain(12)/1cfa": 23785,
+    "imp countdown/1cfa": 16324,
+    "fj visitor/1cfa": 569,
+    "id_chain(24)/0cfa": 10954,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_hash_calls_are_pinned(cell):
+    analysis, run = run_cell(cell)
+    calls = count_hash_calls(run)
+    assert analysis.last_stats["evaluations"] == PINNED[cell]["evaluations"]
+    assert calls == HASH_CALLS[cell]
 
 
 def test_the_scan_finds_every_machine_value_class():

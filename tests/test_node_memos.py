@@ -1,8 +1,9 @@
 """Per-node memos and the source memo: a repeat request pays per program.
 
 Canonical syntax nodes carry lazily filled memos of facts that depend
-only on their structure -- the content digest and the free-variable set
-(:mod:`repro.util.intern`, "Per-node memos") -- and the intern pool
+only on their structure -- the content digest, the free-variable set and
+a lambda's rendered text (:mod:`repro.util.intern`, "Per-node memos")
+-- and the intern pool
 carries one more table, ``(language, source text) -> program``
 ("Source memo").  These tests pin:
 
@@ -11,9 +12,10 @@ carries one more table, ``(language, source text) -> program``
   registries, generated before the memos existed, so disk-cache keys can
   never move;
 * the memos' **cost** (a known program digests without a walk, an edit
-  digests only its new nodes, free variables are computed once per node)
-  and their **invisibility** (equality, hashing, ``repr`` and pickles
-  ignore them);
+  digests only its new nodes, free variables are computed once per node,
+  a lambda is rendered once) and their **invisibility** (equality,
+  hashing, ``repr`` and pickles ignore them; the text memo renders every
+  corpus lambda exactly as the unmemoized printer does);
 * the **pool lifecycle**: a clear frees analysed programs (nothing
   pins them), a request after it re-parses into the new pool, the
   warm-start identity gate still fires, and ``intern_limit`` bounds the
@@ -49,6 +51,7 @@ from repro.service.jobs import (
 from repro.util.intern import (
     DIGEST_SLOT,
     FREE_VARS_SLOT,
+    TEXT_SLOT,
     clear_intern_pool,
     decompose,
     intern_pool_size,
@@ -226,6 +229,73 @@ class TestFreeVarsMemo:
             expected = frozenset(["this", "x", "y"])
         assert fv(term) == expected
         assert memo_of(term, FREE_VARS_SLOT) is fv(term)
+
+
+def plain_text(term) -> str:
+    """The concrete syntax of a ``lam`` or ``cps`` term, rendered with no memo."""
+    from repro.cps import syntax as cps
+    from repro.lam import syntax as lam
+
+    if isinstance(term, (lam.Var, cps.Ref)):
+        return repr(term)
+    if isinstance(term, (lam.Lam, cps.Lam)):
+        return f"(lambda ({' '.join(term.params)}) {plain_text(term.body)})"
+    if isinstance(term, (lam.App, cps.Call)):
+        return "(" + " ".join(map(plain_text, (term.fun, *term.args))) + ")"
+    if isinstance(term, lam.Let):
+        return f"(let (({term.var} {plain_text(term.rhs)})) {plain_text(term.body)})"
+    assert isinstance(term, cps.Exit)
+    return "(exit)"
+
+
+def corpus_lambdas(language: str) -> list:
+    """Every lambda of the ``language`` corpus (imp's lowered programs are lam)."""
+    if language == "cps":
+        from repro.cps.syntax import Lam as Lambda
+        from repro.cps.syntax import subterms
+
+        programs = list(corpus_programs("cps").values())
+    else:
+        from repro.lam.syntax import Lam as Lambda
+        from repro.lam.syntax import subterms
+
+        programs = [*corpus_programs("lam").values(), *corpus_programs("imp").values()]
+    return [node for program in programs for node in subterms(program) if type(node) is Lambda]
+
+
+class TestTextMemo:
+    @pytest.mark.parametrize("language", ["cps", "lam"])
+    def test_every_corpus_lambda_renders_as_the_plain_printer_does(self, language):
+        clear_intern_pool()
+        lambdas = corpus_lambdas(language)
+        assert len(lambdas) >= 20
+        for node in lambdas:
+            expected = plain_text(node)
+            assert repr(node) == expected
+            assert memo_of(node, TEXT_SLOT) == expected
+            assert repr(node) is memo_of(node, TEXT_SLOT)  # rendered once
+
+    def test_calls_and_applications_render_through_the_lambda_memo(self):
+        from repro.lam.parser import parse_expr
+
+        term = parse_expr("((lambda (x) (x x)) (lambda (y) y))")
+        assert memo_of(term, TEXT_SLOT) is None  # only lambdas keep a text
+        assert repr(term) == plain_text(term)
+        assert memo_of(term.fun, TEXT_SLOT) == "(lambda (x) (x x))"
+        assert memo_of(term, TEXT_SLOT) is None
+
+    def test_the_text_memo_never_travels_in_a_pickle(self):
+        program = parse_cps(CHAIN_SRC)
+        lam = program.fun
+        text = repr(lam)
+        assert memo_of(lam, TEXT_SLOT) == text
+        payload = pickle.dumps(program)
+        assert TEXT_SLOT.encode() not in payload
+        clear_intern_pool()
+        clone = pickle.loads(payload)
+        assert clone is not program and memo_of(clone.fun, TEXT_SLOT) is None
+        assert repr(clone.fun) == text
+        assert memo_of(clone.fun, TEXT_SLOT) == text
 
 
 class TestSourceMemo:
